@@ -1,11 +1,25 @@
 #include "core/instance.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace ses::core {
+
+namespace {
+
+/// NaN fails the comparison, so it is rejected along with negatives.
+bool IsFiniteNonNegative(double x) { return x >= 0.0 && std::isfinite(x); }
+
+}  // namespace
+
+void InterestRows::Reserve(size_t rows, size_t entries) {
+  offsets_.reserve(offsets_.size() + rows);
+  users_.reserve(users_.size() + entries);
+  values_.reserve(values_.size() + entries);
+}
 
 uint32_t InterestRows::AddRow(
     std::span<const std::pair<UserIndex, float>> entries) {
@@ -112,6 +126,19 @@ util::Status InstanceBuilder::ValidateRow(
   return util::Status::Ok();
 }
 
+void InstanceBuilder::MoveRows(std::vector<PendingRow>* pending,
+                              InterestRows* rows) {
+  size_t entries = 0;
+  for (const PendingRow& row : *pending) entries += row.entries.size();
+  rows->Reserve(pending->size(), entries);
+  // Each pending row is freed once copied, so the CSR grows into the
+  // memory the rows give back.
+  for (PendingRow& row : *pending) {
+    const auto copied = std::move(row.entries);
+    rows->AddRow(copied);
+  }
+}
+
 util::Result<SesInstance> InstanceBuilder::Build() {
   if (num_users_ == 0) {
     return util::Status::InvalidArgument("instance needs at least one user");
@@ -120,16 +147,18 @@ util::Result<SesInstance> InstanceBuilder::Build() {
     return util::Status::InvalidArgument(
         "instance needs at least one interval");
   }
-  if (theta_ < 0.0) {
-    return util::Status::InvalidArgument("theta must be non-negative");
+  if (!IsFiniteNonNegative(theta_)) {
+    return util::Status::InvalidArgument(
+        util::StrFormat("theta %g must be finite and non-negative", theta_));
   }
   if (sigma_ == nullptr) {
     return util::Status::InvalidArgument("sigma provider not set");
   }
   for (size_t e = 0; e < events_.size(); ++e) {
-    if (events_[e].required_resources < 0.0) {
-      return util::Status::InvalidArgument(
-          util::StrFormat("event %zu: negative required resources", e));
+    if (!IsFiniteNonNegative(events_[e].required_resources)) {
+      return util::Status::InvalidArgument(util::StrFormat(
+          "event %zu: required resources %g must be finite and non-negative",
+          e, events_[e].required_resources));
     }
     SES_RETURN_IF_ERROR(ValidateRow(event_rows_[e].entries, "event", e));
   }
@@ -155,12 +184,8 @@ util::Result<SesInstance> InstanceBuilder::Build() {
     instance.interval_competing_[instance.competing_[c].interval].push_back(
         static_cast<CompetingIndex>(c));
   }
-  for (auto& row : event_rows_) {
-    instance.event_interest_.AddRow(row.entries);
-  }
-  for (auto& row : competing_rows_) {
-    instance.competing_interest_.AddRow(row.entries);
-  }
+  MoveRows(&event_rows_, &instance.event_interest_);
+  MoveRows(&competing_rows_, &instance.competing_interest_);
   return instance;
 }
 

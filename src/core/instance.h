@@ -42,6 +42,9 @@ class InterestRows {
   /// (0, 1]. Returns the row id.
   uint32_t AddRow(std::span<const std::pair<UserIndex, float>> entries);
 
+  /// Reserves room for \p rows more rows holding \p entries entries.
+  void Reserve(size_t rows, size_t entries);
+
   /// Number of rows.
   size_t num_rows() const { return offsets_.size() - 1; }
 
@@ -169,6 +172,10 @@ class InstanceBuilder {
   struct PendingRow {
     std::vector<std::pair<UserIndex, float>> entries;
   };
+
+  /// Copies \p pending into \p rows in one reservation, freeing each
+  /// pending row as it goes.
+  static void MoveRows(std::vector<PendingRow>* pending, InterestRows* rows);
 
   [[nodiscard]] util::Status ValidateRow(
       const std::vector<std::pair<UserIndex, float>>& row,

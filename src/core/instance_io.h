@@ -17,6 +17,23 @@
 /// Sigma providers serialize by kind: "const" (value) and "hash" (seed).
 /// Dense matrices are not persisted — instances built from explicit
 /// matrices fail to save with Unimplemented.
+///
+/// Accepted grammar (LoadInstance), a subset of CSV that SaveInstance
+/// always produces:
+///   - each file starts with exactly the header line shown above;
+///   - fields are split at every ',': no quoting, no surrounding
+///     whitespace;
+///   - integers are plain decimal (no leading '+'); ids, counts, users,
+///     intervals and locations must fit in 32 bits, and sigma_seed in 64;
+///   - reals are std::from_chars doubles (no leading '+'; "nan"/"inf"
+///     parse and are then rejected where a finite value is required);
+///   - CRLF line endings, blank lines and a missing final newline are
+///     tolerated;
+///   - meta.csv keys may come in any order, unknown keys are ignored;
+///   - events.csv and competing.csv rows are in id order (the id column
+///     equals the row position); triplet rows may come in any order.
+/// Malformed input fails with a ParseError (OutOfRange for an id or
+/// count out of range) whose message starts "<path>:<line>:".
 
 #include <string>
 
@@ -38,14 +55,17 @@ struct SigmaSpec {
   std::shared_ptr<const SigmaProvider> Instantiate() const;
 };
 
-/// Writes \p instance under directory \p dir (which must exist).
+/// Writes \p instance under directory \p dir (which must exist), one
+/// buffered stream per file; mu is written with 9 significant digits and
+/// every double with 17, so a load reproduces the instance bit for bit.
 /// \p sigma_spec must describe the provider the instance was built with —
 /// the provider object itself cannot be introspected.
 [[nodiscard]] util::Status SaveInstance(const SesInstance& instance,
                           const SigmaSpec& sigma_spec,
                           const std::string& dir);
 
-/// Reads an instance previously written by SaveInstance.
+/// Reads an instance previously written by SaveInstance in one streaming
+/// pass per file, with no allocation per row.
 [[nodiscard]] util::Result<SesInstance> LoadInstance(const std::string& dir);
 
 }  // namespace ses::core

@@ -1,6 +1,7 @@
 #include "ebsn/dataset.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/csv.h"
 #include "util/string_util.h"
@@ -29,19 +30,52 @@ std::string JoinIds(const std::vector<uint32_t>& ids) {
   return out;
 }
 
+Result<uint32_t> ParseId(std::string_view token) {
+  auto value = util::ParseInt64(token);
+  if (!value.ok()) return value.status();
+  if (value.value() < 0 || value.value() > 0xfffffffeLL) {
+    return Status::ParseError("id out of range: " + std::string(token));
+  }
+  return static_cast<uint32_t>(value.value());
+}
+
 Result<std::vector<uint32_t>> ParseIds(const std::string& packed) {
   std::vector<uint32_t> out;
   if (util::Trim(packed).empty()) return out;
   for (const std::string& token : util::Split(packed, ' ')) {
     if (token.empty()) continue;
-    auto value = util::ParseInt64(token);
-    if (!value.ok()) return value.status();
-    if (value.value() < 0 || value.value() > 0xfffffffeLL) {
-      return Status::ParseError("id out of range: " + token);
-    }
-    out.push_back(static_cast<uint32_t>(value.value()));
+    SES_ASSIGN_OR_RETURN(const uint32_t id, ParseId(token));
+    out.push_back(id);
   }
   return out;
+}
+
+/// Calls \p fn on every data row of the dataset CSV at \p path (the
+/// header line is skipped), parsed with ParseCsvLine since names may be
+/// quoted. A row of the wrong width, or an error from \p fn, fails with
+/// the message prefixed by "<path>:<line>: ".
+template <typename Fn>
+Status ForEachRow(const std::string& path, size_t num_fields, Fn fn) {
+  util::LineReader in(path);
+  std::string_view line;
+  bool header = true;
+  while (in.Next(&line)) {
+    if (std::exchange(header, false)) continue;
+    Status status;
+    auto row = util::ParseCsvLine(line);
+    if (!row.ok()) {
+      status = row.status();
+    } else if (row->size() != num_fields) {
+      status = Status::ParseError(util::StrFormat(
+          "%zu fields, expected %zu", row->size(), num_fields));
+    } else {
+      status = fn(*row);
+    }
+    if (!status.ok()) {
+      return Status(status.code(), in.Where() + ": " + status.message());
+    }
+  }
+  return in.status();
 }
 
 }  // namespace
@@ -193,84 +227,43 @@ Status EbsnDataset::Save(const std::string& dir) const {
 
 Result<EbsnDataset> EbsnDataset::Load(const std::string& dir) {
   EbsnDataset ds;
-  {
-    CsvRow header;
-    auto rows = util::ReadCsvFile(dir + "/tags.csv", true, &header);
-    if (!rows.ok()) return rows.status();
-    for (const CsvRow& row : rows.value()) {
-      if (row.size() != 2) return Status::ParseError("tags.csv: bad row");
-      ds.tags_.Intern(row[1]);
+  SES_RETURN_IF_ERROR(ForEachRow(dir + "/tags.csv", 2, [&](CsvRow& row) {
+    ds.tags_.Intern(row[1]);
+    return Status::Ok();
+  }));
+  SES_RETURN_IF_ERROR(ForEachRow(dir + "/groups.csv", 4, [&](CsvRow& row) {
+    Group group;
+    group.name = std::move(row[1]);
+    SES_ASSIGN_OR_RETURN(group.tags, ParseIds(row[2]));
+    SES_ASSIGN_OR_RETURN(group.members, ParseIds(row[3]));
+    ds.groups_.push_back(std::move(group));
+    return Status::Ok();
+  }));
+  SES_RETURN_IF_ERROR(ForEachRow(dir + "/users.csv", 3, [&](CsvRow& row) {
+    UserProfile user;
+    SES_ASSIGN_OR_RETURN(user.groups, ParseIds(row[1]));
+    SES_ASSIGN_OR_RETURN(user.tags, ParseIds(row[2]));
+    ds.users_.push_back(std::move(user));
+    return Status::Ok();
+  }));
+  SES_RETURN_IF_ERROR(ForEachRow(dir + "/events.csv", 3, [&](CsvRow& row) {
+    EventRecord event;
+    SES_ASSIGN_OR_RETURN(event.organizer, ParseId(row[1]));
+    SES_ASSIGN_OR_RETURN(event.tags, ParseIds(row[2]));
+    ds.events_.push_back(std::move(event));
+    return Status::Ok();
+  }));
+  SES_RETURN_IF_ERROR(ForEachRow(dir + "/checkins.csv", 2, [&](CsvRow& row) {
+    if (row[0] == "slots") {
+      SES_ASSIGN_OR_RETURN(ds.num_slots_, ParseId(row[1]));
+      return Status::Ok();
     }
-  }
-  {
-    CsvRow header;
-    auto rows = util::ReadCsvFile(dir + "/groups.csv", true, &header);
-    if (!rows.ok()) return rows.status();
-    for (const CsvRow& row : rows.value()) {
-      if (row.size() != 4) return Status::ParseError("groups.csv: bad row");
-      Group group;
-      group.name = row[1];
-      auto tags = ParseIds(row[2]);
-      if (!tags.ok()) return tags.status();
-      group.tags = std::move(tags).value();
-      auto members = ParseIds(row[3]);
-      if (!members.ok()) return members.status();
-      group.members = std::move(members).value();
-      ds.groups_.push_back(std::move(group));
-    }
-  }
-  {
-    CsvRow header;
-    auto rows = util::ReadCsvFile(dir + "/users.csv", true, &header);
-    if (!rows.ok()) return rows.status();
-    for (const CsvRow& row : rows.value()) {
-      if (row.size() != 3) return Status::ParseError("users.csv: bad row");
-      UserProfile user;
-      auto groups = ParseIds(row[1]);
-      if (!groups.ok()) return groups.status();
-      user.groups = std::move(groups).value();
-      auto tags = ParseIds(row[2]);
-      if (!tags.ok()) return tags.status();
-      user.tags = std::move(tags).value();
-      ds.users_.push_back(std::move(user));
-    }
-  }
-  {
-    CsvRow header;
-    auto rows = util::ReadCsvFile(dir + "/events.csv", true, &header);
-    if (!rows.ok()) return rows.status();
-    for (const CsvRow& row : rows.value()) {
-      if (row.size() != 3) return Status::ParseError("events.csv: bad row");
-      EventRecord event;
-      auto organizer = util::ParseInt64(row[1]);
-      if (!organizer.ok()) return organizer.status();
-      event.organizer = static_cast<GroupId>(organizer.value());
-      auto tags = ParseIds(row[2]);
-      if (!tags.ok()) return tags.status();
-      event.tags = std::move(tags).value();
-      ds.events_.push_back(std::move(event));
-    }
-  }
-  {
-    CsvRow header;
-    auto rows = util::ReadCsvFile(dir + "/checkins.csv", true, &header);
-    if (!rows.ok()) return rows.status();
-    for (const CsvRow& row : rows.value()) {
-      if (row.size() != 2) return Status::ParseError("checkins.csv: bad row");
-      if (row[0] == "slots") {
-        auto slots = util::ParseInt64(row[1]);
-        if (!slots.ok()) return slots.status();
-        ds.num_slots_ = static_cast<uint32_t>(slots.value());
-        continue;
-      }
-      auto user = util::ParseInt64(row[0]);
-      if (!user.ok()) return user.status();
-      auto slot = util::ParseInt64(row[1]);
-      if (!slot.ok()) return slot.status();
-      ds.checkins_.push_back({static_cast<EbsnUserId>(user.value()),
-                              static_cast<uint32_t>(slot.value())});
-    }
-  }
+    CheckIn checkin;
+    SES_ASSIGN_OR_RETURN(checkin.user, ParseId(row[0]));
+    SES_ASSIGN_OR_RETURN(checkin.slot, ParseId(row[1]));
+    ds.checkins_.push_back(checkin);
+    return Status::Ok();
+  }));
   SES_RETURN_IF_ERROR(ds.Validate());
   return ds;
 }

@@ -1,12 +1,23 @@
 #include "core/instance_io.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <map>
+#include <span>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/greedy.h"
 #include "core/objective.h"
 #include "tests/test_util.h"
+#include "util/alloc_guard.h"
 #include "util/csv.h"
 
 namespace ses::core {
@@ -146,6 +157,328 @@ TEST_F(InstanceIoTest, OutOfRangeTripletFails) {
   auto loaded = LoadInstance(dir_.string());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kOutOfRange);
+}
+
+constexpr const char* kInstanceFiles[] = {
+    "meta.csv", "events.csv", "event_interests.csv", "competing.csv",
+    "competing_interests.csv"};
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+void WriteFile(const std::filesystem::path& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+  ASSERT_TRUE(out.good()) << path;
+}
+
+template <typename T>
+bool BitEqual(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](T x, T y) {
+           return std::bit_cast<std::array<char, sizeof(T)>>(x) ==
+                  std::bit_cast<std::array<char, sizeof(T)>>(y);
+         });
+}
+
+/// Every stored field of \p a and \p b is equal bit for bit.
+void ExpectBitIdentical(const SesInstance& a, const SesInstance& b) {
+  ASSERT_EQ(a.num_users(), b.num_users());
+  ASSERT_EQ(a.num_intervals(), b.num_intervals());
+  ASSERT_EQ(a.num_events(), b.num_events());
+  ASSERT_EQ(a.num_competing(), b.num_competing());
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.theta()),
+            std::bit_cast<uint64_t>(b.theta()));
+  for (EventIndex e = 0; e < a.num_events(); ++e) {
+    EXPECT_EQ(a.event(e).location, b.event(e).location);
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.event(e).required_resources),
+              std::bit_cast<uint64_t>(b.event(e).required_resources));
+    EXPECT_TRUE(BitEqual(a.EventUsers(e), b.EventUsers(e))) << "event " << e;
+    EXPECT_TRUE(BitEqual(a.EventValues(e), b.EventValues(e))) << "event " << e;
+  }
+  for (CompetingIndex c = 0; c < a.num_competing(); ++c) {
+    EXPECT_EQ(a.competing(c).interval, b.competing(c).interval);
+    EXPECT_TRUE(BitEqual(a.CompetingUsers(c), b.CompetingUsers(c))) << c;
+    EXPECT_TRUE(BitEqual(a.CompetingValues(c), b.CompetingValues(c))) << c;
+  }
+  for (UserIndex u = 0; u < std::min(a.num_users(), 50u); ++u) {
+    for (IntervalIndex t = 0; t < a.num_intervals(); ++t) {
+      EXPECT_EQ(a.sigma().At(u, t), b.sigma().At(u, t));
+    }
+  }
+}
+
+/// 20 events x 20000 users at density 0.5: 200,096 event triplets plus
+/// ~80k competing ones, about 4.7 MB of CSV.
+const SesInstance& LargeInstance() {
+  static const SesInstance instance = [] {
+    test::RandomInstanceConfig config;
+    config.seed = 5;
+    config.num_users = 20000;
+    config.num_events = 20;
+    config.num_intervals = 4;
+    config.interest_density = 0.5;
+    return test::MakeRandomInstance(config);
+  }();
+  return instance;
+}
+
+SigmaSpec HashSpec(uint64_t seed) {
+  SigmaSpec spec;
+  spec.kind = SigmaSpec::Kind::kHash;
+  spec.seed = seed;
+  return spec;
+}
+
+TEST_F(InstanceIoTest, SaveLoadSaveIsByteIdentical) {
+  const SesInstance original = test::MakeMediumInstance();
+  const auto first = dir_ / "first";
+  const auto second = dir_ / "second";
+  std::filesystem::create_directories(first);
+  std::filesystem::create_directories(second);
+  ASSERT_TRUE(SaveInstance(original, HashSpec(42), first.string()).ok());
+  auto loaded = LoadInstance(first.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectBitIdentical(original, *loaded);
+  ASSERT_TRUE(SaveInstance(*loaded, HashSpec(42), second.string()).ok());
+  for (const char* file : kInstanceFiles) {
+    EXPECT_EQ(ReadFile(first / file), ReadFile(second / file)) << file;
+  }
+}
+
+TEST_F(InstanceIoTest, LargeRoundTripStraddlesTheReadBuffer) {
+  const SesInstance& original = LargeInstance();
+  ASSERT_TRUE(SaveInstance(original, HashSpec(5), dir_.string()).ok());
+  // The reader fills 1 MiB at a time: the line holding the buffer's last
+  // byte must continue past it.
+  const std::string bytes = ReadFile(dir_ / "event_interests.csv");
+  const size_t boundary = util::LineReader::kBufferBytes;
+  ASSERT_GT(bytes.size(), boundary);
+  ASSERT_NE(bytes[boundary - 1], '\n');
+  auto loaded = LoadInstance(dir_.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectBitIdentical(original, *loaded);
+}
+
+TEST_F(InstanceIoTest, LoadMakesNoAllocationPerRow) {
+  if (!util::AllocGuardEnabled()) {
+    GTEST_SKIP() << "build with -DSES_ALLOC_GUARD=ON to count allocations";
+  }
+  const SesInstance& original = LargeInstance();
+  // The event triplets alone reach 200k; competing rows add ~80k.
+  const size_t triplets = original.num_interest_entries();
+  ASSERT_GE(triplets, 200000u);
+  ASSERT_TRUE(SaveInstance(original, HashSpec(5), dir_.string()).ok());
+  util::ScopedAllocCheck check;
+  auto loaded = LoadInstance(dir_.string());
+  const uint64_t allocations = check.allocations();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_LT(allocations, 1000u) << "for " << triplets << " event triplets";
+}
+
+/// Rewrites every instance file of \p dir through \p transform.
+template <typename Transform>
+void RewriteAll(const std::filesystem::path& dir, Transform transform) {
+  for (const char* file : kInstanceFiles) {
+    WriteFile(dir / file, transform(ReadFile(dir / file)));
+  }
+}
+
+std::string ReplaceAll(std::string text, const std::string& from,
+                       const std::string& to) {
+  for (size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size())) {
+    text.replace(at, from.size(), to);
+  }
+  return text;
+}
+
+TEST_F(InstanceIoTest, AcceptsCrlfBlankLinesAndMissingFinalNewline) {
+  const SesInstance original = test::MakeMediumInstance();
+  const std::vector<std::pair<std::string, std::string (*)(std::string)>>
+      variants{
+          {"crlf", [](std::string t) { return ReplaceAll(t, "\n", "\r\n"); }},
+          {"no final newline",
+           [](std::string t) { return t.substr(0, t.size() - 1); }},
+          {"blank lines",
+           [](std::string t) {
+             return "\n" + ReplaceAll(t, "\n", "\n\n\r\n");
+           }},
+      };
+  for (const auto& [name, transform] : variants) {
+    ASSERT_TRUE(SaveInstance(original, HashSpec(42), dir_.string()).ok());
+    RewriteAll(dir_, transform);
+    auto loaded = LoadInstance(dir_.string());
+    ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status().ToString();
+    ExpectBitIdentical(original, *loaded);
+  }
+}
+
+/// A tiny valid instance, written file by file so each malformed case
+/// below can replace exactly one file.
+const std::map<std::string, std::string>& ValidFiles() {
+  static const std::map<std::string, std::string> files{
+      {"meta.csv",
+       "key,value\nusers,3\nintervals,2\ntheta,4\nsigma_kind,const\n"
+       "sigma_value,0.25\nsigma_seed,0\n"},
+      {"events.csv", "event_id,location,required_resources\n0,0,1\n1,1,2\n"},
+      {"event_interests.csv",
+       "event_id,user_id,mu\n1,1,0.25\n0,0,0.5\n0,2,0.75\n"},
+      {"competing.csv", "competing_id,interval\n0,1\n"},
+      {"competing_interests.csv", "competing_id,user_id,mu\n0,1,0.4\n"},
+  };
+  return files;
+}
+
+TEST_F(InstanceIoTest, HandWrittenInstanceLoads) {
+  for (const auto& [file, bytes] : ValidFiles()) WriteFile(dir_ / file, bytes);
+  auto loaded = LoadInstance(dir_.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->num_events(), 2u);
+  EXPECT_EQ(loaded->EventUsers(0).size(), 2u);
+  EXPECT_EQ(loaded->CompetingAt(1).size(), 1u);
+  EXPECT_DOUBLE_EQ(loaded->sigma().At(0, 0), 0.25);
+}
+
+struct MalformedCase {
+  const char* name;
+  const char* file;
+  const char* bytes;
+  util::StatusCode code;
+  const char* where;  // "<file>:<line>" the message must contain
+};
+
+class MalformedInputTest : public InstanceIoTest,
+                           public ::testing::WithParamInterface<MalformedCase> {
+};
+
+TEST_P(MalformedInputTest, FailsWithTypedErrorNamingFileAndLine) {
+  const MalformedCase& c = GetParam();
+  for (const auto& [file, bytes] : ValidFiles()) WriteFile(dir_ / file, bytes);
+  WriteFile(dir_ / c.file, c.bytes);
+  auto loaded = LoadInstance(dir_.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), c.code) << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find(c.where), std::string::npos)
+      << loaded.status().ToString();
+}
+
+using util::StatusCode;
+constexpr const char* kEventsHeader = "event_id,location,required_resources\n";
+
+INSTANTIATE_TEST_SUITE_P(
+    Table, MalformedInputTest,
+    ::testing::Values(
+        MalformedCase{"TruncatedRow", "events.csv",
+                      "event_id,location,required_resources\n0,0,1\n1,1\n",
+                      StatusCode::kParseError, "events.csv:3"},
+        MalformedCase{"ExtraField", "event_interests.csv",
+                      "event_id,user_id,mu\n0,0,0.5,9\n",
+                      StatusCode::kParseError, "event_interests.csv:2"},
+        MalformedCase{"EmptyField", "events.csv",
+                      "event_id,location,required_resources\n0,,1\n",
+                      StatusCode::kParseError, "events.csv:2"},
+        MalformedCase{"NonNumericField", "competing.csv",
+                      "competing_id,interval\n0,abc\n",
+                      StatusCode::kParseError, "competing.csv:2"},
+        MalformedCase{"TrailingGarbage", "event_interests.csv",
+                      "event_id,user_id,mu\n0,0,0.5x\n",
+                      StatusCode::kParseError, "event_interests.csv:2"},
+        MalformedCase{"HeaderOnlyMeta", "meta.csv", "key,value\n",
+                      StatusCode::kParseError, "meta.csv:1"},
+        MalformedCase{"OutOfRangeTripletId", "event_interests.csv",
+                      "event_id,user_id,mu\n0,0,0.5\n99,0,0.5\n",
+                      StatusCode::kOutOfRange, "event_interests.csv:3"},
+        MalformedCase{"NegativeTripletId", "competing_interests.csv",
+                      "competing_id,user_id,mu\n-1,0,0.5\n",
+                      StatusCode::kOutOfRange, "competing_interests.csv:2"},
+        MalformedCase{"UserBeyondUsers", "event_interests.csv",
+                      "event_id,user_id,mu\n0,3,0.5\n",
+                      StatusCode::kOutOfRange, "event_interests.csv:2"},
+        MalformedCase{"UsersWrapUint32", "meta.csv",
+                      "key,value\nusers,4294967297\nintervals,2\ntheta,4\n"
+                      "sigma_kind,hash\nsigma_value,0.5\nsigma_seed,1\n",
+                      StatusCode::kOutOfRange, "meta.csv:2"},
+        MalformedCase{"LocationWrapsUint32", "events.csv",
+                      "event_id,location,required_resources\n0,4294967296,1\n",
+                      StatusCode::kOutOfRange, "events.csv:2"},
+        MalformedCase{"IntervalBeyondIntervals", "competing.csv",
+                      "competing_id,interval\n0,2\n", StatusCode::kOutOfRange,
+                      "competing.csv:2"},
+        MalformedCase{"EventIdOutOfOrder", "events.csv",
+                      "event_id,location,required_resources\n0,0,1\n2,1,2\n",
+                      StatusCode::kParseError, "events.csv:3"},
+        MalformedCase{"CompetingIdNotRowPosition", "competing.csv",
+                      "competing_id,interval\n1,1\n", StatusCode::kParseError,
+                      "competing.csv:2"},
+        MalformedCase{"LeadingPlus", "events.csv",
+                      "event_id,location,required_resources\n0,+1,1\n",
+                      StatusCode::kParseError, "events.csv:2"},
+        MalformedCase{"SurroundingWhitespace", "event_interests.csv",
+                      "event_id,user_id,mu\n0, 1,0.5\n",
+                      StatusCode::kParseError, "event_interests.csv:2"},
+        MalformedCase{"WrongHeader", "competing.csv",
+                      "interval,competing_id\n0,1\n", StatusCode::kParseError,
+                      "competing.csv:1"},
+        MalformedCase{"UnknownSigmaKind", "meta.csv",
+                      "key,value\nusers,3\nintervals,2\ntheta,4\n"
+                      "sigma_kind,dense\nsigma_value,0.5\nsigma_seed,1\n",
+                      StatusCode::kParseError, "meta.csv:5"},
+        MalformedCase{"ConstSigmaAboveOne", "meta.csv",
+                      "key,value\nusers,3\nintervals,2\ntheta,4\n"
+                      "sigma_kind,const\nsigma_value,1.5\nsigma_seed,0\n",
+                      StatusCode::kParseError, "meta.csv:6"},
+        MalformedCase{"ConstSigmaNan", "meta.csv",
+                      "key,value\nusers,3\nintervals,2\ntheta,4\n"
+                      "sigma_value,nan\nsigma_kind,const\nsigma_seed,0\n",
+                      StatusCode::kParseError, "meta.csv:6"},
+        MalformedCase{"SeedNotAnInteger", "meta.csv",
+                      "key,value\nusers,3\nintervals,2\ntheta,4\n"
+                      "sigma_kind,hash\nsigma_value,0.5\nsigma_seed,-1\n",
+                      StatusCode::kParseError, "meta.csv:7"}),
+    [](const ::testing::TestParamInfo<MalformedCase>& param) {
+      return std::string(param.param.name);
+    });
+
+TEST_F(InstanceIoTest, NonFiniteThetaAndResourcesAreRejected) {
+  for (const char* value : {"nan", "inf", "-inf", "-1"}) {
+    for (const auto& [file, bytes] : ValidFiles()) {
+      WriteFile(dir_ / file, bytes);
+    }
+    WriteFile(dir_ / "meta.csv",
+              std::string("key,value\nusers,3\nintervals,2\ntheta,") + value +
+                  "\nsigma_kind,hash\nsigma_value,0.5\nsigma_seed,1\n");
+    auto loaded = LoadInstance(dir_.string());
+    ASSERT_FALSE(loaded.ok()) << "theta " << value;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+
+    WriteFile(dir_ / "meta.csv", ValidFiles().at("meta.csv"));
+    WriteFile(dir_ / "events.csv", std::string(kEventsHeader) + "0,0," +
+                                       value + "\n1,1,2\n");
+    loaded = LoadInstance(dir_.string());
+    ASSERT_FALSE(loaded.ok()) << "resources " << value;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(InstanceBuilderTest, RejectsNonFiniteValues) {
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, -0.5}) {
+    InstanceBuilder theta;
+    theta.SetNumUsers(1).SetNumIntervals(1).SetTheta(bad).SetSigma(
+        std::make_shared<ConstSigma>(0.5));
+    EXPECT_EQ(theta.Build().status().code(), StatusCode::kInvalidArgument);
+
+    InstanceBuilder resources;
+    resources.SetNumUsers(1).SetNumIntervals(1).SetTheta(1.0).SetSigma(
+        std::make_shared<ConstSigma>(0.5));
+    resources.AddEvent(0, bad, {{0, 0.5f}});
+    EXPECT_EQ(resources.Build().status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(SigmaSpecTest, InstantiateMatchesKind) {

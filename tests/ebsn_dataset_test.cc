@@ -1,6 +1,8 @@
 #include "ebsn/dataset.h"
 
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -115,6 +117,20 @@ TEST_F(DatasetIoTest, SaveLoadRoundTrip) {
 TEST_F(DatasetIoTest, LoadFromMissingDirFails) {
   auto loaded = EbsnDataset::Load((dir_ / "missing").string());
   EXPECT_FALSE(loaded.ok());
+}
+
+TEST_F(DatasetIoTest, BadRowNamesFileAndLine) {
+  ASSERT_TRUE(MakeTinyDataset().Save(dir_.string()).ok());
+  for (const char* bad : {"0,1 x,0\n", "0,0\n", "0,-1,0\n"}) {
+    std::ofstream(dir_ / "events.csv")
+        << "event_id,organizer,tags\n\n" << bad;
+    auto loaded = EbsnDataset::Load(dir_.string());
+    ASSERT_FALSE(loaded.ok()) << bad;
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kParseError) << bad;
+    EXPECT_NE(loaded.status().message().find("events.csv:3: "),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 }  // namespace

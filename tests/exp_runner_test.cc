@@ -73,13 +73,19 @@ TEST(FiguresTest, CsvRoundTrip) {
   records.push_back({"grd", 100, 1.5, 42, 100, {0.25}});
   ASSERT_TRUE(WriteRecordsCsv(path.string(), records).ok());
 
-  util::CsvRow header;
-  auto rows = util::ReadCsvFile(path.string(), true, &header);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 1u);
-  EXPECT_EQ(header[0], "x");
-  EXPECT_EQ((*rows)[0][0], "100");
-  EXPECT_EQ((*rows)[0][1], "grd");
+  std::vector<util::CsvRow> rows;
+  util::LineReader in(path.string());
+  std::string_view line;
+  while (in.Next(&line)) {
+    auto row = util::ParseCsvLine(line);
+    ASSERT_TRUE(row.ok());
+    rows.push_back(std::move(row).value());
+  }
+  ASSERT_TRUE(in.status().ok());
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][0], "x");
+  EXPECT_EQ(rows[1][0], "100");
+  EXPECT_EQ(rows[1][1], "grd");
   std::filesystem::remove(path);
 }
 
