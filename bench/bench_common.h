@@ -87,9 +87,9 @@ struct FigureArgs {
   int64_t seed = 7;
   /// Sweep-point parallelism: 0 = hardware concurrency, 1 = serial.
   int64_t jobs = 0;
-  /// Intra-solver score-generation shards for grd/lazy (1 = serial,
-  /// 0 = all cores). Records and CSVs are bit-identical at any value;
-  /// only the wall-clock seconds change.
+  /// Intra-solver score-generation shards for grd/lazy/bestfit
+  /// (1 = serial, 0 = all cores). Records and CSVs are bit-identical at
+  /// any value; only the wall-clock seconds change.
   int64_t solver_threads = 1;
 };
 
@@ -114,8 +114,8 @@ inline FigureArgs ParseFigureArgs(const char* program, int argc,
   flags.AddInt("jobs", &args.jobs,
                "worker threads (0 = all cores, 1 = serial)");
   flags.AddInt("solver-threads", &args.solver_threads,
-               "grd/lazy score-generation shards (1 = serial, 0 = all "
-               "cores); records stay bit-identical");
+               "grd/lazy/bestfit score-generation shards (1 = serial, "
+               "0 = all cores); records stay bit-identical");
   auto status = flags.Parse(argc, argv);
   if (!status.ok() || args.jobs < 0 || args.solver_threads < 0) {
     SES_LOG(kError) << (!status.ok()        ? status.ToString()

@@ -5,6 +5,7 @@
 
 #include "core/attendance.h"
 #include "core/objective.h"
+#include "core/score_gen.h"
 #include "util/timer.h"
 
 namespace ses::core {
@@ -17,15 +18,25 @@ util::Result<SolverResult> BestFitSolver::DoSolve(
   AttendanceModel model(instance, options.sigma_cache_capacity);
   SES_RETURN_IF_ERROR(ApplyWarmStart(model, options.warm_start));
   SolverStats stats;
-  util::Status termination;
 
-  // Pass 1: optimistic per-event priority = best empty-schedule score.
-  std::vector<double> priority(instance.num_events(), 0.0);
-  for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
-    if (context.CheckStop(&termination)) break;
-    for (EventIndex e = 0; e < instance.num_events(); ++e) {
-      if (model.schedule().IsAssigned(e)) continue;  // warm-started
-      priority[e] = std::max(priority[e], model.MarginalGain(e, t));
+  // Pass 1: the generation stage shared with GRD and lazy fills
+  // grid[t * |E| + e] with every unassigned pair's warm-start-only score,
+  // bit-identical at any SolverOptions::threads value.
+  const size_t num_events = instance.num_events();
+  const IntervalIndex num_intervals = instance.num_intervals();
+  std::vector<double> grid(static_cast<size_t>(num_intervals) * num_events,
+                           0.0);
+  const ScoreGenResult generated =
+      GenerateAssignmentScores(instance, options, context, grid);
+  util::Status termination = generated.termination;
+
+  // Optimistic per-event priority = best empty-schedule score (warm-started
+  // events keep their untouched zero cells).
+  std::vector<double> priority(num_events, 0.0);
+  for (IntervalIndex t = 0; t < num_intervals; ++t) {
+    const double* row = grid.data() + static_cast<size_t>(t) * num_events;
+    for (EventIndex e = 0; e < num_events; ++e) {
+      priority[e] = std::max(priority[e], row[e]);
     }
   }
   std::vector<EventIndex> order(instance.num_events());
@@ -35,31 +46,48 @@ util::Result<SolverResult> BestFitSolver::DoSolve(
               return priority[a] > priority[b];
             });
 
-  // Pass 2: each event takes its currently-best feasible interval.
+  // Pass 2: each event takes its currently-best feasible interval, read
+  // from the grid. Invariant: when an event is visited, grid[t][e] equals
+  // MarginalGain(e, t) under the current schedule for every feasible t.
+  // Only the chosen interval's scores change on Apply, so that row is
+  // rescored for the events still to come; a pair infeasible at refresh
+  // time stays infeasible (the schedule only grows) and is never read.
   // Skipped when pass 1 was cut short (priorities would be truncated).
   const size_t k = static_cast<size_t>(options.k);
-  for (EventIndex e : order) {
+  for (size_t i = 0; i < order.size(); ++i) {
     if (!termination.ok() || context.CheckStop(&termination)) break;
     context.CountWork(1);
     if (model.schedule().size() >= k) break;
+    const EventIndex e = order[i];
     if (model.schedule().IsAssigned(e)) continue;  // warm-started
     double best_gain = -1.0;
     IntervalIndex best_interval = kInvalidIndex;
-    for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+    for (IntervalIndex t = 0; t < num_intervals; ++t) {
       if (!model.CanAssign(e, t)) continue;
-      const double gain = model.MarginalGain(e, t);
-      ++stats.updates;
+      const double gain = grid[static_cast<size_t>(t) * num_events + e];
       if (gain > best_gain) {
         best_gain = gain;
         best_interval = t;
       }
     }
     if (best_interval == kInvalidIndex) continue;  // nowhere to place it
-    model.Apply(e, best_interval);
+    model.Apply(e, best_interval);  // leaves best_interval loaded
     ++stats.pops;
+    if (model.schedule().size() >= k) continue;  // no reader left
+
+    double* row = grid.data() + static_cast<size_t>(best_interval) * num_events;
+    for (size_t j = i + 1; j < order.size(); ++j) {
+      const EventIndex f = order[j];
+      if (!model.CanAssign(f, best_interval)) continue;
+      row[f] = model.MarginalGain(f, best_interval);
+      ++stats.updates;
+    }
   }
 
-  stats.gain_evaluations = model.gain_evaluations();
+  // Generation ran on its own engines; adding their count keeps the total
+  // equal to one model scoring everything.
+  stats.gain_evaluations =
+      model.gain_evaluations() + generated.gain_evaluations;
 
   SolverResult result;
   result.assignments = model.schedule().Assignments();

@@ -1,6 +1,6 @@
 #include "core/objective.h"
 
-#include <unordered_map>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -8,12 +8,12 @@ namespace ses::core {
 
 namespace {
 
-/// Builds the per-user denominator of Eq. 1 for interval \p t:
-/// sum of competing interest plus sum of scheduled interest.
-std::unordered_map<UserIndex, double> IntervalDenominators(
-    const SesInstance& instance, const Schedule& schedule,
-    IntervalIndex t) {
-  std::unordered_map<UserIndex, double> denom;
+/// Builds the per-user denominator of Eq. 1 for interval \p t as a dense
+/// |U| row: sum of competing interest plus sum of scheduled interest.
+std::vector<double> IntervalDenominators(const SesInstance& instance,
+                                         const Schedule& schedule,
+                                         IntervalIndex t) {
+  std::vector<double> denom(instance.num_users(), 0.0);
   for (CompetingIndex c : instance.CompetingAt(t)) {
     auto users = instance.CompetingUsers(c);
     auto values = instance.CompetingValues(c);
@@ -65,11 +65,10 @@ double ExpectedAttendance(const SesInstance& instance,
   auto users = instance.EventUsers(e);
   auto values = instance.EventValues(e);
   for (size_t i = 0; i < users.size(); ++i) {
-    const auto it = denom.find(users[i]);
-    SES_CHECK(it != denom.end());
-    if (it->second <= 0.0) continue;
+    const double d = denom[users[i]];
+    if (d <= 0.0) continue;
     omega += instance.sigma().At(users[i], t) *
-             static_cast<double>(values[i]) / it->second;
+             static_cast<double>(values[i]) / d;
   }
   return omega;
 }
@@ -84,7 +83,7 @@ double TotalUtility(const SesInstance& instance, const Schedule& schedule) {
       auto users = instance.EventUsers(e);
       auto values = instance.EventValues(e);
       for (size_t i = 0; i < users.size(); ++i) {
-        const double d = denom.at(users[i]);
+        const double d = denom[users[i]];
         if (d <= 0.0) continue;
         total += instance.sigma().At(users[i], t) *
                  static_cast<double>(values[i]) / d;
@@ -116,7 +115,7 @@ double AssignmentScore(const SesInstance& instance, const Schedule& schedule,
       auto users = instance.EventUsers(p);
       auto values = instance.EventValues(p);
       for (size_t i = 0; i < users.size(); ++i) {
-        const double d = denom.at(users[i]);
+        const double d = denom[users[i]];
         if (d <= 0.0) continue;
         total += instance.sigma().At(users[i], t) *
                  static_cast<double>(values[i]) / d;

@@ -17,8 +17,9 @@
 /// (core/kernels.h): tests/core_kernel_diff_test.cc pins
 /// kernels::LuceGain-backed MarginalGain against AssignmentScore to a
 /// 1e-6 relative tolerance — tolerance rather than bit-identity because
-/// these references sum in a different association (per-user map walk)
-/// than the incremental engine's single accumulator.
+/// these references sum in a different association (per-user dense
+/// denominators, then one ratio per interest entry) than the incremental
+/// engine's single accumulator.
 
 #include "core/instance.h"
 #include "core/schedule.h"
@@ -32,8 +33,8 @@ namespace ses::core {
 ///
 /// SES_HOT: evaluators sweep this over every (user, event) pair when
 /// reporting per-user probabilities, so the per-call body must stay
-/// allocation-free (the aggregate helpers below build scratch maps and
-/// are deliberately not hot).
+/// allocation-free (the aggregate helpers below build a dense |U|
+/// denominator row per interval and are deliberately not hot).
 SES_HOT double AttendanceProbability(const SesInstance& instance,
                                      const Schedule& schedule, UserIndex u,
                                      EventIndex e);

@@ -5,10 +5,10 @@
 /// Assignment-score generation shared by the constructive solvers
 /// (Algorithm 1, lines 2-4 of the paper): the marginal gain of every
 /// (event, interval) pair under the warm-start-only schedule. This
-/// O(|E|·|T|) sweep dominates GRD/lazy runtime on paper-scale instances
-/// and is embarrassingly parallel — no pair's score depends on another —
-/// so it shards interval-contiguously across a util::ThreadPool with one
-/// private AttendanceModel per shard.
+/// O(|E|·|T|) sweep dominates GRD/lazy/bestfit runtime on paper-scale
+/// instances and is embarrassingly parallel — no pair's score depends on
+/// another — so it shards interval-contiguously across a
+/// util::ThreadPool with one private AttendanceModel per shard.
 ///
 /// Determinism contract: the score of (e, t) is a pure function of the
 /// instance and the warm start (each shard model replays the warm start
@@ -45,7 +45,8 @@ struct ScoreGenResult {
   /// OK on a completed pass; the stop status (kDeadlineExceeded /
   /// kCancelled) when \p context interrupted generation. On interruption
   /// the emitted scores cover only a prefix and callers must not select
-  /// from them (both GRD variants fall back to returning the warm start).
+  /// from them (GRD, lazy and bestfit fall back to returning the warm
+  /// start).
   util::Status termination;
 };
 

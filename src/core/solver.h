@@ -53,12 +53,12 @@ struct SolverOptions {
   /// Exact solver: node budget before giving up with ResourceExhausted.
   uint64_t max_nodes = 50000000;
 
-  /// Intra-solver parallelism for assignment-score generation (GRD and
-  /// lazy greedy): the maximum number of generation shards. 1 (default)
-  /// is the serial reference path; 0 means one shard per available lane
-  /// (pool workers plus the calling thread); N > 1 caps the shard count
-  /// at N. Results are bit-identical to the serial path regardless of
-  /// this value — only wall-clock time changes.
+  /// Intra-solver parallelism for assignment-score generation (GRD, lazy
+  /// greedy and bestfit): the maximum number of generation shards. 1
+  /// (default) is the serial reference path; 0 means one shard per
+  /// available lane (pool workers plus the calling thread); N > 1 caps
+  /// the shard count at N. Results are bit-identical to the serial path
+  /// regardless of this value — only wall-clock time changes.
   int64_t threads = 1;
 
   /// Memory bound for AttendanceModel's per-interval sigma/competing

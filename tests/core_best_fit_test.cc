@@ -1,10 +1,20 @@
 #include "core/best_fit.h"
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "core/attendance.h"
 #include "core/greedy.h"
+#include "core/objective.h"
+#include "core/schedule.h"
 #include "core/top_k.h"
 #include "core/validate.h"
+#include "ebsn/generator.h"
+#include "exp/workload.h"
 #include "tests/test_util.h"
 
 namespace ses::core {
@@ -72,9 +82,10 @@ TEST_P(BestFitTest, DoesFewerEvaluationsThanGreedy) {
   auto g = grd.Solve(instance, options);
   ASSERT_TRUE(bf.ok());
   ASSERT_TRUE(g.ok());
-  // BESTFIT costs |E||T| + (at most) k|T| evaluations; GRD's update cost
-  // varies with how contested the chosen intervals are, so on tiny
-  // instances the two can be within one interval-refresh of each other.
+  // BESTFIT costs |E||T| evaluations plus one chosen-interval refresh per
+  // placement (at most k|E| in all); GRD's update cost varies with how
+  // contested the chosen intervals are, so on tiny instances the two can
+  // be within one interval-refresh of each other.
   EXPECT_LE(bf->stats.gain_evaluations,
             g->stats.gain_evaluations + instance.num_intervals());
 }
@@ -133,6 +144,145 @@ TEST(BestFitSingleTest, FreshGainSeesEarlierPlacements) {
   EXPECT_NE(result->assignments[0].interval,
             result->assignments[1].interval);
   EXPECT_NEAR(result->utility, 1.0 + 0.9 / 1.4, 1e-6);
+}
+
+// --- Equivalence with the event-major scan ----------------------------------
+
+/// Bestfit before it read its scores from a shared grid: one model scores
+/// every pair for the priorities, then each visited event calls
+/// MarginalGain at every feasible interval (each call reloads that
+/// interval). The solver must reproduce it bit for bit.
+struct ScanResult {
+  std::vector<Assignment> assignments;
+  double utility = 0.0;
+};
+
+ScanResult EventMajorScan(const SesInstance& instance,
+                          const SolverOptions& options) {
+  AttendanceModel model(instance);
+  SES_CHECK(ApplyWarmStart(model, options.warm_start).ok());
+  std::vector<double> priority(instance.num_events(), 0.0);
+  for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+    for (EventIndex e = 0; e < instance.num_events(); ++e) {
+      if (model.schedule().IsAssigned(e)) continue;
+      priority[e] = std::max(priority[e], model.MarginalGain(e, t));
+    }
+  }
+  std::vector<EventIndex> order(instance.num_events());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&priority](EventIndex a, EventIndex b) {
+              return priority[a] > priority[b];
+            });
+  for (EventIndex e : order) {
+    if (model.schedule().size() >= static_cast<size_t>(options.k)) break;
+    if (model.schedule().IsAssigned(e)) continue;
+    double best_gain = -1.0;
+    IntervalIndex best_interval = kInvalidIndex;
+    for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+      if (!model.CanAssign(e, t)) continue;
+      const double gain = model.MarginalGain(e, t);
+      if (gain > best_gain) {
+        best_gain = gain;
+        best_interval = t;
+      }
+    }
+    if (best_interval != kInvalidIndex) model.Apply(e, best_interval);
+  }
+  return {model.schedule().Assignments(),
+          TotalUtility(instance, model.schedule())};
+}
+
+void ExpectMatchesScan(const SesInstance& instance,
+                       const SolverOptions& options) {
+  const ScanResult reference = EventMajorScan(instance, options);
+  BestFitSolver bestfit;
+  auto result = bestfit.Solve(instance, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->assignments, reference.assignments);
+  // Bitwise: every score read must be the fresh gain, not a near copy.
+  EXPECT_EQ(result->utility, reference.utility);
+  // One generation pass over the unassigned pairs, plus the refreshes.
+  const uint64_t unassigned =
+      instance.num_events() - options.warm_start.size();
+  EXPECT_EQ(result->stats.gain_evaluations,
+            unassigned * instance.num_intervals() + result->stats.updates);
+  EXPECT_LE(result->stats.updates,
+            static_cast<uint64_t>(options.k) * instance.num_events());
+}
+
+/// Up to two feasible assignments, at intervals rotated by \p seed.
+std::vector<Assignment> SmallWarmStart(const SesInstance& instance,
+                                       uint64_t seed) {
+  Schedule schedule(instance);
+  for (EventIndex e = seed % 3;
+       e < instance.num_events() && schedule.size() < 2; e += 5) {
+    for (uint32_t offset = 0; offset < instance.num_intervals(); ++offset) {
+      const IntervalIndex t = static_cast<IntervalIndex>(
+          (seed + offset) % instance.num_intervals());
+      if (!schedule.CanAssign(e, t)) continue;
+      SES_CHECK(schedule.Assign(e, t).ok());
+      break;
+    }
+  }
+  return schedule.Assignments();
+}
+
+TEST(BestFitEquivalenceTest, MatchesEventMajorScanOnRandomInstances) {
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    test::RandomInstanceConfig config;
+    config.seed = seed;
+    config.num_users = 30;
+    config.num_events = 10;
+    config.num_intervals = 4;
+    config.num_locations = 1 + seed % 5;
+    // Tight: xi is drawn from [1, 4], so one to four events fit per
+    // interval and some k are unreachable.
+    config.theta = 5.0;
+    const SesInstance instance = test::MakeRandomInstance(config);
+    const std::vector<Assignment> warm = SmallWarmStart(instance, seed);
+    for (bool warm_started : {false, true}) {
+      const int64_t k_min =
+          warm_started ? std::max<int64_t>(1, warm.size()) : 1;
+      for (int64_t k = k_min; k <= config.num_events; ++k) {
+        for (int64_t threads : {1, 3}) {
+          SolverOptions options;
+          options.k = k;
+          options.threads = threads;
+          if (warm_started) options.warm_start = warm;
+          SCOPED_TRACE("seed=" + std::to_string(seed) +
+                       " k=" + std::to_string(k) +
+                       " warm=" + std::to_string(warm_started) +
+                       " threads=" + std::to_string(threads));
+          ExpectMatchesScan(instance, options);
+          if (HasFailure()) return;  // one report, not thousands
+        }
+      }
+    }
+  }
+}
+
+TEST(BestFitEquivalenceTest, MatchesEventMajorScanAtServingShape) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "5,000-user instance; runs in optimized builds only";
+#endif
+  // The generator instance the serving benchmark uses: 5,000 users,
+  // |E|=120, |T|=90, k=60.
+  ebsn::SyntheticMeetupConfig data;
+  data.num_users = 5000;
+  data.num_events = 2000;
+  data.num_groups = 200;
+  data.num_tags = 200;
+  data.seed = 3;
+  const ebsn::EbsnDataset dataset = ebsn::GenerateSyntheticMeetup(data);
+  exp::PaperWorkloadConfig config;
+  config.k = 60;
+  config.seed = 7;
+  auto instance = exp::WorkloadFactory(dataset).Build(config);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  SolverOptions options;
+  options.k = config.k;
+  ExpectMatchesScan(*instance, options);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-/// Serial-vs-parallel determinism of the constructive solvers: GRD and
-/// lazy greedy must return bit-identical SolverResults at 1 and N
+/// Serial-vs-parallel determinism of the constructive solvers: GRD, lazy
+/// greedy and bestfit must return bit-identical SolverResults at 1 and N
 /// score-generation threads (SolverOptions::threads), with or without a
 /// shared pool, and when fanned out through api::Scheduler — the
 /// nested-ParallelFor scenario the thread-pool re-entrancy fix enables.
@@ -74,7 +74,7 @@ TEST_P(ParallelSolveTest, GreedyAndLazyMatchSerialAtAnyThreadCount) {
   const SesInstance instance = MakeInstance(GetParam());
   util::ThreadPool pool(3);
 
-  for (const char* name : {"grd", "lazy"}) {
+  for (const char* name : {"grd", "lazy", "bestfit"}) {
     auto solver = MakeSolver(name);
     ASSERT_TRUE(solver.ok());
 
@@ -116,7 +116,7 @@ TEST_P(ParallelSolveTest, WarmStartedParallelRunsMatchSerial) {
   ASSERT_TRUE(prefix.ok());
 
   util::ThreadPool pool(3);
-  for (const char* name : {"grd", "lazy"}) {
+  for (const char* name : {"grd", "lazy", "bestfit"}) {
     auto solver = MakeSolver(name);
     ASSERT_TRUE(solver.ok());
     SolverOptions options;

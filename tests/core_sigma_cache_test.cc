@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/attendance.h"
+#include "core/best_fit.h"
 #include "core/greedy.h"
 #include "core/lazy_greedy.h"
 #include "core/local_search.h"
@@ -229,8 +230,10 @@ TEST(SigmaCacheLruTest, SolversBitIdenticalAtCapacityTwo) {
 
   GreedySolver grd;
   LazyGreedySolver lazy;
+  BestFitSolver bestfit;
   LocalSearchSolver ls;
-  for (Solver* solver : std::initializer_list<Solver*>{&grd, &lazy, &ls}) {
+  for (Solver* solver :
+       std::initializer_list<Solver*>{&grd, &lazy, &bestfit, &ls}) {
     auto reference = solver->Solve(instance, reference_options);
     auto capped = solver->Solve(instance, capped_options);
     ASSERT_TRUE(reference.ok()) << solver->name();
