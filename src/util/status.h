@@ -43,8 +43,8 @@ const char* StatusCodeToString(StatusCode code);
 ///
 /// [[nodiscard]]: dropping a returned Status on the floor is a compile
 /// error under -Werror; consume it, propagate it
-/// (SES_RETURN_IF_ERROR), or discard explicitly with `(void)` plus a
-/// same-line `// ses-lint: allow(discarded-status)` justification.
+/// (SES_RETURN_IF_ERROR), or discard explicitly with `(void)` and a
+/// comment saying why. tests/compile_fail/ pins the compile error.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

@@ -4,9 +4,10 @@
 Each rule gets a good and a bad snippet (run against a synthetic repo
 tree in a temp directory, so the fixtures cannot drift into the real
 src/), plus suppression-comment behavior, the full layering matrix, and
-two lockstep checks: every rule id must appear in
-docs/ARCHITECTURE.md's static-analysis section, and the real repository
-must lint clean.
+docs lockstep checks: every rule id must appear in
+docs/ARCHITECTURE.md's static-analysis section, and the capability and
+SES_HOT tables embedded there must match the linter's dumps. The real
+repository lint is the separate `ses_lint_repo` ctest entry.
 """
 
 import os
@@ -279,8 +280,10 @@ class CommentAndStringStrippingTest(LintFixture):
         self.assert_flags("determinism-random")
 
 
-class LockOrderTest(LintFixture):
-    """Flow rule: the acquired-while-holding graph must be acyclic."""
+class LockLeafTest(LintFixture):
+    """Flow rule: no capability is taken while a different one is held —
+    directly, through a callee that may acquire, or by an SES_REQUIRES
+    naming two."""
 
     TWO_LOCK_CYCLE = (
         "namespace ses::api {\n"
@@ -296,18 +299,22 @@ class LockOrderTest(LintFixture):
         "}\n"
         "}  // namespace ses::api\n")
 
-    def test_two_lock_cycle_flagged_with_witness(self):
+    def test_two_lock_cycle_flagged_at_each_nesting(self):
         self.write("src/api/ab.cc", self.TWO_LOCK_CYCLE)
         code, err = run_lint(self.root)
         self.assertEqual(code, 1)
-        self.assertIn(" lock-order: ", err)
-        # The witness names both edges, each with a file:line location.
-        self.assertIn("api::a_mu -> api::b_mu at src/api/ab.cc:", err)
-        self.assertIn("api::b_mu -> api::a_mu at src/api/ab.cc:", err)
+        # Each message names the function, the taken and held
+        # capabilities, and where the acquisition happens.
+        self.assertIn("src/api/ab.cc:6: lock-leaf: api::F acquires "
+                      "api::b_mu at src/api/ab.cc:6 while holding "
+                      "api::a_mu", err)
+        self.assertIn("src/api/ab.cc:10: lock-leaf: api::G acquires "
+                      "api::a_mu at src/api/ab.cc:10 while holding "
+                      "api::b_mu", err)
 
-    def test_consistent_order_is_clean(self):
-        # Same two locks, but every path agrees a_mu comes first: an
-        # acyclic order, not a finding.
+    def test_consistent_order_is_flagged(self):
+        # Every path agrees a_mu comes first — acyclic, but still a
+        # nesting, and capabilities are leaves by policy.
         self.write("src/api/ab.cc",
                    "namespace ses::api {\n"
                    "util::Mutex a_mu;\n"
@@ -321,7 +328,7 @@ class LockOrderTest(LintFixture):
                    "  util::MutexLock lb(b_mu);\n"
                    "}\n"
                    "}  // namespace ses::api\n")
-        self.assert_clean()
+        self.assert_flags("lock-leaf")
 
     def test_release_before_second_lock_is_clean(self):
         # Scoped blocks that end before the next acquisition never hold
@@ -343,9 +350,9 @@ class LockOrderTest(LintFixture):
         self.assert_clean()
 
     def test_three_tu_cycle_through_header_acquire(self):
-        # The cycle only exists globally: f.cc holds a_mu and calls a
+        # Neither TU nests two scoped locks: f.cc holds a_mu and calls a
         # header-declared SES_ACQUIRE(b_mu) function; g.cc does the
-        # reverse. No single TU sees both edges.
+        # reverse. The call graph carries the acquisition to the caller.
         self.write("src/api/locks.h",
                    "namespace ses::api {\n"
                    "extern util::Mutex a_mu;\n"
@@ -369,24 +376,15 @@ class LockOrderTest(LintFixture):
                    "}  // namespace ses::api\n")
         code, err = run_lint(self.root)
         self.assertEqual(code, 1)
-        self.assertIn(" lock-order: ", err)
-        self.assertIn("src/api/f.cc:", err)
-        self.assertIn("src/api/g.cc:", err)
+        self.assertIn("src/api/f.cc:4: lock-leaf: api::F calls TakeB, "
+                      "which may acquire api::b_mu at src/api/f.cc:4 "
+                      "while holding api::a_mu", err)
+        self.assertIn("src/api/g.cc:4: lock-leaf: api::G calls TakeA, ",
+                      err)
 
-    def test_suppression_at_witness_edge(self):
-        # Allowing one edge of the cycle (same line as the inner
-        # acquisition) breaks it.
-        suppressed = self.TWO_LOCK_CYCLE.replace(
-            "  util::MutexLock la(a_mu);\n}",
-            "  util::MutexLock la(a_mu);"
-            "  // ses-lint: allow(lock-order)\n}")
-        self.assertNotEqual(suppressed, self.TWO_LOCK_CYCLE)
-        self.write("src/api/ab.cc", suppressed)
-        self.assert_clean()
-
-
-class CondVarHoldTest(LintFixture):
     def test_wait_under_second_lock_flagged(self):
+        # The wait releases only b_mu; a_mu, taken first, is what
+        # starves the notifier — flagged where b_mu is taken under it.
         self.write("src/api/a.cc",
                    "namespace ses::api {\n"
                    "util::Mutex a_mu;\n"
@@ -398,7 +396,7 @@ class CondVarHoldTest(LintFixture):
                    "  while (true) cv.Wait(b_mu);\n"
                    "}\n"
                    "}  // namespace ses::api\n")
-        self.assert_flags("condvar-hold")
+        self.assert_flags("lock-leaf")
 
     def test_wait_under_own_mutex_only_is_clean(self):
         self.write("src/api/a.cc",
@@ -412,145 +410,57 @@ class CondVarHoldTest(LintFixture):
                    "}  // namespace ses::api\n")
         self.assert_clean()
 
+    def test_requires_two_capabilities_flagged(self):
+        self.write("src/api/a.cc",
+                   "namespace ses::api {\n"
+                   "util::Mutex a_mu;\n"
+                   "util::Mutex b_mu;\n"
+                   "void R() SES_REQUIRES(a_mu, b_mu) {\n"
+                   "}\n"
+                   "}  // namespace ses::api\n")
+        code, err = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertIn("src/api/a.cc:4: lock-leaf: api::R requires "
+                      "api::b_mu at src/api/a.cc:4 while holding "
+                      "api::a_mu", err)
 
-class DiscardedStatusTest(LintFixture):
-    DECL = "util::Status Save();\n"
-
-    def test_expression_statement_discard_flagged(self):
-        self.write("src/core/a.cc", self.DECL
-                   + "void F() {\n  Save();\n}\n")
-        self.assert_flags("discarded-status")
-
-    def test_comma_operand_discard_flagged(self):
-        self.write("src/core/a.cc", self.DECL
-                   + "void F() {\n  Save(), Save();\n}\n")
-        self.assert_flags("discarded-status")
-
-    def test_if_init_discard_flagged(self):
-        self.write("src/core/a.cc", self.DECL
-                   + "void F() {\n  if (Save(); true) {\n  }\n}\n")
-        self.assert_flags("discarded-status")
-
-    def test_consumed_and_returned_are_clean(self):
-        self.write("src/core/a.cc", self.DECL
-                   + "util::Status F() {\n"
-                   "  util::Status s = Save();\n"
-                   "  if (!s.ok()) return s;\n"
-                   "  if (!Save().ok()) {\n"
-                   "    return Save();\n"
-                   "  }\n"
-                   "  SES_RETURN_IF_ERROR(Save());\n"
-                   "  return Save();\n"
-                   "}\n")
+    def test_allow_on_acquisition_line_suppresses(self):
+        suppressed = self.TWO_LOCK_CYCLE.replace(
+            "  util::MutexLock lb(b_mu);\n}",
+            "  util::MutexLock lb(b_mu);  // ses-lint: allow(lock-leaf)\n}"
+        ).replace(
+            "  util::MutexLock la(a_mu);\n}",
+            "  util::MutexLock la(a_mu);  // ses-lint: allow(lock-leaf)\n}")
+        self.assertEqual(suppressed.count("allow(lock-leaf)"), 2)
+        self.write("src/api/ab.cc", suppressed)
         self.assert_clean()
 
-    def test_void_cast_with_allow_is_clean(self):
-        self.write("src/core/a.cc", self.DECL
-                   + "void F() {\n"
-                   "  (void)Save();"
-                   "  // ses-lint: allow(discarded-status) fixture\n"
-                   "}\n")
-        self.assert_clean()
-
-    def test_void_cast_without_allow_flagged(self):
-        self.write("src/core/a.cc", self.DECL
-                   + "void F() {\n  (void)Save();\n}\n")
-        self.assert_flags("discarded-status")
-
-    def test_allow_without_void_cast_flagged(self):
-        self.write("src/core/a.cc", self.DECL
-                   + "void F() {\n"
-                   "  Save();  // ses-lint: allow(discarded-status)\n"
-                   "}\n")
-        self.assert_flags("discarded-status")
-
-    def test_result_returning_function_covered(self):
-        self.write("src/core/a.cc",
-                   "util::Result<int> Load();\n"
-                   "void F() {\n  Load();\n}\n")
-        self.assert_flags("discarded-status")
-
-
-class JsonFormatTest(LintFixture):
-    def test_one_json_object_per_finding(self):
-        import json
-        self.write("src/core/a.cc",
-                   "util::Status Save();\n"
-                   "void F() {\n  Save();\n}\n")
-        proc = run_lint_argv(self.root, "--format=json", "src")
-        self.assertEqual(proc.returncode, 1)
-        lines = proc.stdout.strip().splitlines()
-        self.assertEqual(len(lines), 1)
-        f = json.loads(lines[0])
-        self.assertEqual(f["rule"], "discarded-status")
-        self.assertEqual(f["file"], "src/core/a.cc")
-        self.assertEqual(f["line"], 3)
-        self.assertIn("Save", f["message"])
-        self.assertEqual(f["witness"], [])
-
-    def test_cycle_witness_is_a_list(self):
-        import json
-        self.write("src/api/ab.cc", LockOrderTest.TWO_LOCK_CYCLE)
-        proc = run_lint_argv(self.root, "--format=json", "src")
-        self.assertEqual(proc.returncode, 1)
-        f = json.loads(proc.stdout.strip().splitlines()[0])
-        self.assertEqual(f["rule"], "lock-order")
-        self.assertEqual(len(f["witness"]), 2)
-        for edge in f["witness"]:
-            self.assertIn(" at src/api/ab.cc:", edge)
-
-
-class ChangedOnlyTest(LintFixture):
-    """--changed-only filters the report to files changed since a ref
-    (falling back to a full report when git is unusable)."""
-
-    def _git(self, *argv):
-        return subprocess.run(
-            ["git", "-C", self.root, *argv], capture_output=True,
-            text=True, check=False)
-
-    def setUp(self):
-        super().setUp()
-        if self._git("init", "-q").returncode != 0:
-            self.skipTest("git unavailable")
-        self._git("config", "user.email", "lint@test")
-        self._git("config", "user.name", "lint test")
-
-    def test_report_restricted_to_changed_files(self):
-        self.write("src/core/old.cc",
-                   "util::Status Save();\n"
-                   "void F() {\n  Save();\n}\n")
-        self._git("add", "-A")
-        self._git("commit", "-qm", "base")
-        self.write("src/core/fresh.cc",
-                   "util::Status Save();\n"
-                   "void G() {\n  Save();\n}\n")
-        proc = run_lint_argv(self.root, "--changed-only", "HEAD", "src")
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("src/core/fresh.cc", proc.stderr)
-        self.assertNotIn("src/core/old.cc", proc.stderr)
-
-    def test_bad_ref_falls_back_to_full_report(self):
-        self.write("src/core/old.cc",
-                   "util::Status Save();\n"
-                   "void F() {\n  Save();\n}\n")
-        proc = run_lint_argv(
-            self.root, "--changed-only", "no-such-ref", "src")
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("src/core/old.cc", proc.stderr)
+    def test_allow_on_outer_acquisition_is_stale(self):
+        # The outer lock is taken with nothing held: no finding there,
+        # so the allow() is dead and the inner nesting still fires.
+        self.write("src/api/ab.cc", self.TWO_LOCK_CYCLE.replace(
+            "void F() {\n  util::MutexLock la(a_mu);\n",
+            "void F() {\n  util::MutexLock la(a_mu);"
+            "  // ses-lint: allow(lock-leaf)\n", 1))
+        code, err = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertIn("src/api/ab.cc:5: stale-suppression: "
+                      "allow(lock-leaf)", err)
+        self.assertIn("src/api/ab.cc:6: lock-leaf: ", err)
 
 
 class CapabilitiesTest(LintFixture):
-    def test_table_lists_mutexes_and_held_set(self):
-        self.write("src/api/ab.cc", LockOrderTest.TWO_LOCK_CYCLE)
+    def test_table_lists_mutexes(self):
+        self.write("src/api/ab.cc", LockLeafTest.TWO_LOCK_CYCLE)
         proc = run_lint_argv(self.root, "--capabilities", "src")
         self.assertEqual(proc.returncode, 0)
-        self.assertIn("api::a_mu", proc.stdout)
-        self.assertIn("api::b_mu", proc.stdout)
-        # Both locks are acquired while the other is held.
         lines = proc.stdout.splitlines()
-        a_row = next(l for l in lines if l.startswith("api::a_mu"))
-        self.assertIn("api::b_mu", a_row)
+        self.assertEqual(lines[0].split(), ["capability", "kind",
+                                            "declared-in"])
+        self.assertEqual(lines[2].split(), ["api::a_mu", "mutex",
+                                            "src/api/ab.cc"])
+        self.assertEqual(lines[3].split(), ["api::b_mu", "mutex",
+                                            "src/api/ab.cc"])
 
 
 class HotPathTest(LintFixture):
@@ -842,8 +752,8 @@ class GithubFormatTest(LintFixture):
 
 
 class DocLockstepTest(unittest.TestCase):
-    """Every rule id must be documented, and the real repo must be clean
-    — the two properties that keep the linter from rotting."""
+    """Every rule id and both inventory tables must match
+    docs/ARCHITECTURE.md, so the docs cannot rot behind the linter."""
 
     def test_every_rule_documented_in_architecture_md(self):
         proc = subprocess.run(
@@ -858,11 +768,6 @@ class DocLockstepTest(unittest.TestCase):
         for rule in rules:
             self.assertIn(f"`{rule}`", doc,
                           f"rule '{rule}' missing from docs/ARCHITECTURE.md")
-
-    def test_repository_lints_clean(self):
-        code, err = run_lint(
-            REPO_ROOT, ("src", "tools", "tests", "bench", "examples"))
-        self.assertEqual(code, 0, f"repository has lint problems:\n{err}")
 
     def test_capabilities_table_matches_architecture_md(self):
         """docs/ARCHITECTURE.md embeds `ses_lint --capabilities` output

@@ -2,8 +2,7 @@
 """ses_lint — project-invariant linter and flow-aware analyzer.
 
 Usage: ses_lint.py [--root DIR] [--list-rules] [--capabilities]
-                   [--hot-functions] [--fix-stale]
-                   [--format {text,json,github}] [--changed-only GIT_REF]
+                   [--hot-functions] [--fix-stale] [--format {text,github}]
                    [--compile-commands FILE] [PATH ...]
 
 Enforces, with nothing beyond the Python standard library, the
@@ -50,24 +49,14 @@ Token rules:
 Flow rules (a per-TU scan of the SES_* annotation surface plus scoped
 MutexLock/ReaderMutexLock/WriterMutexLock constructions and manual
 Lock/Unlock calls, linked into a global call graph):
-  lock-order            the acquired-while-holding graph over every
-                        util::Mutex/SharedMutex capability must be
-                        acyclic (deadlock freedom); cycles are reported
-                        with a full witness path. `--capabilities`
-                        dumps the derived inventory.
-  condvar-hold          no CondVar::Wait/WaitFor reachable while a
-                        second capability is held — the wait releases
-                        only its own mutex, so the second lock blocks
-                        every would-be notifier.
-  discarded-status      a call to a util::Status/Result<T>-returning
-                        function must be consumed, returned, or
-                        explicitly discarded as `(void)expr;` with a
-                        same-line `// ses-lint: allow(discarded-status)`
-                        carrying the justification. The compiler
-                        enforces the same contract via [[nodiscard]]
-                        (-Wunused-result under -Werror); this rule
-                        keeps the discipline visible to review and to
-                        trees the compiler has not seen yet.
+  lock-leaf             every util::Mutex/SharedMutex capability is a
+                        leaf: none is acquired — directly, or through a
+                        callee that may acquire it — while a different
+                        one is held, and no SES_REQUIRES names two.
+                        Leaves cannot form an acquisition-order cycle,
+                        and a CondVar wait under a second lock is
+                        already a finding where that lock was taken.
+                        `--capabilities` dumps the derived inventory.
   hot-path              every SES_HOT-annotated function
                         (util/hot_annotations.h) is the root of a
                         transitive call-graph walk that must reach no
@@ -83,26 +72,25 @@ Lock/Unlock calls, linked into a global call graph):
                         SES_HOT root. `--hot-functions` dumps the
                         annotated inventory.
   stale-suppression     every `// ses-lint: allow(rule)` comment must
-                        actually suppress (or annotate) a finding the
-                        current run produced on that line; dead
+                        actually suppress a finding the current run
+                        produced on that line; dead
                         suppressions rot into false documentation.
                         `--fix-stale` deletes them in place.
 
 Suppressions: append `// ses-lint: allow(<rule>)` to the offending
 line (comma-separate several rule ids). Comments, string literals, and
 character literals are stripped before matching, so prose never trips
-a rule. For lock-order the suppression goes on the witness line of the
-edge; for hot-path it goes on the violation line or on the witness
-call edge (cutting the whole subtree behind that call); for
-discarded-status it must accompany a `(void)` cast.
+a rule. For lock-leaf the suppression goes on the acquisition or call
+line (or, for a two-capability SES_REQUIRES, the function's line); for
+hot-path it goes on the violation line or on the witness call edge
+(cutting the whole subtree behind that call).
 
---format=json prints one JSON object per finding (rule, file, line,
-message, witness) to stdout instead of the text report.
+The Status contract (util::Status / util::Result<T> returns are never
+dropped) is the compiler's: both classes are [[nodiscard]] and every
+build runs with -Werror, so this linter does not re-check it.
+
 --format=github prints GitHub Actions `::error file=...,line=...::`
 workflow commands so findings annotate PR diffs inline.
---changed-only GIT_REF still runs the full (whole-graph) analysis but
-reports only findings whose file — or any witness file, for cycles —
-differs from GIT_REF, for fast CI/pre-commit runs.
 --compile-commands FILE restricts the scanned *.cc set to translation
 units listed in the exported compile_commands.json (headers are always
 scanned), so the flow pass analyzes exactly what the build builds.
@@ -116,7 +104,6 @@ import bisect
 import json
 import os
 import re
-import subprocess
 import sys
 
 # Layer -> layers it may include (by the first path component of a
@@ -142,7 +129,7 @@ CLOCK_EXEMPT = {"src/core/solve_context.h", "src/util/timer.h"}
 MUTEX_EXEMPT = {"src/util/mutex.h"}
 TSA_ESCAPE_EXEMPT = {"src/util/mutex.h", "src/util/thread_annotations.h"}
 
-# The lock wrappers themselves look like lock-order chaos from the
+# The lock wrappers themselves look like nested acquisitions from the
 # outside (Lock() "acquires while holding" in every combination); the
 # flow analysis models their call sites, not their internals.
 FLOW_EXEMPT = {"src/util/mutex.h", "src/util/thread_annotations.h"}
@@ -188,14 +175,9 @@ RULE_DOCS = {
         "SES_NO_THREAD_SAFETY_ANALYSIS only inside util/mutex.h",
     "naked-new": "allocations in src/ go through smart pointers",
     "using-namespace-header": "no `using namespace` in headers",
-    "lock-order":
-        "acquired-while-holding graph over util::Mutex capabilities is "
-        "acyclic (static deadlock freedom; --capabilities for the table)",
-    "condvar-hold":
-        "no CondVar::Wait/WaitFor while a second capability is held",
-    "discarded-status":
-        "Status/Result<T> returns are consumed, returned, or (void)-cast "
-        "with a same-line allow(discarded-status) justification",
+    "lock-leaf":
+        "no util::Mutex capability is taken while another is held "
+        "(--capabilities for the table)",
     "hot-path":
         "SES_HOT call trees are allocation-, lock-, IO-, map-lookup-, and "
         "virtual-dispatch-free (witness chains; tools/hot_whitelist.txt "
@@ -281,51 +263,39 @@ def blank_preprocessor(code_lines):
     return out
 
 
-def suppressed(raw_line, rule):
-    match = ALLOW_RE.search(raw_line)
-    if not match:
-        return False
-    allowed = {r.strip() for r in match.group(1).split(",")}
-    return rule in allowed
-
-
-# (rel, lineno, rule) triples whose allow() comment suppressed or
-# annotated a finding this run — the evidence base for the
-# stale-suppression audit. Every code path that honors a suppression
-# must register it here via use_suppression(); a bare suppressed()
-# check that merely *reads* an allow comment (without it changing any
-# finding) deliberately does not count.
+# (rel, lineno, rule) triples whose allow() comment suppressed a
+# finding this run — the evidence base for the stale-suppression
+# audit. Every code path that honors a suppression goes through
+# use_suppression(), which registers it here.
 USED_SUPPRESSIONS = set()
 
 
 def use_suppression(rel, lineno, raw_line, rule):
-    """suppressed(), plus registration for the stale audit."""
-    if suppressed(raw_line, rule):
+    """True when `raw_line` carries an allow() naming `rule`; records
+    the use for the stale audit."""
+    match = ALLOW_RE.search(raw_line)
+    if match and rule in {r.strip() for r in match.group(1).split(",")}:
         USED_SUPPRESSIONS.add((rel, lineno, rule))
         return True
     return False
 
 
-def finding(file, line, rule, message, witness=None):
-    return {"rule": rule, "file": file, "line": line, "message": message,
-            "witness": witness or []}
+# Every rule reports a finding as a (file, line, rule, message) tuple;
+# main() sorts and de-duplicates them before rendering.
 
 
 class Linter:
     """The token rules: per-line regex invariants."""
 
-    def __init__(self, root):
-        self.root = root
+    def __init__(self):
         self.problems = []
 
     def report(self, rel, lineno, rule, message, raw_lines):
         if use_suppression(rel, lineno, raw_lines[lineno - 1], rule):
             return
-        self.problems.append(finding(rel, lineno, rule, message))
+        self.problems.append((rel, lineno, rule, message))
 
-    def lint_file(self, rel, text):
-        code, raw = strip_code(text)
-
+    def lint_file(self, rel, code, raw):
         in_src = rel.startswith("src/")
         layer = rel.split("/")[1] if in_src and rel.count("/") >= 2 else None
         deterministic = layer in ("core", "ebsn")
@@ -515,8 +485,7 @@ class Scope:
 
 
 def new_body():
-    return {"events": [], "param_types": {}, "local_types": {},
-            "requires": [], "acquires": []}
+    return {"events": [], "param_types": {}, "local_types": {}}
 
 
 class Func:
@@ -542,19 +511,18 @@ class Func:
 
 class CppModel:
     """Global registries built from scanning every src/ file, then the
-    lock-order / condvar-hold analyses over the merged call graph."""
+    lock-leaf and hot-path walks over the merged call graph."""
 
     def __init__(self):
         self.caps = {}          # qname -> {kind, file, line}
         self.classes = {}       # qname -> {simple, members{}, member_types{}}
         self.raw_funcs = []     # Func records, pre-merge
         self.raw_lines = {}     # rel -> raw lines (suppression lookups)
-        # Populated by finalize()/analyze():
+        # Populated by finalize():
         self.funcs = {}         # qname -> merged func dict
         self.funcs_by_simple = {}
         self.caps_by_simple = {}
         self.classes_by_simple = {}
-        self.edges = {}         # (a, b) -> witness dict
 
     # -- scanning -----------------------------------------------------------
 
@@ -653,13 +621,12 @@ class CppModel:
         if func is None or "=" in h.split("(")[0]:
             scopes.append(Scope("block"))
             return
+        first_token = head_start + len(head) - len(head.lstrip())
         record = Func(func, self._ns_parts(scopes),
                       "::".join(self._ns_parts(scopes) +
                                 self._class_parts(scopes))
                       if self._class_parts(scopes) else None,
-                      self._rel, self._lineno(head_start))
-        if record.lexical_class is None and not self._class_parts(scopes):
-            record.lexical_class = None
+                      self._rel, self._lineno(first_token))
         record.hot = HOT_RE.search(h) is not None
         record.virt = VIRTUAL_RE.search(h) is not None
         body = new_body()
@@ -736,7 +703,9 @@ class CppModel:
         if scope.kind == "enum":
             return
         if scope.kind in ("namespace", "class"):
-            self._flush_declaration(scopes, scope, s, chunk_start)
+            self._flush_declaration(
+                scopes, scope, s,
+                chunk_start + len(chunk) - len(chunk.lstrip()))
             return
         if func_scope is None:
             return
@@ -1014,8 +983,8 @@ class CppModel:
     # -- analysis -----------------------------------------------------------
 
     def analyze(self):
-        """Runs the lock-order and condvar-hold analyses; returns the
-        findings list and leaves the edge graph on self.edges."""
+        """Runs the lock-leaf walk over every body; returns its
+        findings."""
         # Transitive acquire summaries, to a fixpoint over the call
         # graph: tacq(F) = direct acquires ∪ tacq(resolved callees).
         tacq = {}
@@ -1050,12 +1019,10 @@ class CppModel:
                     changed = True
 
         findings = []
-        self.edges = {}
         for qname in sorted(self.funcs):
             f = self.funcs[qname]
             for body in f["bodies"]:
                 findings.extend(self._walk_body(f, body, tacq))
-        findings.extend(self._cycle_findings())
         return findings
 
     def _allowed(self, rel, line, rule):
@@ -1064,110 +1031,47 @@ class CppModel:
             return False
         return use_suppression(rel, line, raw[line - 1], rule)
 
-    def _add_edge(self, held_from, to, rel, line, func, via):
-        if self._allowed(rel, line, "lock-order"):
-            return
-        key = (held_from, to)
-        if key not in self.edges:
-            self.edges[key] = {"file": rel, "line": line,
-                               "func": func, "via": via}
-
     def _walk_body(self, f, body, tacq):
+        """lock-leaf over one body, in event order: reports (a) an
+        acquisition and (b) a call to a callee that may acquire, made
+        while a different capability is held, and (c) an SES_REQUIRES
+        naming two capabilities."""
         findings = []
         held = []
+
+        def take(caps, rel, line, how):
+            """Reports `caps` not already held as taken while `held` is
+            held; returns them."""
+            taken = sorted(set(caps) - set(held))
+            if held and taken and not self._allowed(rel, line, "lock-leaf"):
+                findings.append((
+                    rel, line, "lock-leaf",
+                    f"{f['qname']} {how} {', '.join(taken)} at {rel}:{line} "
+                    f"while holding {', '.join(held)} — capabilities are "
+                    "leaves: release the held lock before taking another"))
+            return taken
+
         for expr in f["requires_exprs"]:
             cap = self.resolve_cap(expr, f, body)
-            if cap and cap not in held:
-                held.append(cap)
+            if cap:
+                held.extend(take([cap], f["file"], f["line"], "requires"))
         for ev in body["events"]:
             kind = ev[0]
             if kind == "acquire":
                 cap = self.resolve_cap(ev[1], f, body)
-                if not cap:
-                    continue
-                rel, line = ev[3], ev[4]
-                for h in held:
-                    self._add_edge(h, cap, rel, line, f["qname"],
-                                   "acquires")
-                if cap not in held:
-                    held.append(cap)
+                if cap:
+                    held.extend(take([cap], ev[3], ev[4], "acquires"))
             elif kind == "release":
                 cap = self.resolve_cap(ev[1], f, body)
                 if cap in held:
                     held.remove(cap)
-            elif kind == "wait":
-                cap = self.resolve_cap(ev[1], f, body)
-                rel, line = ev[2], ev[3]
-                extra = [h for h in held if h != cap]
-                if extra and not self._allowed(rel, line, "condvar-hold"):
-                    findings.append(finding(
-                        rel, line, "condvar-hold",
-                        f"CondVar wait on {cap or ev[1]} in {f['qname']} "
-                        f"while also holding {', '.join(extra)} — the "
-                        "wait releases only its own mutex, so the "
-                        "second lock blocks every would-be notifier"))
-            elif kind == "call":
-                if not held:
-                    continue
+            elif kind == "call" and held:
                 targets = set()
                 for callee in self.resolve_call(ev[1], ev[2], f, body):
                     targets |= tacq.get(callee, set())
-                rel, line = ev[3], ev[4]
-                for cap in sorted(targets):
-                    if cap in held:
-                        continue  # re-acquire guards are the callee's bug
-                    for h in held:
-                        self._add_edge(h, cap, rel, line, f["qname"],
-                                       f"calls {ev[2]}")
+                take(targets, ev[3], ev[4],
+                     f"calls {ev[2]}, which may acquire")
         return findings
-
-    def _cycle_findings(self):
-        graph = {}
-        for (a, b) in self.edges:
-            graph.setdefault(a, set()).add(b)
-            graph.setdefault(b, set())
-        sccs = tarjan_sccs(graph)
-        findings = []
-        for scc in sccs:
-            scc_set = set(scc)
-            if len(scc) == 1:
-                node = scc[0]
-                if (node, node) not in self.edges:
-                    continue
-            cycle = self._cycle_path(sorted(scc)[0], scc_set, graph)
-            if not cycle:
-                continue
-            witness = []
-            for a, b in zip(cycle, cycle[1:]):
-                w = self.edges[(a, b)]
-                witness.append(f"{a} -> {b} at {w['file']}:{w['line']} "
-                               f"in {w['func']} ({w['via']})")
-            first = self.edges[(cycle[0], cycle[1])]
-            path = " -> ".join(cycle)
-            findings.append(finding(
-                first["file"], first["line"], "lock-order",
-                f"acquired-while-holding cycle: {path} — two threads "
-                "taking these locks in opposite order deadlock "
-                f"[witness: {'; '.join(witness)}]", witness))
-        return findings
-
-    @staticmethod
-    def _cycle_path(start, scc_set, graph):
-        """A concrete witness cycle from `start` back to itself staying
-        inside one SCC (or a self-loop)."""
-        if start in graph.get(start, ()):
-            return [start, start]
-        stack = [(start, [start])]
-        seen = set()
-        while stack:
-            node, path = stack.pop()
-            for nxt in sorted(graph.get(node, ())):
-                if nxt == start and len(path) > 1:
-                    return path + [start]
-                if nxt in scc_set and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, path + [nxt]))
-        return None
 
     # -- hot-path purity ----------------------------------------------------
 
@@ -1230,11 +1134,9 @@ class CppModel:
         if (rel, line) in reported_lines:
             return
         reported_lines.add((rel, line))
-        witness = [f"SES_HOT root {root}"] + chain
         via = (f" [witness: {' -> '.join([root] + chain)}]" if chain else "")
-        findings.append(finding(
-            rel, line, "hot-path",
-            f"reachable from SES_HOT {root}: {detail}{via}", witness))
+        findings.append((rel, line, "hot-path",
+                         f"reachable from SES_HOT {root}: {detail}{via}"))
 
     def _hot_walk_body(self, root, f, body, chain, class_reserved,
                        whitelist, seen, queue, reported_lines, findings):
@@ -1353,255 +1255,23 @@ class CppModel:
             declared = min(f["files"],
                            key=lambda p: (not p.endswith(".h"), p))
             rows.append((qname, declared))
-        widths = [max(len(r[i]) for r in rows) for i in range(2)]
-        lines = []
-        for idx, row in enumerate(rows):
-            lines.append("  ".join(cell.ljust(widths[i])
-                                   for i, cell in enumerate(row)).rstrip())
-            if idx == 0:
-                lines.append("  ".join("-" * widths[i]
-                                       for i in range(2)).rstrip())
-        return "\n".join(lines)
-
-    # -- capability inventory ----------------------------------------------
+        return render_table(rows)
 
     def capabilities_table(self):
-        """The derived mutex inventory plus, per capability, which other
-        capabilities can be held at any of its acquisition sites — the
-        canonical acquisition-order table docs/ARCHITECTURE.md embeds
-        verbatim (pinned by the docs-lockstep test)."""
-        rows = [("capability", "kind", "declared-in", "held-when-acquiring")]
-        held_before = {}
-        for (a, b) in self.edges:
-            held_before.setdefault(b, set()).add(a)
-        for qname in sorted(self.caps):
-            cap = self.caps[qname]
-            before = sorted(h for h in held_before.get(qname, ())
-                            if not h.startswith("<local "))
-            rows.append((qname, cap["kind"], cap["file"],
-                         ", ".join(before) if before else "(none)"))
-        widths = [max(len(r[i]) for r in rows) for i in range(4)]
-        lines = []
-        for idx, row in enumerate(rows):
-            lines.append("  ".join(cell.ljust(widths[i])
-                                   for i, cell in enumerate(row)).rstrip())
-            if idx == 0:
-                lines.append("  ".join("-" * widths[i]
-                                       for i in range(4)).rstrip())
-        return "\n".join(lines)
+        """The derived mutex inventory, as docs/ARCHITECTURE.md embeds
+        it verbatim (pinned by the docs-lockstep test). lock-leaf makes
+        every entry a leaf, so no acquisition order needs listing."""
+        return render_table([("capability", "kind", "declared-in")] + [
+            (qname, cap["kind"], cap["file"])
+            for qname, cap in sorted(self.caps.items())])
 
 
-def tarjan_sccs(graph):
-    """Iterative Tarjan strongly-connected components, deterministic
-    over sorted node order."""
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-    for root in sorted(graph):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(graph.get(root, ()))))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = lowlink[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(graph.get(nxt, ())))))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                scc = []
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    scc.append(top)
-                    if top == node:
-                        break
-                sccs.append(sorted(scc))
-    return sccs
-
-
-# ---------------------------------------------------------------------------
-# Status-propagation discipline
-# ---------------------------------------------------------------------------
-
-STATUS_FN_RE = re.compile(
-    r"\b(?:ses::)?(?:util::)?(?:Status|Result\s*<[^;{}=]*>)\s+"
-    r"(?:\w+(?:<[^<>]*>)?::)*([A-Za-z_]\w*)\s*\(")
-VOID_CAST_RE = re.compile(r"\(\s*void\s*\)\s*$")
-CONTROL_INIT_KEYWORDS = {"if", "switch", "for", "while"}
-
-
-def status_function_names(files):
-    """Every simple name declared anywhere in the tree with a
-    util::Status / util::Result<T> return type — the database the
-    discard scan checks call sites against."""
-    names = set()
-    for rel, code_lines in files.items():
-        del rel
-        text = "\n".join(blank_preprocessor(code_lines))
-        for m in STATUS_FN_RE.finditer(text):
-            names.add(m.group(1))
-    return names
-
-
-def check_discarded_status(rel, code_lines, raw_lines, names):
-    """Flags statement-position calls to Status-returning functions
-    whose value evaporates. Three accepted shapes: consume it, return
-    it, or `(void)call(); // ses-lint: allow(discarded-status)` — the
-    cast makes the discard explicit, the suppression carries the
-    reason. [[nodiscard]] makes the compiler the backstop for anything
-    this token-level scan cannot see (nested lambdas, macro bodies)."""
-    findings = []
-    text = "\n".join(blank_preprocessor(code_lines))
-    line_starts = [0]
-    for idx, ch in enumerate(text):
-        if ch == "\n":
-            line_starts.append(idx + 1)
-
-    # Paren depth prefix and, per open paren, the keyword before it —
-    # so `for (x; F(); ...)` conditions are not mistaken for discards
-    # while `Submit([&]{ F(); })` lambda bodies still are.
-    opener_stack = []
-    opener_at = [None] * len(text)
-    depth = [0] * (len(text) + 1)
-    d = 0
-    for i, ch in enumerate(text):
-        opener_at[i] = opener_stack[-1] if opener_stack else None
-        depth[i] = d
-        if ch == "(":
-            before = text[:i].rstrip()
-            kw = re.search(r"([A-Za-z_]\w*)$", before)
-            opener_stack.append(kw.group(1) if kw else "")
-            d += 1
-        elif ch == ")":
-            if opener_stack:
-                opener_stack.pop()
-            d = max(0, d - 1)
-
-    def prev_nonws(pos):
-        j = pos - 1
-        while j >= 0 and text[j].isspace():
-            j -= 1
-        return (text[j], j) if j >= 0 else ("", -1)
-
-    def close_of_call(open_pos):
-        dd = 0
-        for j in range(open_pos, len(text)):
-            if text[j] == "(":
-                dd += 1
-            elif text[j] == ")":
-                dd -= 1
-                if dd == 0:
-                    return j
-        return -1
-
-    def next_nonws(pos):
-        j = pos
-        while j < len(text) and text[j].isspace():
-            j += 1
-        return text[j] if j < len(text) else ""
-
-    def chain_ends_in_semicolon(close_pos):
-        """True when the expression containing the call terminates at a
-        statement `;` — a comma chain like `F(), G();` does; a
-        brace-initializer element `{F(), x}` hits its closing `}` first
-        and an argument `g(F(), x)` hits its closing `)` first."""
-        pd = bd = 0
-        for j in range(close_pos + 1, len(text)):
-            ch = text[j]
-            if ch == "(":
-                pd += 1
-            elif ch == ")":
-                if pd == 0:
-                    return False
-                pd -= 1
-            elif ch == "{":
-                bd += 1
-            elif ch == "}":
-                if bd == 0:
-                    return False
-                bd -= 1
-            elif ch == ";" and pd == 0 and bd == 0:
-                return True
-        return False
-
-    for m in CALL_RE.finditer(text):
-        name = m.group(3)
-        if name not in names:
-            continue
-        open_pos = text.index("(", m.end() - 1)
-        close_pos = close_of_call(open_pos)
-        if close_pos < 0:
-            continue
-        lineno = bisect.bisect_right(line_starts, m.start())
-        raw_line = raw_lines[lineno - 1] if lineno <= len(raw_lines) else ""
-        pc, _ = prev_nonws(m.start())
-        nc = next_nonws(close_pos + 1)
-        void_cast = VOID_CAST_RE.search(text[:m.start()]) is not None
-
-        if void_cast:
-            # use_suppression (not bare suppressed): the allow comment
-            # is load-bearing here, so the stale audit must see it.
-            if not use_suppression(rel, lineno, raw_line,
-                                   "discarded-status"):
-                findings.append(finding(
-                    rel, lineno, "discarded-status",
-                    f"(void)-discard of Status-returning '{name}' needs "
-                    "a same-line `// ses-lint: allow(discarded-status)` "
-                    "with the justification"))
-            continue
-
-        opener = opener_at[m.start()]
-        in_control_header = opener in CONTROL_INIT_KEYWORDS
-        discard = False
-        if pc == "(" and in_control_header and nc == ";":
-            discard = True  # if/switch/for init-statement
-        elif pc in (";", "{", "}", ",", "") and nc in (";", ","):
-            # Statement position (including lambda bodies nested in
-            # call arguments) — but never a for/while header clause,
-            # never a brace-initializer element or argument slot.
-            if not (depth[m.start()] > 0 and in_control_header):
-                discard = (nc == ";" or
-                           chain_ends_in_semicolon(close_pos))
-        if not discard:
-            continue
-        if use_suppression(rel, lineno, raw_line, "discarded-status"):
-            # The allow comment did engage with a real discard (so it
-            # is not stale) — but without the (void) cast it downgrades
-            # nothing; the discard must still be made explicit.
-            findings.append(finding(
-                rel, lineno, "discarded-status",
-                f"suppressed discard of Status-returning '{name}' must "
-                "be explicit: write `(void)...;` next to the allow "
-                "comment"))
-        else:
-            findings.append(finding(
-                rel, lineno, "discarded-status",
-                f"result of Status-returning '{name}' is discarded — "
-                "consume it, return it (SES_RETURN_IF_ERROR / "
-                "SES_ASSIGN_OR_RETURN), or make the drop explicit with "
-                "`(void)` plus a same-line allow(discarded-status)"))
-    return findings
+def render_table(rows):
+    """Left-aligned columns, a dashed rule under the header row."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    rule = tuple("-" * w for w in widths)
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+                     .rstrip() for row in [rows[0], rule] + rows[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -1638,28 +1308,6 @@ def compile_commands_filter(files, cc_path):
         built.add(os.path.realpath(src))
     return [f for f in files
             if f.endswith(".h") or os.path.realpath(f) in built]
-
-
-def changed_files(root, ref):
-    """Repo-relative paths that differ from `ref`, plus untracked
-    files; None when git is unavailable (caller reports everything)."""
-    try:
-        diff = subprocess.run(
-            ["git", "-C", root, "diff", "--name-only", ref, "--"],
-            capture_output=True, text=True, check=True)
-        untracked = subprocess.run(
-            ["git", "-C", root, "ls-files", "--others",
-             "--exclude-standard"],
-            capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError) as err:
-        print(f"ses_lint: --changed-only: git failed ({err}); "
-              "reporting all findings", file=sys.stderr)
-        return None
-    changed = set()
-    for out in (diff.stdout, untracked.stdout):
-        changed.update(line.strip() for line in out.splitlines()
-                       if line.strip())
-    return changed
 
 
 def load_hot_whitelist(root):
@@ -1706,7 +1354,7 @@ def stale_suppressions(raws, contents):
                 continue
             for r in stale:
                 unknown = "" if r in RULE_DOCS else " (unknown rule id)"
-                findings.append(finding(
+                findings.append((
                     rel, lineno, "stale-suppression",
                     f"allow({r}) suppresses no finding on this "
                     f"line{unknown} — the code it excused is gone; "
@@ -1753,33 +1401,22 @@ def apply_stale_fixes(root, fixes):
           "suppression(s)", file=sys.stderr)
 
 
-def render_text(problems, checked):
-    for p in sorted(problems, key=lambda p: (p["file"], p["line"],
-                                             p["rule"], p["message"])):
-        print(f"{p['file']}:{p['line']}: {p['rule']}: {p['message']}",
-              file=sys.stderr)
-    print(f"ses_lint: checked {checked} file(s): "
-          f"{len(problems)} problem(s)")
-
-
-def render_json(problems):
-    for p in sorted(problems, key=lambda p: (p["file"], p["line"],
-                                             p["rule"], p["message"])):
-        print(json.dumps(p, sort_keys=True))
-
-
-def render_github(problems, checked):
-    """GitHub Actions workflow commands: one ::error per finding, so
-    the lint job annotates the offending lines inline on the PR diff
+def render(problems, checked, github):
+    """One line per finding, then a summary. Text goes to stderr as
+    `file:line: rule: message`; --format=github prints GitHub Actions
+    `::error` workflow commands to stdout instead, so the lint job
+    annotates the offending lines inline on the PR diff
     (percent-encoding per the workflow-command spec)."""
     def esc(s):
         return (s.replace("%", "%25").replace("\r", "%0D")
                 .replace("\n", "%0A"))
 
-    for p in sorted(problems, key=lambda p: (p["file"], p["line"],
-                                             p["rule"], p["message"])):
-        print(f"::error file={esc(p['file'])},line={p['line']},"
-              f"title=ses_lint {esc(p['rule'])}::{esc(p['message'])}")
+    for rel, line, rule, message in problems:
+        if github:
+            print(f"::error file={esc(rel)},line={line},"
+                  f"title=ses_lint {esc(rule)}::{esc(message)}")
+        else:
+            print(f"{rel}:{line}: {rule}: {message}", file=sys.stderr)
     print(f"ses_lint: checked {checked} file(s): "
           f"{len(problems)} problem(s)")
 
@@ -1792,20 +1429,15 @@ def main(argv):
     parser.add_argument("--list-rules", action="store_true",
                         help="print rule ids and one-line descriptions")
     parser.add_argument("--capabilities", action="store_true",
-                        help="dump the derived mutex/acquisition-order "
-                             "table and exit")
+                        help="dump the derived mutex inventory and exit")
     parser.add_argument("--hot-functions", action="store_true",
                         help="dump the SES_HOT function inventory and exit")
     parser.add_argument("--fix-stale", action="store_true",
                         help="delete stale ses-lint allow() comments in "
                              "place instead of reporting them")
-    parser.add_argument("--format", choices=("text", "json", "github"),
+    parser.add_argument("--format", choices=("text", "github"),
                         default="text",
                         help="finding output format (default: text)")
-    parser.add_argument("--changed-only", metavar="GIT_REF", default=None,
-                        help="report only findings touching files that "
-                             "differ from GIT_REF (analysis still runs "
-                             "over the whole tree)")
     parser.add_argument("--compile-commands", metavar="FILE", default=None,
                         help="restrict scanned *.cc files to translation "
                              "units listed in this compile_commands.json")
@@ -1834,9 +1466,9 @@ def main(argv):
     files.sort()
 
     USED_SUPPRESSIONS.clear()
-    linter = Linter(root)
+    linter = Linter()
     model = CppModel()
-    contents = {}   # rel -> code_lines (for the status-name database)
+    contents = {}   # rel -> code_lines (for the stale audit)
     raws = {}
     for path in files:
         rel = os.path.relpath(path, root).replace(os.sep, "/")
@@ -1844,19 +1476,16 @@ def main(argv):
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as err:
-            linter.problems.append(finding(rel, 0, "unreadable", str(err)))
+            linter.problems.append((rel, 0, "unreadable", str(err)))
             continue
-        linter.lint_file(rel, text)
         code, raw = strip_code(text)
+        linter.lint_file(rel, code, raw)
         contents[rel] = code
         raws[rel] = raw
         if rel.startswith("src/") and rel not in FLOW_EXEMPT:
             model.scan_file(rel, code, raw)
 
     model.finalize()
-    problems = list(linter.problems)
-    problems.extend(model.analyze())
-
     if args.capabilities:
         print(model.capabilities_table())
         return 0
@@ -1864,13 +1493,7 @@ def main(argv):
         print(model.hot_table())
         return 0
 
-    names = status_function_names(contents)
-    for rel in sorted(contents):
-        if rel in FLOW_EXEMPT:
-            continue
-        problems.extend(check_discarded_status(rel, contents[rel],
-                                               raws[rel], names))
-
+    problems = linter.problems + model.analyze()
     problems.extend(model.hot_findings(load_hot_whitelist(root)))
 
     # Last, after every rule has had its chance to register the
@@ -1881,22 +1504,8 @@ def main(argv):
     else:
         problems.extend(stale)
 
-    if args.changed_only is not None:
-        changed = changed_files(root, args.changed_only)
-        if changed is not None:
-            def touches(p):
-                if p["file"] in changed:
-                    return True
-                return any(f"at {c}:" in w for w in p["witness"]
-                           for c in changed)
-            problems = [p for p in problems if touches(p)]
-
-    if args.format == "json":
-        render_json(problems)
-    elif args.format == "github":
-        render_github(problems, len(files))
-    else:
-        render_text(problems, len(files))
+    problems = sorted(set(problems))
+    render(problems, len(files), args.format == "github")
     return 1 if problems else 0
 
 
