@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       args.solver_threads);
   for (size_t i = 0; i < scale.k_sweep.size(); ++i) {
     const int64_t k = scale.k_sweep[i];
-    // RunSolvers emits solvers.size() records per point, in solver-list
+    // RunSweep emits solvers.size() records per point, in solver-list
     // order.
     const exp::RunRecord& grd = rows[solvers.size() * i];
     const exp::RunRecord& lazy = rows[solvers.size() * i + 1];

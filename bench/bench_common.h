@@ -12,8 +12,9 @@
 ///                                in --csv output (default true; false
 ///                                makes reruns byte-identical)
 ///   --seed=N                     workload seed
-///   --jobs=N                     sweep-point parallelism (0 = all cores,
-///                                1 = serial reference path)
+///   --jobs=N                     lanes that build sweep points and run
+///                                their solvers (0 = all cores, 1 = the
+///                                calling thread only)
 ///
 /// "paper" matches Section IV-A exactly (42,444 users, 16k-event catalog,
 /// k up to 500). "medium" keeps the paper's *structure* (|T| = 3k/2,
@@ -25,8 +26,7 @@
 
 #include "ebsn/generator.h"
 #include "exp/figures.h"
-#include "exp/parallel_sweep.h"
-#include "exp/runner.h"
+#include "exp/sweep.h"
 #include "exp/workload.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -45,7 +45,13 @@ struct BenchScale {
   std::vector<int64_t> t_over_k_tenths{2, 5, 10, 15, 20, 30};
 };
 
-/// Resolves a named scale.
+/// Whether \p name is a scale MakeScale knows.
+inline bool IsKnownScale(const std::string& name) {
+  return name == "paper" || name == "medium" || name == "small";
+}
+
+/// Resolves a named scale; ParseFigureArgs has already rejected unknown
+/// names.
 inline BenchScale MakeScale(const std::string& name) {
   BenchScale scale;
   if (name == "paper") {
@@ -73,8 +79,7 @@ inline BenchScale MakeScale(const std::string& name) {
     scale.default_k = 20;
     return scale;
   }
-  SES_LOG(kFatal) << "unknown --scale: " << name
-                  << " (want paper|medium|small)";
+  SES_LOG(kFatal) << "unknown --scale: " << name;
   return scale;
 }
 
@@ -85,7 +90,7 @@ struct FigureArgs {
   /// Append the non-deterministic seconds column to --csv output.
   bool csv_timing = true;
   int64_t seed = 7;
-  /// Sweep-point parallelism: 0 = hardware concurrency, 1 = serial.
+  /// Sweep lanes: 0 = every core, 1 = the calling thread only.
   int64_t jobs = 0;
   /// Intra-solver score-generation shards for grd/lazy/bestfit
   /// (1 = serial, 0 = all cores). Records and CSVs are bit-identical at
@@ -97,8 +102,8 @@ struct FigureArgs {
 ///
 /// Benches whose headline metric is wall-clock time should pass
 /// \p default_jobs = 1: concurrent sweep points compete for cores and
-/// inflate every RunRecord's `seconds`, so such benches measure serially
-/// unless the user explicitly opts into --jobs != 1 (RunSweepPoints
+/// inflate every RunRecord's `seconds`, so such benches measure on one
+/// lane unless the user explicitly opts into --jobs != 1 (RunSweepPoints
 /// warns on every parallel run that timings are contended).
 inline FigureArgs ParseFigureArgs(const char* program, int argc,
                                   const char* const* argv,
@@ -112,36 +117,40 @@ inline FigureArgs ParseFigureArgs(const char* program, int argc,
                 "include the wall-clock seconds column in --csv output");
   flags.AddInt("seed", &args.seed, "workload seed");
   flags.AddInt("jobs", &args.jobs,
-               "worker threads (0 = all cores, 1 = serial)");
+               "sweep lanes (0 = all cores, 1 = serial)");
   flags.AddInt("solver-threads", &args.solver_threads,
                "grd/lazy/bestfit score-generation shards (1 = serial, "
                "0 = all cores); records stay bit-identical");
-  auto status = flags.Parse(argc, argv);
-  if (!status.ok() || args.jobs < 0 || args.solver_threads < 0) {
-    SES_LOG(kError) << (!status.ok()        ? status.ToString()
-                        : args.jobs < 0
-                            ? std::string("--jobs must be >= 0")
-                            : std::string("--solver-threads must be >= 0"));
+  const util::Status status = flags.Parse(argc, argv);
+  const std::string error =
+      !status.ok() ? status.ToString()
+      : !IsKnownScale(args.scale)
+          ? "unknown --scale: " + args.scale + " (want paper|medium|small)"
+      : args.jobs < 0           ? "--jobs must be >= 0"
+      : args.solver_threads < 0 ? "--solver-threads must be >= 0"
+                                : "";
+  if (!error.empty()) {
+    SES_LOG(kError) << error;
     std::fputs(flags.Usage().c_str(), stderr);
     std::exit(2);
   }
   return args;
 }
 
-/// Runs \p points on \p jobs workers (0 = all cores, 1 = serial) and
-/// fails loudly on any error. Both paths yield identical records (modulo
-/// the wall-clock `seconds` field) in point order.
+/// Runs \p points through exp::RunSweep on \p jobs lanes (0 = all
+/// cores, 1 = serial) and fails loudly on any error. Every jobs value
+/// yields identical records (modulo the wall-clock `seconds` field) in
+/// point order.
 inline std::vector<exp::RunRecord> RunSweepPoints(
     const exp::WorkloadFactory& factory,
     const std::vector<exp::SweepPoint>& points,
     const std::vector<std::string>& solvers, int64_t jobs) {
   if (jobs != 1) {
     // The utility/evaluation fields stay byte-identical, but concurrent
-    // points (and, on this path, the solvers within each point, which
-    // fan out across the shared api::Scheduler pool) contend for cores,
-    // so any reported or CSV-dumped seconds are inflated relative to a
-    // serial run. --jobs=1 runs everything sequentially on the calling
-    // thread.
+    // points and the solvers within each point contend for cores, so
+    // any reported or CSV-dumped seconds are inflated relative to a
+    // serial run. --jobs=1 runs every point and solver one after
+    // another on the calling thread.
     SES_LOG(kWarning) << "--jobs=" << jobs << ": per-record seconds are "
                       << "measured under multi-core contention; use "
                       << "--jobs=1 for clean timings";

@@ -4,8 +4,8 @@
 /// \file
 /// ses::api — the session-oriented solve surface of the library.
 ///
-/// Every consumer (CLI, examples, the experiment runner, downstream
-/// users) talks to solvers through a Scheduler and typed request /
+/// Serving consumers (CLI, examples, the trace harness, downstream
+/// users) talk to solvers through a Scheduler and typed request /
 /// response messages instead of hand-assembling MakeSolver +
 /// SolverOptions + Validate + objective recomputation:
 ///
@@ -26,7 +26,7 @@
 /// Submit() runs a request asynchronously on the scheduler's pool and
 /// returns a PendingSolve; SolveBatch() fans N requests across the pool
 /// and returns responses in request order regardless of completion
-/// order — the primitive behind exp::RunSolvers' per-point solver loop.
+/// order.
 ///
 /// The Scheduler is a *service shell*, not just an executor:
 ///

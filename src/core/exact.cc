@@ -82,6 +82,12 @@ void Dfs(SearchContext& ctx, EventIndex next_event, size_t chosen) {
       ctx.model.total_utility() + SuffixBound(ctx, next_event, remaining_needed);
   if (bound <= ctx.best_utility + 1e-12) return;
 
+  // A committed (warm-start) event is neither moved nor dropped.
+  if (ctx.model.schedule().IsAssigned(next_event)) {
+    Dfs(ctx, next_event + 1, chosen);
+    return;
+  }
+
   // Branch 1..|T|: place next_event at each feasible interval.
   for (IntervalIndex t = 0; t < ctx.instance->num_intervals(); ++t) {
     if (!ctx.model.CanAssign(next_event, t)) continue;
@@ -104,13 +110,20 @@ util::Result<SolverResult> ExactSolver::DoSolve(const SesInstance& instance,
 
   SearchContext ctx(instance, options.sigma_cache_capacity);
   ctx.context = &context;
-  ctx.k = static_cast<size_t>(options.k);
+  // The search places only the k - |warm start| assignments still open;
+  // a run stopped before its first complete schedule returns the
+  // committed part, like the constructive solvers.
+  SES_RETURN_IF_ERROR(ApplyWarmStart(ctx.model, options.warm_start));
+  ctx.best_assignments = ctx.model.schedule().Assignments();
+  ctx.k = static_cast<size_t>(options.k) - options.warm_start.size();
   ctx.max_nodes = options.max_nodes;
 
-  // Per-event optimistic scores on the empty schedule. The probe alone
-  // is O(|E|·|T|) gain evaluations, so it polls the context too — a ~0
-  // deadline must return before any of the precompute, not just before
-  // the first search node.
+  // Per-event optimistic scores on the empty schedule; they bound the
+  // warm-started search too, because gains only shrink as an interval
+  // fills (fact 2 in core/attendance.h). Committed events get bound 0:
+  // they add no further gain. The probe alone is O(|E|·|T|) gain
+  // evaluations, so it polls the context too — a ~0 deadline must return
+  // before any of the precompute, not just before the first search node.
   ctx.event_upper_bound.assign(instance.num_events(), 0.0);
   {
     AttendanceModel probe(instance, options.sigma_cache_capacity);
@@ -121,6 +134,9 @@ util::Result<SolverResult> ExactSolver::DoSolve(const SesInstance& instance,
             std::max(ctx.event_upper_bound[e], probe.MarginalGain(e, t));
       }
     }
+  }
+  for (const Assignment& a : options.warm_start) {
+    ctx.event_upper_bound[a.event] = 0.0;
   }
 
   // suffix_top[e][j] = sum of j largest upper bounds among events >= e.

@@ -34,7 +34,7 @@ struct SolverOptions {
   /// Pre-committed assignments (incremental re-planning): the solver
   /// starts from this partial schedule and extends it to k assignments.
   /// Must be feasible and hold at most k assignments. Constructive
-  /// solvers (grd/lazy/bestfit/top/rand) never move committed
+  /// solvers (grd/lazy/bestfit/top/rand) and exact never move committed
   /// assignments; the improvement heuristics (ls/anneal) receive them
   /// only as the seed of their base solver and may relocate them. Use
   /// case: the organizer already announced some events and the budget k

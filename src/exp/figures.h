@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/runner.h"
+#include "exp/sweep.h"
 #include "util/status.h"
 
 namespace ses::exp {

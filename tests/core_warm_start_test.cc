@@ -1,6 +1,6 @@
-/// Incremental re-planning: every constructive solver accepts a
-/// pre-committed partial schedule (SolverOptions::warm_start) and extends
-/// it to k assignments without disturbing the committed part.
+/// Incremental re-planning: every constructive solver, and exact, accepts
+/// a pre-committed partial schedule (SolverOptions::warm_start) and
+/// extends it to k assignments without disturbing the committed part.
 
 #include <gtest/gtest.h>
 
@@ -36,7 +36,8 @@ TEST_P(WarmStartTest, ConstructiveSolversKeepCommittedAssignments) {
   auto prefix = grd.Solve(instance, prefix_options);
   ASSERT_TRUE(prefix.ok());
 
-  for (const char* name : {"grd", "lazy", "bestfit", "top", "rand"}) {
+  for (const char* name :
+       {"grd", "lazy", "bestfit", "top", "rand", "exact"}) {
     auto solver = MakeSolver(name);
     ASSERT_TRUE(solver.ok());
     SolverOptions options;
@@ -48,6 +49,58 @@ TEST_P(WarmStartTest, ConstructiveSolversKeepCommittedAssignments) {
     EXPECT_TRUE(ValidateAssignments(instance, result->assignments, 6).ok())
         << name;
     // Every committed assignment survives verbatim.
+    for (const Assignment& committed : prefix->assignments) {
+      EXPECT_NE(std::find(result->assignments.begin(),
+                          result->assignments.end(), committed),
+                result->assignments.end())
+          << name << " dropped a committed assignment";
+    }
+  }
+}
+
+TEST_P(WarmStartTest, ExactIsOptimalAmongExtensions) {
+  const SesInstance instance = MakeInstance();
+  GreedySolver grd;
+  SolverOptions options;
+  options.k = 3;
+  auto prefix = grd.Solve(instance, options);
+  ASSERT_TRUE(prefix.ok());
+
+  options.k = 6;
+  options.warm_start = prefix->assignments;
+  auto exact = MakeSolver("exact").value()->Solve(instance, options);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  for (const char* name : {"grd", "lazy", "bestfit", "top", "rand"}) {
+    auto result = MakeSolver(name).value()->Solve(instance, options);
+    ASSERT_TRUE(result.ok()) << name;
+    EXPECT_GE(exact->utility, result->utility - 1e-9) << name;
+  }
+}
+
+TEST_P(WarmStartTest, StoppedSolveStillReturnsCommittedAssignments) {
+  const SesInstance instance = MakeInstance();
+  GreedySolver grd;
+  SolverOptions prefix_options;
+  prefix_options.k = 3;
+  auto prefix = grd.Solve(instance, prefix_options);
+  ASSERT_TRUE(prefix.ok());
+
+  SolveContext expired;
+  expired.deadline = Deadline::After(0.0);
+  for (const char* name :
+       {"grd", "lazy", "bestfit", "top", "rand", "exact"}) {
+    auto solver = MakeSolver(name);
+    ASSERT_TRUE(solver.ok());
+    SolverOptions options;
+    options.k = 6;
+    options.warm_start = prefix->assignments;
+    auto result = solver.value()->Solve(instance, options, expired);
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    EXPECT_EQ(result->termination.code(),
+              util::StatusCode::kDeadlineExceeded)
+        << name;
+    // The committed part is feasible by itself, so the partial schedule
+    // keeps it.
     for (const Assignment& committed : prefix->assignments) {
       EXPECT_NE(std::find(result->assignments.begin(),
                           result->assignments.end(), committed),
@@ -149,7 +202,8 @@ TEST(WarmStartValidationTest, NearThetaWarmStartReturnsInvalidArgument) {
   // The validator accepts this warm start (within tolerance)...
   ASSERT_TRUE(ValidateAssignments(*instance, options.warm_start).ok());
 
-  for (const char* name : {"grd", "lazy", "bestfit", "top", "rand"}) {
+  for (const char* name :
+       {"grd", "lazy", "bestfit", "top", "rand", "exact"}) {
     auto solver = MakeSolver(name);
     ASSERT_TRUE(solver.ok());
     // ...but applying it is infeasible: expect a typed error, not a

@@ -1,25 +1,25 @@
-#include "exp/runner.h"
+/// Running solvers on one sweep point through exp::RunSweep, and
+/// rendering and writing the records it returns.
 
 #include <filesystem>
 
 #include <gtest/gtest.h>
 
 #include "exp/figures.h"
-#include "tests/test_util.h"
+#include "exp/sweep.h"
+#include "tests/sweep_test_util.h"
 #include "util/csv.h"
 
 namespace ses::exp {
 namespace {
 
-TEST(RunnerTest, ProducesOneRecordPerSolver) {
-  test::RandomInstanceConfig config;
-  config.num_events = 8;
-  config.num_intervals = 4;
-  const core::SesInstance instance = test::MakeRandomInstance(config);
+using test::MakePoints;
+using test::SweepDataset;
 
-  core::SolverOptions options;
-  options.k = 3;
-  auto records = RunSolvers(instance, {"grd", "top", "rand"}, options, 3);
+TEST(RunnerTest, ProducesOneRecordPerSolver) {
+  WorkloadFactory factory(SweepDataset());
+  auto records =
+      RunSweep(factory, MakePoints({3}), {"grd", "top", "rand"}, 3);
   ASSERT_TRUE(records.ok()) << records.status().ToString();
   ASSERT_EQ(records->size(), 3u);
   EXPECT_EQ((*records)[0].solver, "grd");
@@ -33,12 +33,18 @@ TEST(RunnerTest, ProducesOneRecordPerSolver) {
   }
 }
 
-TEST(RunnerTest, UnknownSolverFails) {
-  test::RandomInstanceConfig config;
-  const core::SesInstance instance = test::MakeRandomInstance(config);
-  core::SolverOptions options;
-  options.k = 2;
-  EXPECT_FALSE(RunSolvers(instance, {"nope"}, options, 0).ok());
+TEST(RunnerTest, UnknownSolverFailsBeforeAnyBuild) {
+  WorkloadFactory factory(SweepDataset());
+  // Point 0 cannot be built; had any build run, its error would be the
+  // lowest-index failure.
+  auto points = MakePoints({4, 6});
+  points[0].config.num_candidate_events = 1;
+  for (size_t jobs : {1u, 0u}) {
+    auto result = RunSweep(factory, points, {"grd", "bogus"}, jobs);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kNotFound)
+        << result.status().ToString();
+  }
 }
 
 TEST(FiguresTest, RenderContainsSolversAndValues) {

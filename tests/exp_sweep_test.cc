@@ -2,34 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "ebsn/generator.h"
+#include "tests/sweep_test_util.h"
 
 namespace ses::exp {
 namespace {
 
-const ebsn::EbsnDataset& SweepDataset() {
-  static const ebsn::EbsnDataset* dataset = [] {
-    ebsn::SyntheticMeetupConfig config;
-    config.num_users = 600;
-    config.num_events = 300;
-    config.num_groups = 40;
-    config.num_tags = 60;
-    config.seed = 31;
-    return new ebsn::EbsnDataset(ebsn::GenerateSyntheticMeetup(config));
-  }();
-  return *dataset;
-}
-
-ConfigFactory KSweepConfig() {
-  return [](int64_t x, uint64_t seed) {
-    PaperWorkloadConfig config;
-    config.k = x;
-    config.competing_mean = 2.0;
-    config.competing_spread = 1.0;
-    config.seed = seed;
-    return config;
-  };
-}
+using test::KSweepConfig;
+using test::SweepDataset;
 
 TEST(SweepTest, AggregatesAcrossRepetitions) {
   WorkloadFactory factory(SweepDataset());

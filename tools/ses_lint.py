@@ -17,7 +17,8 @@ Token rules:
   layering              src/ include-layering matrix: util includes
                         nothing above it, core -> util only, ebsn ->
                         core/util, api -> core/util, exp -> anything
-                        (its RunSolvers is a documented client of api).
+                        (its trace harness is a documented client of
+                        api).
   determinism-clock     no wall-clock reads (std::chrono clocks,
                         time()/clock()/gettimeofday) in src/core or
                         src/ebsn outside core/solve_context.h — solver
@@ -108,9 +109,9 @@ import sys
 
 # Layer -> layers it may include (by the first path component of a
 # quoted include). tests/bench/tools/examples may use everything and are
-# exempt. exp legitimately includes api (exp::RunSolvers and the
-# trace-replay exp::LoadGenerator are documented clients of
-# api::Scheduler; see docs/ARCHITECTURE.md "Layer map").
+# exempt. exp legitimately includes api (the trace-replay
+# exp::LoadGenerator is a documented client of api::Scheduler; see
+# docs/ARCHITECTURE.md "Layer map").
 LAYERS = ("util", "core", "ebsn", "exp", "api")
 ALLOWED_INCLUDES = {
     "util": {"util"},
