@@ -92,7 +92,7 @@ struct FigureArgs {
   int64_t seed = 7;
   /// Sweep lanes: 0 = every core, 1 = the calling thread only.
   int64_t jobs = 0;
-  /// Intra-solver score-generation shards for grd/lazy/bestfit
+  /// Intra-solver score-generation shards for top/grd/lazy/bestfit
   /// (1 = serial, 0 = all cores). Records and CSVs are bit-identical at
   /// any value; only the wall-clock seconds change.
   int64_t solver_threads = 1;
@@ -119,7 +119,7 @@ inline FigureArgs ParseFigureArgs(const char* program, int argc,
   flags.AddInt("jobs", &args.jobs,
                "sweep lanes (0 = all cores, 1 = serial)");
   flags.AddInt("solver-threads", &args.solver_threads,
-               "grd/lazy/bestfit score-generation shards (1 = serial, "
+               "top/grd/lazy/bestfit score-generation shards (1 = serial, "
                "0 = all cores); records stay bit-identical");
   const util::Status status = flags.Parse(argc, argv);
   const std::string error =

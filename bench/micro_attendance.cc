@@ -144,6 +144,9 @@ struct KernelFixture {
                              core::kernels::HashSigma(11, u, 1)));
       soa.denom[u] = 0.5 + 2.0 * core::kernels::HashSigma(13, u, 2);
       soa.sched_mass[u] = (u % 3 == 0) ? 0.0 : soa.denom[u] * 0.4;
+      // The carried old term, as AccumulateMass/TouchMass write it.
+      soa.ratio[u] = soa.denom[u] > 0.0 ? soa.sched_mass[u] / soa.denom[u]
+                                        : 0.0;
     }
   }
 };
@@ -158,7 +161,7 @@ void BM_KernelLuceGain(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::kernels::LuceGain(
         f.users.data(), f.values.data(), f.users.size(), f.soa.denom.data(),
-        f.soa.sched_mass.data(), f.soa.sigma.data()));
+        f.soa.sched_mass.data(), f.soa.ratio.data(), f.soa.sigma.data()));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           kKernelUsers);
@@ -185,11 +188,11 @@ void BM_KernelAccumulateClear(benchmark::State& state) {
   for (auto _ : state) {
     core::kernels::ClearTouched(soa.touched.data(), soa.num_touched,
                                 soa.denom.data(), soa.sched_mass.data(),
-                                soa.in_touched.data());
+                                soa.ratio.data(), soa.in_touched.data());
     soa.num_touched = 0;
     soa.num_touched = core::kernels::AccumulateMass(
         f.users.data(), f.values.data(), f.users.size(), soa.denom.data(),
-        nullptr, soa.touched.data(), soa.in_touched.data(),
+        nullptr, nullptr, soa.touched.data(), soa.in_touched.data(),
         soa.num_touched);
     benchmark::DoNotOptimize(soa.denom.data());
   }

@@ -92,8 +92,8 @@ struct SolveRequest {
   std::string solver;
 
   /// Solver tuning knobs (k, seed, warm start, ...). Setting
-  /// options.threads != 1 shards GRD/lazy/bestfit score generation across
-  /// the scheduler's own pool (results stay bit-identical; see
+  /// options.threads != 1 shards TOP/GRD/lazy/bestfit score generation
+  /// across the scheduler's own pool (results stay bit-identical; see
   /// SolverOptions::threads).
   core::SolverOptions options;
 

@@ -11,7 +11,7 @@ AttendanceModel::AttendanceModel(const SesInstance& instance,
     : instance_(&instance),
       schedule_(instance),
       // The constructor down-payment for the hot-path contract: every
-      // SoA span (D, M, sigma, touched) is sized to |U| here, so
+      // SoA span (D, M, ratio, sigma, touched) is sized to |U| here, so
       // steady-state LoadInterval/TouchLoaded kernels only ever store
       // through pre-sized spans — no growth, no allocation (re-proven
       // at runtime by tests/core_hot_path_alloc_test.cc).
@@ -76,7 +76,7 @@ void AttendanceModel::LoadInterval(IntervalIndex t) {
   // Reset only the entries touched by the previously loaded interval.
   kernels::ClearTouched(soa_.touched.data(), soa_.num_touched,
                         soa_.denom.data(), soa_.sched_mass.data(),
-                        soa_.in_touched.data());
+                        soa_.ratio.data(), soa_.in_touched.data());
   soa_.num_touched = 0;
   loaded_ = t;
 
@@ -94,10 +94,11 @@ void AttendanceModel::LoadInterval(IntervalIndex t) {
     for (CompetingIndex c : instance_->CompetingAt(t)) {
       auto users = instance_->CompetingUsers(c);
       auto values = instance_->CompetingValues(c);
-      // Competing mass is never removed, so M stays untouched (null).
+      // Competing mass is never removed, so M and the ratio stay
+      // untouched (null).
       soa_.num_touched = kernels::AccumulateMass(
           users.data(), values.data(), users.size(), soa_.denom.data(),
-          nullptr, soa_.touched.data(), soa_.in_touched.data(),
+          nullptr, nullptr, soa_.touched.data(), soa_.in_touched.data(),
           soa_.num_touched);
     }
     if (cache.loads < 2) ++cache.loads;
@@ -123,7 +124,7 @@ void AttendanceModel::LoadInterval(IntervalIndex t) {
     auto values = instance_->EventValues(p);
     soa_.num_touched = kernels::AccumulateMass(
         users.data(), values.data(), users.size(), soa_.denom.data(),
-        soa_.sched_mass.data(), soa_.touched.data(),
+        soa_.sched_mass.data(), soa_.ratio.data(), soa_.touched.data(),
         soa_.in_touched.data(), soa_.num_touched);
   }
 }
@@ -133,8 +134,8 @@ void AttendanceModel::TouchLoaded(EventIndex e, double sign) {
   auto values = instance_->EventValues(e);
   soa_.num_touched = kernels::TouchMass(
       users.data(), values.data(), users.size(), sign, soa_.denom.data(),
-      soa_.sched_mass.data(), soa_.touched.data(), soa_.in_touched.data(),
-      soa_.num_touched);
+      soa_.sched_mass.data(), soa_.ratio.data(), soa_.touched.data(),
+      soa_.in_touched.data(), soa_.num_touched);
 }
 
 double AttendanceModel::MarginalGain(EventIndex e, IntervalIndex t) {
@@ -146,7 +147,7 @@ double AttendanceModel::MarginalGain(EventIndex e, IntervalIndex t) {
   auto values = instance_->EventValues(e);
   return kernels::LuceGain(users.data(), values.data(), users.size(),
                            soa_.denom.data(), soa_.sched_mass.data(),
-                           sigma_row_);
+                           soa_.ratio.data(), sigma_row_);
 }
 
 void AttendanceModel::Apply(EventIndex e, IntervalIndex t) {
@@ -170,7 +171,7 @@ void AttendanceModel::Unapply(EventIndex e) {
   auto values = instance_->EventValues(e);
   const double loss = kernels::LuceLoss(
       users.data(), values.data(), users.size(), soa_.denom.data(),
-      soa_.sched_mass.data(), sigma_row_);
+      soa_.sched_mass.data(), soa_.ratio.data(), sigma_row_);
 
   SES_CHECK(schedule_.Unassign(e).ok());
   TouchLoaded(e, -1.0);

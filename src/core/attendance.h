@@ -33,7 +33,10 @@
 /// pattern (interval-major initial sweep, then one interval per
 /// iteration) makes this the right trade: marginal gains cost
 /// O(nnz(row)) with pure array reads, now through restrict-qualified
-/// pointers the compiler can vectorize.
+/// pointers the compiler can vectorize. The old term D > 0 ? M / D : 0
+/// is the same for every event scored at the loaded interval, so it is
+/// carried per user in the bundle (IntervalSoA::ratio), rewritten only
+/// where D or M change, and each gain term costs one division.
 ///
 /// Reloading an interval used to recompute its schedule-independent
 /// state from scratch every time: the aggregated competing-event
@@ -120,16 +123,16 @@ class AttendanceModel {
   uint64_t gain_evaluations() const { return gain_evaluations_; }
 
  private:
-  /// Rebuilds the SoA scratch (denominators, scheduled mass, sigma row)
-  /// for interval \p t unless already loaded, via the scatter kernels
-  /// in core/kernels.h. Steady-state loads (cache replay or scratch
-  /// accumulate) are allocation-free: every SoA span is sized to its
-  /// instance-dimension bound at construction, and the one
-  /// materializing path is split into MaterializeCache below.
+  /// Rebuilds the SoA scratch (denominators, scheduled mass, old-term
+  /// ratio, sigma row) for interval \p t unless already loaded, via the
+  /// scatter kernels in core/kernels.h. Steady-state loads (cache
+  /// replay or scratch accumulate) are allocation-free: every SoA span
+  /// is sized to its instance-dimension bound at construction, and the
+  /// one materializing path is split into MaterializeCache below.
   SES_HOT void LoadInterval(IntervalIndex t);
 
   /// Adds (sign=+1) or removes (sign=-1) event \p e's interest row from
-  /// the loaded scratch (kernels::TouchMass).
+  /// the loaded scratch, ratio included (kernels::TouchMass).
   SES_HOT void TouchLoaded(EventIndex e, double sign);
 
   /// Schedule-independent per-interval state, cached on second load.
@@ -170,9 +173,9 @@ class AttendanceModel {
   Schedule schedule_;
 
   IntervalIndex loaded_ = kInvalidIndex;
-  /// D / M / sigma scratch + touched list for the loaded interval, as
-  /// contiguous aligned spans (see core/kernels.h for the layout and
-  /// the bit-identity contract of the kernels that walk it).
+  /// D / M / ratio / sigma scratch + touched list for the loaded
+  /// interval, as contiguous aligned spans (see core/kernels.h for the
+  /// layout and the bit-identity contract of the kernels that walk it).
   IntervalSoA soa_;
   const float* sigma_row_ = nullptr;  ///< sigma(u, loaded interval)
   std::vector<IntervalCache> interval_cache_;  ///< one slot per interval

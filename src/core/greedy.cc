@@ -28,22 +28,27 @@ util::Result<SolverResult> GreedySolver::DoSolve(
   AttendanceModel model(instance, options.sigma_cache_capacity);
   SES_RETURN_IF_ERROR(ApplyWarmStart(model, options.warm_start));
   SolverStats stats;
-  util::Status termination;
 
   // Algorithm 1, lines 2-4: generate all assignments with their scores.
-  // GenerateScoredAssignments emits in serial t-major order at every
-  // SolverOptions::threads value (in place on `model` when serial,
-  // sharded engines into a grid otherwise), so L is byte-identical
+  // The grid is bit-identical at every SolverOptions::threads value and L
+  // is read from it in serial t-major order, so L is byte-identical
   // across thread counts (tests/core_parallel_solve_test.cc pins this).
+  const size_t num_events = instance.num_events();
+  std::vector<double> grid(
+      static_cast<size_t>(instance.num_intervals()) * num_events, 0.0);
+  const ScoreGenResult generated =
+      GenerateAssignmentScores(instance, options, context, grid);
+  util::Status termination = generated.termination;
   std::vector<ScoredAssignment> list;
-  list.reserve(static_cast<size_t>(instance.num_events()) *
-               instance.num_intervals());
-  const ScoreGenResult generated = GenerateScoredAssignments(
-      instance, options, context, model,
-      [&list](EventIndex e, IntervalIndex t, double score) {
-        list.push_back({e, t, score});
-      });
-  termination = generated.termination;
+  if (termination.ok()) {
+    list.reserve(grid.size());
+    for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+      for (EventIndex e = 0; e < num_events; ++e) {
+        if (model.schedule().IsAssigned(e)) continue;  // warm-started
+        list.push_back({e, t, grid[static_cast<size_t>(t) * num_events + e]});
+      }
+    }
+  }
 
   const size_t k = static_cast<size_t>(options.k);
   // Algorithm 1, lines 5-13. Skipped entirely when generation was cut
@@ -81,10 +86,8 @@ util::Result<SolverResult> GreedySolver::DoSolve(
     list.resize(write);
   }
 
-  // Sharded generation ran on shard-private engines; fold their
-  // evaluation count into the main model's so the total matches the
-  // serial single-model accounting exactly (zero on the serial path,
-  // where the main model scored everything itself).
+  // Generation ran on its own engines; adding their count keeps the total
+  // equal to one model scoring everything.
   stats.gain_evaluations =
       model.gain_evaluations() + generated.gain_evaluations;
 

@@ -9,7 +9,9 @@ namespace ses::core::kernels {
 // any "obvious" algebraic cleanup here is a test failure. What changed
 // is the calling convention: restrict-qualified raw pointers and no
 // virtual dispatch, so the compiler vectorizes instead of assuming
-// aliasing.
+// aliasing. The one moved operation is the old Luce term M / D: the
+// mass kernels compute it once per change of D and M, with the same
+// expression on the same doubles, and the gain and loss kernels read it.
 
 void FillSigmaConst(float value, std::span<float> out) {
   std::fill(out.begin(), out.end(), value);
@@ -31,11 +33,13 @@ void CopySigmaRow(std::span<const float> row, std::span<float> out) {
 void ClearTouched(const UserIndex* SES_RESTRICT touched, size_t n,
                   double* SES_RESTRICT denom,
                   double* SES_RESTRICT sched_mass,
+                  double* SES_RESTRICT ratio,
                   uint8_t* SES_RESTRICT in_touched) {
   for (size_t i = 0; i < n; ++i) {
     const UserIndex u = touched[i];
     denom[u] = 0.0;
     sched_mass[u] = 0.0;
+    ratio[u] = 0.0;
     in_touched[u] = 0;
   }
 }
@@ -58,6 +62,7 @@ size_t AccumulateMass(const UserIndex* SES_RESTRICT users,
                       const float* SES_RESTRICT values, size_t n,
                       double* SES_RESTRICT denom,
                       double* SES_RESTRICT sched_mass,
+                      double* SES_RESTRICT ratio,
                       UserIndex* SES_RESTRICT touched,
                       uint8_t* SES_RESTRICT in_touched,
                       size_t num_touched) {
@@ -79,6 +84,7 @@ size_t AccumulateMass(const UserIndex* SES_RESTRICT users,
       }
       denom[u] += static_cast<double>(values[i]);
       sched_mass[u] += static_cast<double>(values[i]);
+      ratio[u] = denom[u] > 0.0 ? sched_mass[u] / denom[u] : 0.0;
     }
   }
   return num_touched;
@@ -88,6 +94,7 @@ size_t TouchMass(const UserIndex* SES_RESTRICT users,
                  const float* SES_RESTRICT values, size_t n, double sign,
                  double* SES_RESTRICT denom,
                  double* SES_RESTRICT sched_mass,
+                 double* SES_RESTRICT ratio,
                  UserIndex* SES_RESTRICT touched,
                  uint8_t* SES_RESTRICT in_touched, size_t num_touched) {
   for (size_t i = 0; i < n; ++i) {
@@ -102,6 +109,7 @@ size_t TouchMass(const UserIndex* SES_RESTRICT users,
     // Guard against negative residue from floating-point cancellation.
     if (denom[u] < 0.0) denom[u] = 0.0;
     if (sched_mass[u] < 0.0) sched_mass[u] = 0.0;
+    ratio[u] = denom[u] > 0.0 ? sched_mass[u] / denom[u] : 0.0;
   }
   return num_touched;
 }
@@ -110,18 +118,17 @@ double LuceGain(const UserIndex* SES_RESTRICT users,
                 const float* SES_RESTRICT values, size_t n,
                 const double* SES_RESTRICT denom,
                 const double* SES_RESTRICT sched_mass,
+                const double* SES_RESTRICT ratio,
                 const float* SES_RESTRICT sigma) {
   double gain = 0.0;
   for (size_t i = 0; i < n; ++i) {
     const UserIndex u = users[i];
     const double x = static_cast<double>(values[i]);
-    const double d = denom[u];
-    const double m = sched_mass[u];
-    // (M + x) / (D + x) - M / D; the old term vanishes when D == 0
-    // (then M == 0 as well and the new term is x / x = 1).
-    const double term_new = (m + x) / (d + x);
-    const double term_old = d > 0.0 ? m / d : 0.0;
-    gain += static_cast<double>(sigma[u]) * (term_new - term_old);
+    // (M + x) / (D + x) - M / D; the old term is the carried ratio,
+    // which is 0 when D == 0 (then M == 0 as well and the new term is
+    // x / x = 1).
+    const double term_new = (sched_mass[u] + x) / (denom[u] + x);
+    gain += static_cast<double>(sigma[u]) * (term_new - ratio[u]);
   }
   return gain;
 }
@@ -130,20 +137,18 @@ double LuceLoss(const UserIndex* SES_RESTRICT users,
                 const float* SES_RESTRICT values, size_t n,
                 const double* SES_RESTRICT denom,
                 const double* SES_RESTRICT sched_mass,
+                const double* SES_RESTRICT ratio,
                 const float* SES_RESTRICT sigma) {
   double loss = 0.0;
   for (size_t i = 0; i < n; ++i) {
     const UserIndex u = users[i];
     const double x = static_cast<double>(values[i]);
-    const double d = denom[u];
-    const double m = sched_mass[u];
-    const double term_with = d > 0.0 ? m / d : 0.0;
-    const double d_without = d - x;
-    const double m_without = m - x;
+    const double d_without = denom[u] - x;
+    const double m_without = sched_mass[u] - x;
     const double term_without =
         d_without > 1e-12 ? (m_without > 0.0 ? m_without / d_without : 0.0)
                           : 0.0;
-    loss += static_cast<double>(sigma[u]) * (term_with - term_without);
+    loss += static_cast<double>(sigma[u]) * (ratio[u] - term_without);
   }
   return loss;
 }

@@ -10,9 +10,9 @@
 /// attendance.cc. This header centralizes both halves of that design:
 ///
 ///   - IntervalSoA: one bundle of contiguous, 64-byte-aligned spans per
-///     loaded interval — denominators D, scheduled mass M, the sigma
-///     row, and the touched-user list. Dense, index-addressed, built
-///     once per AttendanceModel::LoadInterval.
+///     loaded interval — denominators D, scheduled mass M, the old Luce
+///     term M / D, the sigma row, and the touched-user list. Dense,
+///     index-addressed, built once per AttendanceModel::LoadInterval.
 ///   - kernels::*: the inner loops as free functions over
 ///     restrict-qualified pointers. No per-element virtual dispatch, no
 ///     branches the compiler cannot if-convert, no aliasing it has to
@@ -58,16 +58,26 @@ namespace ses::core {
 /// (tests/core_sigma_cache_test.cc) requires the replayed masses to be
 /// the exact doubles the scratch path accumulated. Sigma stays float —
 /// it is read-only within a load, so no precision compounds.
+///
+/// `ratio` carries the old Luce term D > 0 ? M / D : 0 per user, so the
+/// gain and loss kernels divide once per term instead of twice. The
+/// kernels that change M (AccumulateMass on a scheduled row, TouchMass)
+/// rewrite it with exactly that expression right after the change;
+/// ClearTouched zeroes it. Competing rows and cache replays change D
+/// while M is still 0, so their users keep ratio 0, which is what the
+/// expression gives for M = 0.
 struct IntervalSoA {
   explicit IntervalSoA(size_t num_users)
       : denom(num_users, 0.0),
         sched_mass(num_users, 0.0),
+        ratio(num_users, 0.0),
         sigma(num_users, 0.0f),
         touched(num_users, 0),
         in_touched(num_users, 0) {}
 
   util::AlignedVector<double> denom;       ///< D = C + M per user
   util::AlignedVector<double> sched_mass;  ///< M per user
+  util::AlignedVector<double> ratio;       ///< D > 0 ? M / D : 0 per user
   util::AlignedVector<float> sigma;        ///< sigma(u, t) scratch row
   util::AlignedVector<UserIndex> touched;  ///< users with non-zero scratch
   /// Byte mask deduplicating `touched`: in_touched[u] != 0 iff u is in
@@ -117,11 +127,12 @@ SES_HOT void FillSigmaHash(uint64_t seed, IntervalIndex t,
 /// out = row[0 .. out.size()) (DenseSigma's bulk row).
 SES_HOT void CopySigmaRow(std::span<const float> row, std::span<float> out);
 
-/// Zeroes D, M, and the dedup mask at the `n` touched indices
-/// (interval unload).
+/// Zeroes D, M, the ratio and the dedup mask at the `n` touched
+/// indices (interval unload).
 SES_HOT void ClearTouched(const UserIndex* SES_RESTRICT touched, size_t n,
                           double* SES_RESTRICT denom,
                           double* SES_RESTRICT sched_mass,
+                          double* SES_RESTRICT ratio,
                           uint8_t* SES_RESTRICT in_touched);
 
 /// Cache replay: denom[users[i]] = masses[i], recording each user in
@@ -137,8 +148,10 @@ SES_HOT size_t ScatterMasses(const UserIndex* SES_RESTRICT users,
                              uint8_t* SES_RESTRICT in_touched);
 
 /// Scatter-adds one sparse interest row: denom[u] += values[i], and
-/// sched_mass[u] likewise when sched_mass is non-null (scheduled-event
-/// rows; null for competing rows, whose mass is not removable).
+/// for scheduled-event rows (sched_mass and ratio non-null) M likewise,
+/// then ratio[u] = D > 0 ? M / D : 0. Competing rows pass null for both:
+/// their mass is not removable, and they are folded before any
+/// scheduled row, while M and the ratio are still 0.
 /// First-touched users (denom exactly 0 pre-add, not yet in the mask)
 /// are appended to `touched` at `num_touched`; returns the new count.
 /// `touched` must have capacity |U| — the mask makes that bound
@@ -147,39 +160,44 @@ SES_HOT size_t AccumulateMass(const UserIndex* SES_RESTRICT users,
                               const float* SES_RESTRICT values, size_t n,
                               double* SES_RESTRICT denom,
                               double* SES_RESTRICT sched_mass,
+                              double* SES_RESTRICT ratio,
                               UserIndex* SES_RESTRICT touched,
                               uint8_t* SES_RESTRICT in_touched,
                               size_t num_touched);
 
 /// Signed variant for Apply/Unapply: adds sign * values[i] to D and M,
-/// clamping tiny negative cancellation residue to zero, appending
+/// clamping tiny negative cancellation residue to zero, then rewrites
+/// ratio[u] = D > 0 ? M / D : 0 from the clamped values. Appends
 /// first-touched users exactly like AccumulateMass. Returns the new
 /// touched count.
 SES_HOT size_t TouchMass(const UserIndex* SES_RESTRICT users,
                          const float* SES_RESTRICT values, size_t n,
                          double sign, double* SES_RESTRICT denom,
                          double* SES_RESTRICT sched_mass,
+                         double* SES_RESTRICT ratio,
                          UserIndex* SES_RESTRICT touched,
                          uint8_t* SES_RESTRICT in_touched,
                          size_t num_touched);
 
 /// Eq. 4 (the Luce-choice gain): sum over the event's sparse interest
-/// row of sigma[u] * ((M + x) / (D + x) - (D > 0 ? M / D : 0)).
-/// Sequential single-accumulator sum — bit-identical to the scalar
-/// reference.
+/// row of sigma[u] * ((M + x) / (D + x) - ratio[u]), where ratio[u] is
+/// the carried D > 0 ? M / D : 0. Sequential single-accumulator sum —
+/// bit-identical to the two-division scalar reference.
 SES_HOT double LuceGain(const UserIndex* SES_RESTRICT users,
                         const float* SES_RESTRICT values, size_t n,
                         const double* SES_RESTRICT denom,
                         const double* SES_RESTRICT sched_mass,
+                        const double* SES_RESTRICT ratio,
                         const float* SES_RESTRICT sigma);
 
 /// Removal mirror of LuceGain for an event already folded into D and M:
-/// sum of sigma[u] * (M / D - (M - x) / (D - x)), with the emptied
+/// sum of sigma[u] * (ratio[u] - (M - x) / (D - x)), with the emptied
 /// denominator guarded at 1e-12 exactly as the scalar code did.
 SES_HOT double LuceLoss(const UserIndex* SES_RESTRICT users,
                         const float* SES_RESTRICT values, size_t n,
                         const double* SES_RESTRICT denom,
                         const double* SES_RESTRICT sched_mass,
+                        const double* SES_RESTRICT ratio,
                         const float* SES_RESTRICT sigma);
 
 }  // namespace kernels

@@ -35,28 +35,30 @@ util::Result<SolverResult> LazyGreedySolver::DoSolve(
   AttendanceModel model(instance, options.sigma_cache_capacity);
   SES_RETURN_IF_ERROR(ApplyWarmStart(model, options.warm_start));
   SolverStats stats;
-  util::Status termination;
 
-  // Initial scores via the stage shared with GRD (score_gen.h): emitted
-  // in serial t-major order at every SolverOptions::threads value, so
-  // heap construction — and every pop after it — is identical across
-  // thread counts.
-  std::vector<uint32_t> interval_version(instance.num_intervals(), 0);
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess> heap;
-  ScoreGenResult generated;
-  {
-    std::vector<HeapEntry> init;
-    init.reserve(static_cast<size_t>(instance.num_events()) *
-                 instance.num_intervals());
-    generated = GenerateScoredAssignments(
-        instance, options, context, model,
-        [&init](EventIndex e, IntervalIndex t, double score) {
-          init.push_back({score, e, t, 0});
-        });
-    termination = generated.termination;
-    heap = std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess>(
-        HeapLess{}, std::move(init));
+  // Initial scores from the grid shared with GRD (score_gen.h): read in
+  // serial t-major order, so heap construction — and every pop after
+  // it — is identical at every SolverOptions::threads value.
+  const size_t num_events = instance.num_events();
+  std::vector<double> grid(
+      static_cast<size_t>(instance.num_intervals()) * num_events, 0.0);
+  const ScoreGenResult generated =
+      GenerateAssignmentScores(instance, options, context, grid);
+  util::Status termination = generated.termination;
+  std::vector<HeapEntry> init;
+  if (termination.ok()) {
+    init.reserve(grid.size());
+    for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+      for (EventIndex e = 0; e < num_events; ++e) {
+        if (model.schedule().IsAssigned(e)) continue;  // warm-started
+        init.push_back(
+            {grid[static_cast<size_t>(t) * num_events + e], e, t, 0});
+      }
+    }
   }
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess> heap(
+      HeapLess{}, std::move(init));
+  std::vector<uint32_t> interval_version(instance.num_intervals(), 0);
 
   const size_t k = static_cast<size_t>(options.k);
   // A partially generated heap would miss high intervals, so selection
@@ -84,9 +86,8 @@ util::Result<SolverResult> LazyGreedySolver::DoSolve(
     ++interval_version[top.interval];
   }
 
-  // Shard-private generation engines + the selection-phase model add up
-  // to the serial single-model evaluation count (the shard term is zero
-  // on the serial path, where the main model scored everything itself).
+  // Generation ran on its own engines; adding their count keeps the total
+  // equal to one model scoring everything.
   stats.gain_evaluations =
       model.gain_evaluations() + generated.gain_evaluations;
 

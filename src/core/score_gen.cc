@@ -135,41 +135,4 @@ ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
   return result;
 }
 
-ScoreGenResult GenerateScoredAssignments(const SesInstance& instance,
-                                         const SolverOptions& options,
-                                         const SolveContext& context,
-                                         AttendanceModel& model,
-                                         const ScoreEmit& emit) {
-  ScoreGenResult result;
-  const size_t num_events = instance.num_events();
-
-  if (options.threads == 1) {
-    // Serial reference path: score in place on the caller's model (which
-    // counts the evaluations itself — result.gain_evaluations stays 0).
-    for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
-      if (context.CheckStop(&result.termination)) break;
-      for (EventIndex e = 0; e < num_events; ++e) {
-        if (model.schedule().IsAssigned(e)) continue;  // warm-started
-        emit(e, t, model.MarginalGain(e, t));
-      }
-    }
-    return result;
-  }
-
-  std::vector<double> scores(
-      static_cast<size_t>(instance.num_intervals()) * num_events);
-  result = GenerateAssignmentScores(instance, options, context, scores);
-  for (IntervalIndex t = 0;
-       result.termination.ok() && t < instance.num_intervals(); ++t) {
-    // Assembly is O(|E|·|T|) too; keep polling at interval boundaries so
-    // cancellation stays responsive between generation and selection.
-    if (context.CheckStop(&result.termination)) break;
-    for (EventIndex e = 0; e < num_events; ++e) {
-      if (model.schedule().IsAssigned(e)) continue;  // warm-started
-      emit(e, t, scores[static_cast<size_t>(t) * num_events + e]);
-    }
-  }
-  return result;
-}
-
 }  // namespace ses::core

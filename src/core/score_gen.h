@@ -2,12 +2,13 @@
 #define SES_CORE_SCORE_GEN_H_
 
 /// \file
-/// Assignment-score generation shared by the constructive solvers
-/// (Algorithm 1, lines 2-4 of the paper): the marginal gain of every
-/// (event, interval) pair under the warm-start-only schedule. This
-/// O(|E|·|T|) sweep dominates GRD/lazy/bestfit runtime on paper-scale
-/// instances and is embarrassingly parallel — no pair's score depends on
-/// another — so it shards interval-contiguously across a
+/// Assignment-score generation shared by the greedy family (Algorithm 1,
+/// lines 2-4 of the paper): the marginal gain of every (event, interval)
+/// pair under the warm-start-only schedule. TOP, GRD, lazy greedy and
+/// bestfit all read their initial scores from the one grid this fills.
+/// The O(|E|·|T|) sweep dominates their runtime on paper-scale
+/// instances and is embarrassingly parallel — no pair's score depends
+/// on another — so it shards interval-contiguously across a
 /// util::ThreadPool with one private AttendanceModel per shard.
 ///
 /// Determinism contract: the score of (e, t) is a pure function of the
@@ -20,10 +21,8 @@
 /// SolverOptions::threads value.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "core/attendance.h"
 #include "core/instance.h"
 #include "core/solve_context.h"
 #include "core/solver.h"
@@ -33,26 +32,20 @@ namespace ses::core {
 
 /// Outcome of one generation pass.
 struct ScoreGenResult {
-  /// Eq. 4 evaluations performed on shard-private engines — i.e. the
-  /// evaluations *not* already counted by the caller's own model. Zero
-  /// on the serial path (where the caller's model scores everything);
-  /// on a completed sharded pass, the number of unassigned
-  /// (event, interval) pairs. Solvers report
-  /// model.gain_evaluations() + this, which equals the serial
-  /// single-model count at every shard count.
+  /// Eq. 4 evaluations performed by the generation engines, which are
+  /// never the caller's own model: on a completed pass, the number of
+  /// unassigned (event, interval) pairs, at every shard count. Solvers
+  /// report model.gain_evaluations() + this, which equals the count of
+  /// one model scoring everything itself.
   uint64_t gain_evaluations = 0;
 
   /// OK on a completed pass; the stop status (kDeadlineExceeded /
   /// kCancelled) when \p context interrupted generation. On interruption
-  /// the emitted scores cover only a prefix and callers must not select
-  /// from them (GRD, lazy and bestfit fall back to returning the warm
+  /// the grid covers only a prefix of intervals and callers must not
+  /// select from it (the greedy family falls back to returning the warm
   /// start).
   util::Status termination;
 };
-
-/// Receives one scored pair during assembly: emit(e, t, score).
-using ScoreEmit =
-    std::function<void(EventIndex, IntervalIndex, double)>;
 
 /// Fills scores[t * instance.num_events() + e] with the marginal gain of
 /// assigning event \p e to interval \p t under the warm-start-only
@@ -69,24 +62,6 @@ ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
                                         const SolverOptions& options,
                                         const SolveContext& context,
                                         std::vector<double>& scores);
-
-/// The full generation + assembly stage shared by GRD and lazy greedy:
-/// scores every unassigned (e, t) pair under \p model's current
-/// (warm-start-only) schedule and invokes \p emit in serial t-major,
-/// e-minor order — the order both solvers build their candidate
-/// structures in, so the emitted sequence is bit-identical at every
-/// SolverOptions::threads value.
-///
-/// threads == 1 scores directly on \p model (the original in-place loop:
-/// no grid, no second engine); otherwise the sharded grid pass above
-/// runs first and assembly replays it. Both paths poll \p context at
-/// interval boundaries; on a stop the emitted sequence is a prefix and
-/// result.termination is the stop status.
-ScoreGenResult GenerateScoredAssignments(const SesInstance& instance,
-                                         const SolverOptions& options,
-                                         const SolveContext& context,
-                                         AttendanceModel& model,
-                                         const ScoreEmit& emit);
 
 }  // namespace ses::core
 

@@ -53,8 +53,8 @@ struct SolverOptions {
   /// Exact solver: node budget before giving up with ResourceExhausted.
   uint64_t max_nodes = 50000000;
 
-  /// Intra-solver parallelism for assignment-score generation (GRD, lazy
-  /// greedy and bestfit): the maximum number of generation shards. 1
+  /// Intra-solver parallelism for assignment-score generation (TOP, GRD,
+  /// lazy greedy and bestfit): the maximum number of generation shards. 1
   /// (default) is the serial reference path; 0 means one shard per
   /// available lane (pool workers plus the calling thread); N > 1 caps
   /// the shard count at N. Results are bit-identical to the serial path

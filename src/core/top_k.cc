@@ -4,6 +4,7 @@
 
 #include "core/attendance.h"
 #include "core/objective.h"
+#include "core/score_gen.h"
 #include "util/timer.h"
 
 namespace ses::core {
@@ -16,7 +17,15 @@ util::Result<SolverResult> TopKSolver::DoSolve(const SesInstance& instance,
   AttendanceModel model(instance, options.sigma_cache_capacity);
   SES_RETURN_IF_ERROR(ApplyWarmStart(model, options.warm_start));
   SolverStats stats;
-  util::Status termination;
+
+  // The initial scores come from the grid the whole greedy family shares
+  // (core/score_gen.h), sharded by SolverOptions::threads.
+  const size_t num_events = instance.num_events();
+  std::vector<double> grid(
+      static_cast<size_t>(instance.num_intervals()) * num_events, 0.0);
+  const ScoreGenResult generated =
+      GenerateAssignmentScores(instance, options, context, grid);
+  util::Status termination = generated.termination;
 
   struct Entry {
     EventIndex event;
@@ -24,19 +33,20 @@ util::Result<SolverResult> TopKSolver::DoSolve(const SesInstance& instance,
     double score;
   };
   std::vector<Entry> entries;
-  entries.reserve(static_cast<size_t>(instance.num_events()) *
-                  instance.num_intervals());
-  for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
-    if (context.CheckStop(&termination)) break;
-    for (EventIndex e = 0; e < instance.num_events(); ++e) {
-      if (model.schedule().IsAssigned(e)) continue;  // warm-started
-      entries.push_back({e, t, model.MarginalGain(e, t)});
-    }
-  }
-  // Sorting and walking only happen on a complete ranking (a truncated
-  // one would be biased toward low intervals, and sorting it after the
-  // budget expired would be pure wasted work).
+  // Ranking and walking only happen on a complete grid (a truncated one
+  // would be biased toward low intervals, and sorting it after the
+  // budget expired would be pure wasted work). Entries are read in
+  // t-major, e-minor order, so the sort sees the same sequence at every
+  // thread count.
   if (termination.ok()) {
+    entries.reserve(grid.size());
+    for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+      for (EventIndex e = 0; e < num_events; ++e) {
+        if (model.schedule().IsAssigned(e)) continue;  // warm-started
+        entries.push_back(
+            {e, t, grid[static_cast<size_t>(t) * num_events + e]});
+      }
+    }
     std::sort(entries.begin(), entries.end(),
               [](const Entry& a, const Entry& b) {
                 return a.score > b.score;
@@ -47,7 +57,6 @@ util::Result<SolverResult> TopKSolver::DoSolve(const SesInstance& instance,
   const size_t k = static_cast<size_t>(options.k);
   uint64_t polls = 0;
   for (const Entry& entry : entries) {
-    if (!termination.ok()) break;
     if ((polls++ & 63) == 0 && context.CheckStop(&termination)) break;
     context.CountWork(1);
     if (model.schedule().size() >= k) break;
@@ -56,7 +65,10 @@ util::Result<SolverResult> TopKSolver::DoSolve(const SesInstance& instance,
     model.Apply(entry.event, entry.interval);
   }
 
-  stats.gain_evaluations = model.gain_evaluations();
+  // Generation ran on its own engines; adding their count keeps the total
+  // equal to one model scoring everything.
+  stats.gain_evaluations =
+      model.gain_evaluations() + generated.gain_evaluations;
 
   SolverResult result;
   result.assignments = model.schedule().Assignments();

@@ -145,27 +145,27 @@ TEST(HotPathAllocTest, KernelSweepIsAllocationFree) {
   for (int pass = 0; pass < 16; ++pass) {
     kernels::ClearTouched(soa.touched.data(), soa.num_touched,
                           soa.denom.data(), soa.sched_mass.data(),
-                          soa.in_touched.data());
+                          soa.ratio.data(), soa.in_touched.data());
     soa.num_touched = 0;
     kernels::FillSigmaHash(42, static_cast<IntervalIndex>(pass), soa.sigma);
     soa.num_touched = kernels::AccumulateMass(
         users.data(), values.data(), users.size(), soa.denom.data(),
-        nullptr, soa.touched.data(), soa.in_touched.data(),
+        nullptr, nullptr, soa.touched.data(), soa.in_touched.data(),
         soa.num_touched);
     soa.num_touched = kernels::AccumulateMass(
         users.data(), values.data(), users.size(), soa.denom.data(),
-        soa.sched_mass.data(), soa.touched.data(), soa.in_touched.data(),
-        soa.num_touched);
+        soa.sched_mass.data(), soa.ratio.data(), soa.touched.data(),
+        soa.in_touched.data(), soa.num_touched);
     sink += kernels::LuceGain(users.data(), values.data(), users.size(),
                               soa.denom.data(), soa.sched_mass.data(),
-                              soa.sigma.data());
+                              soa.ratio.data(), soa.sigma.data());
     sink += kernels::LuceLoss(users.data(), values.data(), users.size(),
                               soa.denom.data(), soa.sched_mass.data(),
-                              soa.sigma.data());
+                              soa.ratio.data(), soa.sigma.data());
     soa.num_touched = kernels::TouchMass(
         users.data(), values.data(), users.size(), -1.0, soa.denom.data(),
-        soa.sched_mass.data(), soa.touched.data(), soa.in_touched.data(),
-        soa.num_touched);
+        soa.sched_mass.data(), soa.ratio.data(), soa.touched.data(),
+        soa.in_touched.data(), soa.num_touched);
   }
   EXPECT_EQ(check.allocations(), 0u);
   EXPECT_TRUE(std::isfinite(sink));

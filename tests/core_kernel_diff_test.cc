@@ -15,9 +15,15 @@
 ///     difference — one reassociated add, one fused multiply — is a
 ///     test failure, not tolerance noise.
 ///   ≤ 1e-6 RELATIVE — MarginalGain vs objective::AssignmentScore. The
-///     oracle sums per-user terms in a different association (hash-map
-///     walk over a schedule copy), so bit-equality is not defined;
-///     1e-6 matches the pre-existing pin in core_attendance_test.cc.
+///     oracle sums per-user terms in a different association (dense
+///     denominators rebuilt over a schedule copy), so bit-equality is
+///     not defined; 1e-6 matches the pre-existing pin in
+///     core_attendance_test.cc.
+///
+/// The kernels read the old Luce term M / D from the carried ratio span
+/// (IntervalSoA::ratio). The references below keep the two-division
+/// form, and the mass-kernel pins check that every write leaves
+/// ratio[u] bit-equal to Ratio(D, M) below.
 ///
 /// Degenerate shapes: |U|=1 (InstanceBuilder rejects |U|=0, so the
 /// zero-user case is covered at the kernel level by n=0 spans), a
@@ -73,6 +79,29 @@ namespace {
 template <typename T>
 std::vector<T> ToVec(std::span<const T> s) {
   return std::vector<T>(s.begin(), s.end());
+}
+
+/// The old Luce term, exactly as the two-division reference computes it.
+double Ratio(double d, double m) { return d > 0.0 ? m / d : 0.0; }
+
+std::vector<double> Ratios(const std::vector<double>& denom,
+                           const std::vector<double>& sched_mass) {
+  std::vector<double> ratio(denom.size());
+  for (size_t u = 0; u < denom.size(); ++u) {
+    ratio[u] = Ratio(denom[u], sched_mass[u]);
+  }
+  return ratio;
+}
+
+/// Every user's carried ratio bit-equals Ratio(D, M). Untouched users
+/// have D = M = 0, so they must hold the zero the expression gives.
+void ExpectRatiosCarried(const std::vector<double>& denom,
+                         const std::vector<double>& sched_mass,
+                         const std::vector<double>& ratio, uint64_t seed) {
+  for (size_t u = 0; u < denom.size(); ++u) {
+    EXPECT_TRUE(BitEq(ratio[u], Ratio(denom[u], sched_mass[u])))
+        << "seed " << seed << " u=" << u;
+  }
 }
 
 /// The scalar reference implementations: these are the pre-kernel
@@ -219,9 +248,10 @@ TEST(KernelDiffTest, LuceGainBitIdenticalToReference) {
     const double density = seed == 0 ? 0.0 : rng.UniformDouble(0.1, 1.0);
     const SparseRow row = RandomRow(rng, num_users, density);
 
+    const std::vector<double> ratio = Ratios(denom, sched);
     const double kernel = kernels::LuceGain(
         row.users.data(), row.values.data(), row.users.size(), denom.data(),
-        sched.data(), sigma.data());
+        sched.data(), ratio.data(), sigma.data());
     const double reference =
         ref::LuceGain(row.users, row.values, denom, sched, sigma);
     EXPECT_TRUE(BitEq(kernel, reference)) << "seed " << seed;
@@ -245,9 +275,10 @@ TEST(KernelDiffTest, LuceLossBitIdenticalToReference) {
       sched[row.users[i]] += static_cast<double>(row.values[i]);
     }
 
+    const std::vector<double> ratio = Ratios(denom, sched);
     const double kernel = kernels::LuceLoss(
         row.users.data(), row.values.data(), row.users.size(), denom.data(),
-        sched.data(), sigma.data());
+        sched.data(), ratio.data(), sigma.data());
     const double reference =
         ref::LuceLoss(row.users, row.values, denom, sched, sigma);
     EXPECT_TRUE(BitEq(kernel, reference)) << "seed " << seed;
@@ -265,22 +296,28 @@ TEST(KernelDiffTest, AccumulateMassBitIdenticalToReference) {
       std::vector<uint8_t> ref_mask(num_users, 0);
       std::vector<double> soa_denom(num_users, 0.0);
       std::vector<double> soa_sched(num_users, 0.0);
+      std::vector<double> soa_ratio(num_users, 0.0);
       std::vector<UserIndex> soa_touched(num_users, 0);
       std::vector<uint8_t> soa_mask(num_users, 0);
       size_t num_touched = 0;
 
       // Several overlapping rows, as LoadInterval folds several
-      // competing/scheduled rows into the same scratch.
+      // competing/scheduled rows into the same scratch. With scheduled
+      // rows, the first row is still a competing one, because
+      // LoadInterval folds those first; it also makes D differ from M.
       for (int r = 0; r < 4; ++r) {
         const SparseRow row =
             RandomRow(rng, num_users, rng.UniformDouble(0.0, 0.8));
+        const bool sched_row = with_sched && r > 0;
         ref::AccumulateMass(row.users, row.values, ref_denom,
-                            with_sched ? &ref_sched : nullptr, ref_touched,
+                            sched_row ? &ref_sched : nullptr, ref_touched,
                             ref_mask);
         num_touched = kernels::AccumulateMass(
             row.users.data(), row.values.data(), row.users.size(),
-            soa_denom.data(), with_sched ? soa_sched.data() : nullptr,
-            soa_touched.data(), soa_mask.data(), num_touched);
+            soa_denom.data(), sched_row ? soa_sched.data() : nullptr,
+            sched_row ? soa_ratio.data() : nullptr, soa_touched.data(),
+            soa_mask.data(), num_touched);
+        ExpectRatiosCarried(soa_denom, soa_sched, soa_ratio, seed);
       }
 
       ASSERT_EQ(num_touched, ref_touched.size()) << "seed " << seed;
@@ -305,9 +342,19 @@ TEST(KernelDiffTest, TouchMassBitIdenticalToReference) {
     std::vector<uint8_t> ref_mask(num_users, 0);
     std::vector<double> soa_denom(num_users, 0.0);
     std::vector<double> soa_sched(num_users, 0.0);
+    std::vector<double> soa_ratio(num_users, 0.0);
     std::vector<UserIndex> soa_touched(num_users, 0);
     std::vector<uint8_t> soa_mask(num_users, 0);
     size_t num_touched = 0;
+
+    // Competing mass first, as in a loaded interval, so D and M differ.
+    const SparseRow competing = RandomRow(rng, num_users, 0.5);
+    ref::AccumulateMass(competing.users, competing.values, ref_denom,
+                        nullptr, ref_touched, ref_mask);
+    num_touched = kernels::AccumulateMass(
+        competing.users.data(), competing.values.data(),
+        competing.users.size(), soa_denom.data(), nullptr, nullptr,
+        soa_touched.data(), soa_mask.data(), num_touched);
 
     // Apply/unapply churn: add rows, remove some of them again — the
     // remove path exercises the negative-residue clamps.
@@ -329,8 +376,9 @@ TEST(KernelDiffTest, TouchMassBitIdenticalToReference) {
                      ref_touched, ref_mask);
       num_touched = kernels::TouchMass(
           row.users.data(), row.values.data(), row.users.size(), sign,
-          soa_denom.data(), soa_sched.data(), soa_touched.data(),
-          soa_mask.data(), num_touched);
+          soa_denom.data(), soa_sched.data(), soa_ratio.data(),
+          soa_touched.data(), soa_mask.data(), num_touched);
+      ExpectRatiosCarried(soa_denom, soa_sched, soa_ratio, seed);
     }
 
     ASSERT_EQ(num_touched, ref_touched.size()) << "seed " << seed;
@@ -503,37 +551,55 @@ double RefMarginalGain(const SesInstance& instance, const Schedule& schedule,
                        ToVec(instance.EventValues(e)), denom, sched, sigma);
 }
 
-/// Drives one instance: applies a few assignments, then sweeps every
-/// unassigned (e, t) cell comparing the model bitwise against the
-/// scalar recompute and within tolerance against the objective.h
-/// oracle.
+/// Drives one instance: applies a few assignments, unapplies every
+/// other one, then sweeps every unassigned (e, t) cell twice comparing
+/// the model bitwise against the scalar recompute and within tolerance
+/// against the objective.h oracle.
 void RunModelDiff(const SesInstance& instance, uint64_t seed,
                   const char* label) {
   AttendanceModel model(instance);
+  auto expect_cell = [&](EventIndex e, IntervalIndex t) {
+    const double fast = model.MarginalGain(e, t);
+    const double scalar = RefMarginalGain(instance, model.schedule(), e, t);
+    EXPECT_TRUE(BitEq(fast, scalar))
+        << label << " seed " << seed << " e=" << e << " t=" << t;
+    // Tolerance tier: the oracle associates differently, so compare
+    // relatively at the pre-existing 1e-6 pin.
+    const double oracle = AssignmentScore(instance, model.schedule(), e, t);
+    const double denom_tol = std::max(1.0, std::abs(fast));
+    EXPECT_NEAR(fast, oracle, 1e-6 * denom_tol)
+        << label << " seed " << seed << " e=" << e << " t=" << t;
+  };
+
   util::Rng rng(seed ^ 0xABCDULL);
   // Apply up to half the events wherever feasible, so the sweep sees
   // non-trivial scheduled mass (M > 0) in most intervals.
+  std::vector<EventIndex> applied;
   for (EventIndex e = 0; e < instance.num_events(); e += 2) {
     const IntervalIndex t =
         static_cast<IntervalIndex>(rng.NextBounded(instance.num_intervals()));
-    if (model.CanAssign(e, t)) model.Apply(e, t);
+    if (model.CanAssign(e, t)) {
+      model.Apply(e, t);
+      applied.push_back(e);
+    }
+  }
+  // Unapply every other applied event and rescore it at once, while its
+  // interval is still loaded: the gain then reads the D, M and ratio
+  // that TouchMass(-1) and its clamps left behind.
+  for (size_t i = 0; i < applied.size(); i += 2) {
+    const IntervalIndex t = model.schedule().IntervalOf(applied[i]);
+    model.Unapply(applied[i]);
+    expect_cell(applied[i], t);
   }
 
-  for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
-    for (EventIndex e = 0; e < instance.num_events(); ++e) {
-      if (model.schedule().IsAssigned(e)) continue;
-      const double fast = model.MarginalGain(e, t);
-      const double scalar =
-          RefMarginalGain(instance, model.schedule(), e, t);
-      EXPECT_TRUE(BitEq(fast, scalar))
-          << label << " seed " << seed << " e=" << e << " t=" << t;
-      // Tolerance tier: the oracle associates differently, so compare
-      // relatively at the pre-existing 1e-6 pin.
-      const double oracle =
-          AssignmentScore(instance, model.schedule(), e, t);
-      const double denom_tol = std::max(1.0, std::abs(fast));
-      EXPECT_NEAR(fast, oracle, 1e-6 * denom_tol)
-          << label << " seed " << seed << " e=" << e << " t=" << t;
+  // The second sweep reloads the intervals the first one materialized
+  // in the cache: replayed competing masses with scheduled rows folded
+  // on top.
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+      for (EventIndex e = 0; e < instance.num_events(); ++e) {
+        if (!model.schedule().IsAssigned(e)) expect_cell(e, t);
+      }
     }
   }
 }

@@ -1,8 +1,9 @@
-/// Serial-vs-parallel determinism of the constructive solvers: GRD, lazy
-/// greedy and bestfit must return bit-identical SolverResults at 1 and N
-/// score-generation threads (SolverOptions::threads), with or without a
-/// shared pool, and when fanned out through api::Scheduler — the
-/// nested-ParallelFor scenario the thread-pool re-entrancy fix enables.
+/// Serial-vs-parallel determinism of the greedy family: TOP, GRD, lazy
+/// greedy and bestfit all read the one score grid, and must return
+/// bit-identical SolverResults at 1 and N score-generation threads
+/// (SolverOptions::threads), with or without a shared pool, and when
+/// fanned out through api::Scheduler — the nested-ParallelFor scenario
+/// the thread-pool re-entrancy fix enables.
 
 #include <memory>
 #include <string>
@@ -70,11 +71,11 @@ TEST_P(ParallelSolveTest, GenerationIsBitIdenticalAcrossShardCounts) {
   }
 }
 
-TEST_P(ParallelSolveTest, GreedyAndLazyMatchSerialAtAnyThreadCount) {
+TEST_P(ParallelSolveTest, GreedyFamilyMatchesSerialAtAnyThreadCount) {
   const SesInstance instance = MakeInstance(GetParam());
   util::ThreadPool pool(3);
 
-  for (const char* name : {"grd", "lazy", "bestfit"}) {
+  for (const char* name : {"top", "grd", "lazy", "bestfit"}) {
     auto solver = MakeSolver(name);
     ASSERT_TRUE(solver.ok());
 
@@ -116,7 +117,7 @@ TEST_P(ParallelSolveTest, WarmStartedParallelRunsMatchSerial) {
   ASSERT_TRUE(prefix.ok());
 
   util::ThreadPool pool(3);
-  for (const char* name : {"grd", "lazy", "bestfit"}) {
+  for (const char* name : {"top", "grd", "lazy", "bestfit"}) {
     auto solver = MakeSolver(name);
     ASSERT_TRUE(solver.ok());
     SolverOptions options;

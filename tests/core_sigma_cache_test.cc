@@ -17,6 +17,7 @@
 #include "core/local_search.h"
 #include "core/objective.h"
 #include "core/schedule.h"
+#include "core/top_k.h"
 #include "tests/test_util.h"
 
 namespace ses::core {
@@ -228,12 +229,13 @@ TEST(SigmaCacheLruTest, SolversBitIdenticalAtCapacityTwo) {
   SolverOptions capped_options = reference_options;
   capped_options.sigma_cache_capacity = 2;
 
+  TopKSolver top;
   GreedySolver grd;
   LazyGreedySolver lazy;
   BestFitSolver bestfit;
   LocalSearchSolver ls;
   for (Solver* solver :
-       std::initializer_list<Solver*>{&grd, &lazy, &bestfit, &ls}) {
+       std::initializer_list<Solver*>{&top, &grd, &lazy, &bestfit, &ls}) {
     auto reference = solver->Solve(instance, reference_options);
     auto capped = solver->Solve(instance, capped_options);
     ASSERT_TRUE(reference.ok()) << solver->name();

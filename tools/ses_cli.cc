@@ -180,8 +180,9 @@ int CmdSolve(int argc, const char* const* argv) {
   flags.AddInt("k", &k, "schedule size");
   flags.AddInt("seed", &seed, "solver seed");
   flags.AddInt("solver-threads", &solver_threads,
-               "score-generation shards for grd/lazy/bestfit (1 = serial, "
-               "0 = all cores); the schedule is bit-identical at any value");
+               "score-generation shards for top/grd/lazy/bestfit (1 = "
+               "serial, 0 = all cores); the schedule is bit-identical at any "
+               "value");
   flags.AddInt("max-queued", &max_queued,
                "admission bound on queued requests (0 = unbounded); a "
                "full queue fails fast with RESOURCE_EXHAUSTED");
