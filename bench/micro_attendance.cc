@@ -1,8 +1,8 @@
 /// Microbenchmarks of the attendance-model kernels: Eq. 4 marginal-gain
 /// evaluation, Apply, interval-scratch reloads, the reference
 /// objective, and the raw SoA span kernels (core/kernels.h) the model
-/// is built on. google-benchmark binary; `tools/run_benchmarks.py
-/// --micro` wraps it into the canonical BENCH_micro_attendance.json.
+/// is built on. google-benchmark binary; `tools/run_benchmarks.py`
+/// wraps it into the canonical BENCH_micro_attendance.json.
 
 #include <cstdint>
 #include <vector>

@@ -151,11 +151,6 @@ SchedulerMetrics Scheduler::Metrics() const {
   return metrics;
 }
 
-util::MetricsSnapshot Scheduler::SnapshotDelta(
-    const util::MetricsSnapshot& since) const {
-  return util::DiffSnapshots(since, registry_.Snapshot());
-}
-
 PendingSolve Scheduler::ResolvedWithError(
     std::string solver, std::shared_ptr<core::CancelToken> cancel,
     util::Status status) {

@@ -4,7 +4,7 @@
 /// \file
 /// ses::api — the session-oriented solve surface of the library.
 ///
-/// Serving consumers (CLI, examples, the trace harness, downstream
+/// Serving consumers (CLI, examples, the benchmark driver, downstream
 /// users) talk to solvers through a Scheduler and typed request /
 /// response messages instead of hand-assembling MakeSolver +
 /// SolverOptions + Validate + objective recomputation:
@@ -358,15 +358,6 @@ class Scheduler {
   /// and for rendering (util::RenderMetricsText / RenderMetricsCsv).
   /// Every name it registers is documented in docs/METRICS.md.
   const util::MetricRegistry& metric_registry() const { return registry_; }
-
-  /// The registry's activity since \p since (an earlier
-  /// metric_registry().Snapshot() of *this* scheduler): counters and
-  /// histogram buckets are subtracted, gauges keep their current value.
-  /// This is how the bench harness isolates one trace run from
-  /// process-lifetime totals — see util::DiffSnapshots for the exact
-  /// semantics.
-  util::MetricsSnapshot SnapshotDelta(
-      const util::MetricsSnapshot& since) const;
 
   /// Drops every queued request whose deadline has already expired
   /// (answering each with kDeadlineExceeded) and returns how many were

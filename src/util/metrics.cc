@@ -1,7 +1,6 @@
 #include "util/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -124,74 +123,6 @@ const std::vector<double>& MetricRegistry::LatencyBounds() {
   static const std::vector<double>* bounds = new std::vector<double>{  // ses-lint: allow(naked-new)
       0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0};
   return *bounds;
-}
-
-double HistogramSample::Quantile(double q) const {
-  SES_CHECK_GE(q, 0.0);
-  SES_CHECK_LE(q, 1.0);
-  if (count == 0) return std::nan("");
-  // Rank of the target observation under the cumulative bucket counts.
-  const double rank = q * static_cast<double>(count);
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    cumulative += buckets[i];
-    if (static_cast<double>(cumulative) < rank) continue;
-    if (i == bounds.size()) {
-      // Overflow bucket: all we know is "above the last bound", so the
-      // estimate saturates there rather than inventing an upper edge.
-      return bounds.empty() ? std::nan("") : bounds.back();
-    }
-    // Linear interpolation within the bucket, from its lower edge (the
-    // previous bound, or 0 for the first bucket — latencies are
-    // non-negative) to its upper-inclusive bound.
-    const double upper = bounds[i];
-    const double lower = i == 0 ? 0.0 : bounds[i - 1];
-    const uint64_t below = cumulative - buckets[i];
-    const double within =
-        buckets[i] == 0
-            ? 1.0
-            : (rank - static_cast<double>(below)) /
-                  static_cast<double>(buckets[i]);
-    return lower + (upper - lower) * std::clamp(within, 0.0, 1.0);
-  }
-  // count exceeded the bucket sum — only possible mid-Observe; report
-  // the conservative top edge.
-  return bounds.empty() ? std::nan("") : bounds.back();
-}
-
-MetricsSnapshot DiffSnapshots(const MetricsSnapshot& start,
-                              const MetricsSnapshot& end) {
-  MetricsSnapshot delta;
-  delta.counters.reserve(end.counters.size());
-  for (const CounterSample& sample : end.counters) {
-    const CounterSample* before = start.FindCounter(sample.name);
-    const uint64_t base = before == nullptr ? 0 : before->value;
-    // Counters are monotone within one registry; a "negative" delta
-    // means the snapshots came from different registries — clamp to 0
-    // rather than wrap.
-    delta.counters.push_back(
-        {sample.name, sample.value >= base ? sample.value - base : 0});
-  }
-  // Gauges are instantaneous levels: the end value *is* the state at the
-  // end of the window.
-  delta.gauges = end.gauges;
-  delta.histograms.reserve(end.histograms.size());
-  for (const HistogramSample& sample : end.histograms) {
-    const HistogramSample* before = start.FindHistogram(sample.name);
-    HistogramSample diff = sample;
-    if (before != nullptr && before->bounds == sample.bounds) {
-      for (size_t i = 0;
-           i < diff.buckets.size() && i < before->buckets.size(); ++i) {
-        diff.buckets[i] = diff.buckets[i] >= before->buckets[i]
-                              ? diff.buckets[i] - before->buckets[i]
-                              : 0;
-      }
-      diff.count = diff.count >= before->count ? diff.count - before->count : 0;
-      diff.sum -= before->sum;
-    }
-    delta.histograms.push_back(std::move(diff));
-  }
-  return delta;
 }
 
 const CounterSample* MetricsSnapshot::FindCounter(

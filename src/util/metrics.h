@@ -138,15 +138,6 @@ struct HistogramSample {
 
   /// Mean observation (0 when empty).
   double mean() const { return count == 0 ? 0.0 : sum / count; }
-
-  /// Estimated \p q quantile (q in [0,1]) from the bucket counts,
-  /// Prometheus histogram_quantile style: find the bucket where the
-  /// cumulative count crosses q * count and interpolate linearly within
-  /// it (the first bucket interpolates from 0, the overflow bucket
-  /// reports the last finite bound — the estimate saturates there).
-  /// NaN when the histogram is empty: an empty window has no
-  /// percentiles, and NaN can never be mistaken for a real latency.
-  double Quantile(double q) const;
 };
 
 /// Point-in-time copy of a registry, each section sorted by name.
@@ -216,16 +207,6 @@ class MetricRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       SES_GUARDED_BY(mutex_);
 };
-
-/// The activity between two snapshots of the *same* registry: counter
-/// values and histogram bucket counts/sums become end minus start;
-/// gauges keep their end (instantaneous) value. Metrics absent from
-/// \p start are treated as starting at zero; metrics absent from \p end
-/// are dropped. This is how interval measurements (e.g. one bench trace
-/// run) are separated from process-lifetime totals — see
-/// api::Scheduler::SnapshotDelta.
-MetricsSnapshot DiffSnapshots(const MetricsSnapshot& start,
-                              const MetricsSnapshot& end);
 
 /// Human-readable dump: one line per counter/gauge, a two-line block per
 /// histogram (totals, then per-bucket counts).

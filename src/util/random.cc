@@ -61,26 +61,6 @@ size_t ZipfSampler::Sample(Rng& rng) const {
   return static_cast<size_t>(it - cdf_.begin()) + 1;
 }
 
-DiscreteSampler::DiscreteSampler(const std::vector<double>& weights) {
-  SES_CHECK(!weights.empty()) << "DiscreteSampler needs weights";
-  cdf_.resize(weights.size());
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    SES_CHECK_GE(weights[i], 0.0);
-    acc += weights[i];
-    cdf_[i] = acc;
-  }
-  SES_CHECK_GT(acc, 0.0) << "DiscreteSampler needs a positive total weight";
-  for (auto& value : cdf_) value /= acc;
-  cdf_.back() = 1.0;
-}
-
-size_t DiscreteSampler::Sample(Rng& rng) const {
-  double u = rng.NextDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<size_t>(it - cdf_.begin());
-}
-
 int PoissonSample(Rng& rng, double lambda) {
   SES_CHECK_GE(lambda, 0.0);
   if (lambda == 0.0) return 0;

@@ -113,19 +113,6 @@ class ZipfSampler {
   std::vector<double> cdf_;
 };
 
-/// Samples indices proportionally to caller-supplied non-negative weights.
-class DiscreteSampler {
- public:
-  /// \param weights non-negative, at least one strictly positive.
-  explicit DiscreteSampler(const std::vector<double>& weights);
-
-  /// Draws an index in [0, weights.size()).
-  size_t Sample(Rng& rng) const;
-
- private:
-  std::vector<double> cdf_;
-};
-
 /// Poisson sample with mean \p lambda (Knuth's method for small lambda,
 /// normal approximation above 64). Good enough for group-size synthesis.
 int PoissonSample(Rng& rng, double lambda);

@@ -2,9 +2,10 @@
 """Fixture suite for tools/run_benchmarks.py, registered with ctest.
 
 Exercises the pure helpers — median aggregation over report trees,
-canonical BENCH file writing, leaderboard/compare rendering, trace
-discovery — against synthetic reports in temp directories. No build or
-ses_cli binary is needed, so the suite stays fast enough for tier-1.
+canonical BENCH file writing, google-benchmark dump normalization, the
+micro leaderboard and compare rendering — against synthetic reports in
+temp directories. No build or benchmark binary is needed, so the suite
+stays fast enough for tier-1.
 """
 
 import importlib.util
@@ -21,35 +22,12 @@ rb = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(rb)
 
 
-def make_report(completed=6, refused=0, expired=0, p50=0.002, p99=0.010,
-                rps=40.0):
-    """A minimal report in the ses_cli bench schema."""
+def make_report(completed=6, rps=40.0):
+    """A nested report tree: a string, integer counts, floats, a list."""
     return {
-        "trace": "unit",
-        "seed": 7,
-        "requests": {
-            "submitted": completed + refused + expired,
-            "completed": completed,
-            "refused": refused,
-            "deadline_expired": expired,
-            "expired_in_queue": 0,
-            "failed": 0,
-        },
-        "total_utility": 12.5,
-        "lanes": {
-            "high": {"submitted": 0, "started": 0, "expired_in_queue": 0},
-            "normal": {
-                "submitted": completed + refused + expired,
-                "started": completed,
-                "expired_in_queue": 0,
-                "queue_wait_seconds": {"p50": p50, "p99": p99, "mean": p50},
-            },
-            "batch": {"submitted": 0, "started": 0, "expired_in_queue": 0},
-        },
-        "solvers": {
-            "grd": {"submitted": completed, "runs": completed,
-                    "utility": 12.5},
-        },
+        "scenario": "unit",
+        "requests": {"completed": completed, "failed": 0},
+        "lanes": [{"submitted": completed}, {"submitted": 0}],
         "timing": {"duration_seconds": 0.25, "throughput_rps": rps},
     }
 
@@ -70,7 +48,7 @@ class MedianTreeTest(unittest.TestCase):
         merged = rb.median_tree(trees)
         self.assertEqual(merged["timing"]["throughput_rps"], 40.0)
         # Identical strings pass through untouched.
-        self.assertEqual(merged["trace"], "unit")
+        self.assertEqual(merged["scenario"], "unit")
 
     def test_integer_fields_stay_integers(self):
         trees = [make_report(completed=5), make_report(completed=7),
@@ -89,7 +67,7 @@ class MedianTreeTest(unittest.TestCase):
     def test_string_disagreement_raises(self):
         a = make_report()
         b = make_report()
-        b["trace"] = "other"
+        b["scenario"] = "other"
         with self.assertRaises(ValueError):
             rb.median_tree([a, b])
 
@@ -114,53 +92,6 @@ class CanonicalFileTest(unittest.TestCase):
             # Canonical formatting: sorted keys, trailing newline.
             self.assertEqual(
                 text, json.dumps(tree, indent=2, sort_keys=True) + "\n")
-
-
-class SummaryAndLeaderboardTest(unittest.TestCase):
-    def canonical(self, **kwargs):
-        return {"scenario": "unit", "size": "S", "repeats": 1,
-                "report": make_report(**kwargs)}
-
-    def test_summary_row_picks_busiest_lane(self):
-        row = rb.summary_row(self.canonical(p50=0.004, p99=0.02))
-        self.assertEqual(row["completed"], 6)
-        self.assertAlmostEqual(row["wait_p50_ms"], 4.0)
-        self.assertAlmostEqual(row["wait_p99_ms"], 20.0)
-
-    def test_summary_row_tolerates_missing_wait_stats(self):
-        canonical = self.canonical()
-        del canonical["report"]["lanes"]["normal"]["queue_wait_seconds"]
-        row = rb.summary_row(canonical)
-        self.assertIsNone(row["wait_p50_ms"])
-
-    def test_leaderboard_lists_every_scenario(self):
-        a = self.canonical()
-        b = self.canonical()
-        b["scenario"] = "zeta"
-        board = rb.render_leaderboard([b, a])
-        lines = board.splitlines()
-        self.assertIn("scenario", lines[0])
-        # Sorted by scenario name.
-        self.assertTrue(lines[2].startswith("unit"))
-        self.assertTrue(lines[3].startswith("zeta"))
-
-
-class CompareTest(unittest.TestCase):
-    def test_compare_rows_report_ratio(self):
-        old = {"scenario": "unit", "size": "S",
-               "report": make_report(rps=40.0)}
-        new = {"scenario": "unit", "size": "S",
-               "report": make_report(rps=50.0)}
-        rows = {key: (o, n, ratio)
-                for key, o, n, ratio in rb.compare_rows(old, new)}
-        o, n, ratio = rows["throughput_rps"]
-        self.assertEqual((o, n), (40.0, 50.0))
-        self.assertAlmostEqual(ratio, 0.25)
-        # Zero baseline: ratio is None, rendered as n/a.
-        self.assertIsNone(rows["refused"][2])
-        text = rb.render_compare("unit", rb.compare_rows(old, new))
-        self.assertIn("throughput_rps", text)
-        self.assertIn("+25.0%", text)
 
 
 def make_micro_dump(gain_ns=120.0, fill_ns=90.0, items=3.0e10,
@@ -237,31 +168,20 @@ class MicroLeaderboardAndCompareTest(unittest.TestCase):
                                                        self.canonical(80.0)))
         self.assertIn("-20.0%", text)
 
+    def test_zero_baseline_renders_na(self):
+        rows = rb.micro_compare_rows(self.canonical(0.0),
+                                     self.canonical(80.0))
+        ratios = {key: ratio for key, _, _, ratio in rows}
+        self.assertIsNone(ratios["BM_KernelLuceGain ns"])
+        text = rb.render_compare(rb.MICRO_SCENARIO, rows)
+        self.assertIn("(n/a)", text)
+
     def test_compare_skips_benchmarks_missing_on_one_side(self):
         old = self.canonical(100.0)
         del old["report"]["benchmarks"]["BM_KernelFillSigmaHash"]
         keys = {key for key, _, _, _
                 in rb.micro_compare_rows(old, self.canonical(90.0))}
         self.assertEqual(keys, {"BM_KernelLuceGain ns"})
-
-
-class TraceDiscoveryTest(unittest.TestCase):
-    def test_list_traces_sorted_json_only(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            for name in ("b.json", "a.json", "notes.txt"):
-                with open(os.path.join(tmp, name), "w",
-                          encoding="utf-8") as fh:
-                    fh.write("{}")
-            traces = rb.list_traces(tmp)
-        self.assertEqual([scenario for scenario, _ in traces], ["a", "b"])
-
-    def test_repo_traces_cover_acceptance_scenarios(self):
-        scenarios = {scenario for scenario, _ in rb.list_traces()}
-        # The acceptance floor: >= 3 scenarios including a bursty-arrival
-        # and a deadline-heavy one.
-        self.assertGreaterEqual(len(scenarios), 3)
-        self.assertIn("bursty_arrivals", scenarios)
-        self.assertIn("deadline_heavy", scenarios)
 
 
 if __name__ == "__main__":

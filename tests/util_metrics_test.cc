@@ -7,7 +7,6 @@
 
 #include "util/metrics.h"
 
-#include <cmath>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -183,97 +182,6 @@ TEST(RenderTest, TextAndCsvContainEveryMetric) {
             std::string::npos);
   EXPECT_NE(csv.find("histogram,render.histogram,count,1\n"),
             std::string::npos);
-}
-
-TEST(HistogramQuantileTest, EmptyHistogramYieldsNaN) {
-  HistogramSample sample;
-  sample.name = "empty";
-  sample.bounds = {1.0, 2.0};
-  sample.buckets = {0, 0, 0};
-  sample.count = 0;
-  EXPECT_TRUE(std::isnan(sample.Quantile(0.5)));
-}
-
-TEST(HistogramQuantileTest, InterpolatesWithinBucket) {
-  MetricRegistry registry;
-  Histogram& histogram = registry.GetHistogram("q", {1.0, 2.0, 4.0});
-  // 10 observations uniformly in (1, 2]: every quantile lands in the
-  // second bucket, interpolated between its edges.
-  for (int i = 1; i <= 10; ++i) {
-    histogram.Observe(1.0 + static_cast<double>(i) / 10.0);
-  }
-  const MetricsSnapshot snapshot = registry.Snapshot();
-  const HistogramSample* sample = snapshot.FindHistogram("q");
-  ASSERT_NE(sample, nullptr);
-  EXPECT_DOUBLE_EQ(sample->Quantile(0.5), 1.5);
-  EXPECT_DOUBLE_EQ(sample->Quantile(1.0), 2.0);
-  EXPECT_NEAR(sample->Quantile(0.99), 1.99, 1e-12);
-  // q = 0 sits at the bucket's lower edge.
-  EXPECT_DOUBLE_EQ(sample->Quantile(0.0), 1.0);
-}
-
-TEST(HistogramQuantileTest, FirstBucketInterpolatesFromZero) {
-  MetricRegistry registry;
-  Histogram& histogram = registry.GetHistogram("q0", {2.0, 4.0});
-  histogram.Observe(1.0);
-  histogram.Observe(1.5);
-  const MetricsSnapshot snapshot = registry.Snapshot();
-  const HistogramSample* sample = snapshot.FindHistogram("q0");
-  ASSERT_NE(sample, nullptr);
-  EXPECT_DOUBLE_EQ(sample->Quantile(0.5), 1.0);  // halfway from 0 to 2
-}
-
-TEST(HistogramQuantileTest, OverflowSaturatesAtLastBound) {
-  MetricRegistry registry;
-  Histogram& histogram = registry.GetHistogram("qo", {1.0, 2.0});
-  histogram.Observe(50.0);
-  histogram.Observe(90.0);
-  const MetricsSnapshot snapshot = registry.Snapshot();
-  const HistogramSample* sample = snapshot.FindHistogram("qo");
-  ASSERT_NE(sample, nullptr);
-  EXPECT_DOUBLE_EQ(sample->Quantile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(sample->Quantile(0.99), 2.0);
-}
-
-TEST(DiffSnapshotsTest, SubtractsCountersAndHistogramsKeepsEndGauges) {
-  MetricRegistry registry;
-  Counter& counter = registry.GetCounter("d.counter");
-  Gauge& gauge = registry.GetGauge("d.gauge");
-  Histogram& histogram = registry.GetHistogram("d.histogram", {1.0, 2.0});
-  counter.Increment(5);
-  gauge.Set(3);
-  histogram.Observe(0.5);
-  histogram.Observe(1.5);
-  const MetricsSnapshot start = registry.Snapshot();
-
-  counter.Increment(7);
-  gauge.Set(-2);
-  histogram.Observe(1.5);
-  histogram.Observe(9.0);
-  const MetricsSnapshot end = registry.Snapshot();
-
-  const MetricsSnapshot delta = DiffSnapshots(start, end);
-  EXPECT_EQ(delta.CounterValue("d.counter"), 7u);
-  EXPECT_EQ(delta.GaugeValue("d.gauge"), -2);
-  const HistogramSample* sample = delta.FindHistogram("d.histogram");
-  ASSERT_NE(sample, nullptr);
-  EXPECT_EQ(sample->count, 2u);
-  EXPECT_DOUBLE_EQ(sample->sum, 10.5);
-  ASSERT_EQ(sample->buckets.size(), 3u);
-  EXPECT_EQ(sample->buckets[0], 0u);  // nothing new <= 1.0
-  EXPECT_EQ(sample->buckets[1], 1u);  // the second 1.5
-  EXPECT_EQ(sample->buckets[2], 1u);  // 9.0 overflow
-}
-
-TEST(DiffSnapshotsTest, MetricsAbsentFromStartCountFromZero) {
-  MetricRegistry registry;
-  registry.GetCounter("pre").Increment(2);
-  const MetricsSnapshot start = registry.Snapshot();
-  registry.GetCounter("post").Increment(4);
-  const MetricsSnapshot end = registry.Snapshot();
-  const MetricsSnapshot delta = DiffSnapshots(start, end);
-  EXPECT_EQ(delta.CounterValue("pre"), 0u);
-  EXPECT_EQ(delta.CounterValue("post"), 4u);
 }
 
 // --- Docs lockstep --------------------------------------------------------

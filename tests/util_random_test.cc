@@ -132,17 +132,6 @@ TEST(ZipfSamplerTest, SupportSizeOne) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(zipf.Sample(rng), 1u);
 }
 
-TEST(DiscreteSamplerTest, RespectsWeights) {
-  Rng rng(37);
-  DiscreteSampler sampler({1.0, 0.0, 3.0});
-  std::vector<int> counts(3, 0);
-  const int n = 40000;
-  for (int i = 0; i < n; ++i) ++counts[sampler.Sample(rng)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.25, 0.02);
-  EXPECT_NEAR(counts[2] / static_cast<double>(n), 0.75, 0.02);
-}
-
 TEST(PoissonTest, ZeroLambda) {
   Rng rng(41);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(PoissonSample(rng, 0.0), 0);

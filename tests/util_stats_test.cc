@@ -85,8 +85,8 @@ TEST(PercentileTest, SingleElement) {
 }
 
 // The empty-window contract: no abort, count = 0, NaN-marked order
-// statistics. This is what keeps the bench harness alive when a trace
-// lane (or solver) saw zero requests.
+// statistics, so a caller summarizing an empty sample (the events of a
+// dataset generated with --events=0, say) gets a printable result.
 TEST(SummarizeTest, EmptySample) {
   Summary s = Summarize({});
   EXPECT_EQ(s.count, 0u);

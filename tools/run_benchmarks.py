@@ -1,32 +1,24 @@
 #!/usr/bin/env python3
-"""Canonical benchmark runner: traces in, BENCH_*.json out.
+"""Kernel benchmark runner: micro_attendance in, canonical BENCH file out.
 
-Replays every trace descriptor under bench/traces/ through `ses_cli
-bench`, aggregates repeats by median, and writes one canonical
-BENCH_<scenario>.json per trace at the repo root — the files the
-leaderboard and `--compare` diff against. Standard library only.
+Builds and runs bench/micro_attendance.cc (the google-benchmark binary
+over the attendance-model and SoA span kernels), aggregates repeats by
+median, and writes the canonical BENCH_micro_attendance.json at the repo
+root, the file `--compare` diffs against. Standard library only. The
+end-to-end benchmark is perfbench/ (docs/BENCHMARKS.md).
 
-Workflow (docs/BENCHMARKS.md):
+Workflow:
 
-    python3 tools/run_benchmarks.py --size=S           # quick pass
-    python3 tools/run_benchmarks.py --repeat=5         # canonical run
+    python3 tools/run_benchmarks.py                    # canonical run
+    python3 tools/run_benchmarks.py --repeat=5         # more repeats
     python3 tools/run_benchmarks.py --compare=HEAD~1   # regression diff
-    python3 tools/run_benchmarks.py --micro            # kernel microbench
-
-`--micro` swaps the trace harness for bench/micro_attendance.cc (the
-google-benchmark binary over the attendance-model and SoA span
-kernels) and lands the medianed numbers in BENCH_micro_attendance.json
-with the same repeat/median/pin/compare machinery — kernel before/after
-numbers live in a committed canonical file, not PR prose.
 
 Methodology:
-  * clean, test-free build into build-bench/ (skip with --no-build);
+  * test-free build into build-bench/ (skip with --no-build);
   * CPU pinning via taskset where available (skip with --no-pin);
-  * N repeats per trace (--repeat), element-wise median over every
-    numeric field — medians shrug off the odd scheduling hiccup that
-    would skew a mean;
-  * reports come from the scheduler's metric snapshot *delta*, so a
-    BENCH file describes exactly one run, never process totals.
+  * N repeats (--repeat), element-wise median over every numeric
+    field — medians shrug off the odd scheduling hiccup that would skew
+    a mean.
 """
 
 import argparse
@@ -35,24 +27,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TRACE_DIR = os.path.join(REPO_ROOT, "bench", "traces")
 DEFAULT_BUILD_DIR = os.path.join(REPO_ROOT, "build-bench")
-
-SIZES = ("S", "M", "L")
 
 MICRO_SCENARIO = "micro_attendance"
 MICRO_TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-
-
-def list_traces(trace_dir=TRACE_DIR):
-    """Returns sorted (scenario, path) pairs for every trace file."""
-    traces = []
-    for name in sorted(os.listdir(trace_dir)):
-        if name.endswith(".json"):
-            traces.append((name[: -len(".json")], os.path.join(trace_dir, name)))
-    return traces
 
 
 def median(values):
@@ -94,8 +75,8 @@ def median_tree(trees):
             if not isinstance(tree, list) or len(tree) != length:
                 raise ValueError("report schema differs across repeats")
         return [median_tree([tree[i] for tree in trees]) for i in range(length)]
-    # int/float — None (a JSON null from an empty histogram) may appear
-    # in some repeats; median over the numeric ones only.
+    # int/float — a null in some repeats only (a benchmark that reported
+    # items_per_second once but not always) is a schema change.
     numeric = [t for t in trees if isinstance(t, (int, float))
                and not isinstance(t, bool)]
     if len(numeric) != len(trees):
@@ -124,61 +105,6 @@ def write_canonical(scenario, size, reports, out_dir=REPO_ROOT):
         json.dump(canonical, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def summary_row(canonical):
-    """Pulls the leaderboard columns out of one canonical BENCH tree."""
-    report = canonical["report"]
-    requests = report["requests"]
-    # Headline latency: the busiest lane's healthy p50/p99.
-    busiest = max(report["lanes"].values(), key=lambda lane: lane["submitted"])
-    wait = busiest.get("queue_wait_seconds") or {}
-    return {
-        "scenario": canonical["scenario"],
-        "size": canonical["size"],
-        "completed": requests["completed"],
-        "refused": requests["refused"],
-        "expired": requests["deadline_expired"],
-        "throughput_rps": report.get("timing", {}).get("throughput_rps"),
-        "wait_p50_ms": None if wait.get("p50") is None else wait["p50"] * 1e3,
-        "wait_p99_ms": None if wait.get("p99") is None else wait["p99"] * 1e3,
-    }
-
-
-def render_leaderboard(canonicals):
-    """Fixed-width leaderboard over canonical BENCH trees."""
-    header = (f"{'scenario':<20} {'size':<4} {'done':>5} {'ref':>4} "
-              f"{'exp':>4} {'rps':>8} {'p50 ms':>8} {'p99 ms':>8}")
-    lines = [header, "-" * len(header)]
-    for canonical in sorted(canonicals, key=lambda c: c["scenario"]):
-        row = summary_row(canonical)
-
-        def fmt(value, width, digits=1):
-            if value is None:
-                return f"{'-':>{width}}"
-            return f"{value:>{width}.{digits}f}"
-
-        lines.append(
-            f"{row['scenario']:<20} {row['size']:<4} {row['completed']:>5} "
-            f"{row['refused']:>4} {row['expired']:>4} "
-            f"{fmt(row['throughput_rps'], 8)} "
-            f"{fmt(row['wait_p50_ms'], 8, 3)} {fmt(row['wait_p99_ms'], 8, 3)}")
-    return "\n".join(lines)
-
-
-def compare_rows(old_canonical, new_canonical):
-    """(metric, old, new, delta-ratio) rows between two canonical trees."""
-    rows = []
-    old_row = summary_row(old_canonical)
-    new_row = summary_row(new_canonical)
-    for key in ("completed", "refused", "expired", "throughput_rps",
-                "wait_p50_ms", "wait_p99_ms"):
-        old_value, new_value = old_row[key], new_row[key]
-        if old_value is None or new_value is None:
-            continue
-        ratio = None if old_value == 0 else (new_value - old_value) / old_value
-        rows.append((key, old_value, new_value, ratio))
-    return rows
 
 
 def render_compare(scenario, rows):
@@ -247,7 +173,7 @@ def render_micro_leaderboard(canonical):
 
 
 def micro_compare_rows(old_canonical, new_canonical):
-    """Per-benchmark real-time rows in the compare_rows tuple shape.
+    """Per-benchmark (metric, old, new, delta-ratio) real-time rows.
 
     Benchmarks present on only one side are skipped — a renamed or new
     kernel has no baseline to diff against.
@@ -297,125 +223,44 @@ def pin_prefix(no_pin):
     return ["taskset", "-c", "0"]
 
 
-def clean_build(build_dir):
-    """Configures and builds ses_cli only (no tests) into build_dir."""
-    subprocess.run(
-        ["cmake", "-B", build_dir, "-S", REPO_ROOT,
-         "-DCMAKE_BUILD_TYPE=RelWithDebInfo", "-DBUILD_TESTING=OFF"],
-        check=True)
-    subprocess.run(
-        ["cmake", "--build", build_dir, "--target", "ses_cli",
-         "-j", str(os.cpu_count() or 2)],
-        check=True)
-
-
-def run_trace(cli, trace_path, size, repeats, tmp_dir, no_pin):
-    """Runs one trace N times; returns the list of parsed reports."""
-    reports = []
-    for repeat in range(repeats):
-        out = os.path.join(tmp_dir, f"report_{repeat}.json")
-        subprocess.run(
-            pin_prefix(no_pin) + [
-                cli, "bench", f"--trace={trace_path}", f"--size={size}",
-                f"--out={out}"],
-            check=True)
-        with open(out, encoding="utf-8") as fh:
-            reports.append(json.load(fh))
-    return reports
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--size", choices=SIZES, default="M",
-                        help="request-count scale passed to ses_cli bench")
     parser.add_argument("--repeat", type=int, default=3,
-                        help="repeats per trace; the median is canonical")
-    parser.add_argument("--traces", default="",
-                        help="comma-separated scenario names "
-                             "(default: every bench/traces/*.json)")
+                        help="repeats of the binary; the median is canonical")
     parser.add_argument("--build-dir", default=DEFAULT_BUILD_DIR)
     parser.add_argument("--no-build", action="store_true",
-                        help="reuse an existing --build-dir/ses_cli")
+                        help="reuse an existing --build-dir/micro_attendance")
     parser.add_argument("--no-pin", action="store_true",
                         help="skip taskset CPU pinning")
     parser.add_argument("--compare", metavar="REF", default="",
-                        help="diff fresh results against BENCH files at "
-                             "this git ref instead of just writing them")
-    parser.add_argument("--micro", action="store_true",
-                        help="run bench/micro_attendance instead of traces "
-                             "and write BENCH_micro_attendance.json")
+                        help="diff fresh results against "
+                             "BENCH_micro_attendance.json at this git ref")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
 
-    if args.micro:
-        if args.traces:
-            parser.error("--micro and --traces are mutually exclusive")
-        if not args.no_build:
-            build_micro(args.build_dir)
-        binary = os.path.join(args.build_dir, "micro_attendance")
-        if not os.path.exists(binary):
-            parser.error(f"{binary} not found (build it or drop "
-                         "--no-build; requires google-benchmark)")
-        import tempfile
-        with tempfile.TemporaryDirectory() as tmp_dir:
-            print(f"== {MICRO_SCENARIO} ({args.repeat} repeat(s)) ==",
-                  flush=True)
-            reports = run_micro(binary, args.repeat, tmp_dir, args.no_pin)
-        path = write_canonical(MICRO_SCENARIO, "micro", reports)
-        print(f"wrote {os.path.relpath(path, REPO_ROOT)}\n")
-        canonical = json.load(open(path, encoding="utf-8"))
-        print(render_micro_leaderboard(canonical))
-        if args.compare:
-            print(f"\n-- compare vs {args.compare} --")
-            old = load_git_canonical(args.compare, MICRO_SCENARIO)
-            if old is None:
-                print(f"{MICRO_SCENARIO}: absent at {args.compare}")
-            else:
-                print(render_compare(
-                    MICRO_SCENARIO, micro_compare_rows(old, canonical)))
-        return 0
-
-    traces = list_traces()
-    if args.traces:
-        wanted = set(args.traces.split(","))
-        traces = [t for t in traces if t[0] in wanted]
-        missing = wanted - {scenario for scenario, _ in traces}
-        if missing:
-            parser.error(f"unknown trace(s): {', '.join(sorted(missing))}")
-    if not traces:
-        parser.error(f"no trace descriptors found in {TRACE_DIR}")
-
     if not args.no_build:
-        clean_build(args.build_dir)
-    cli = os.path.join(args.build_dir, "ses_cli")
-    if not os.path.exists(cli):
-        parser.error(f"{cli} not found (build it or drop --no-build)")
-
-    import tempfile
-    canonicals = []
+        build_micro(args.build_dir)
+    binary = os.path.join(args.build_dir, "micro_attendance")
+    if not os.path.exists(binary):
+        parser.error(f"{binary} not found (build it or drop "
+                     "--no-build; requires google-benchmark)")
     with tempfile.TemporaryDirectory() as tmp_dir:
-        for scenario, trace_path in traces:
-            print(f"== {scenario} ({args.repeat} repeat(s), size "
-                  f"{args.size}) ==", flush=True)
-            reports = run_trace(cli, trace_path, args.size, args.repeat,
-                                tmp_dir, args.no_pin)
-            path = write_canonical(scenario, args.size, reports)
-            canonicals.append(json.load(open(path, encoding="utf-8")))
-            print(f"wrote {os.path.relpath(path, REPO_ROOT)}")
-
-    print()
-    print(render_leaderboard(canonicals))
-
+        print(f"== {MICRO_SCENARIO} ({args.repeat} repeat(s)) ==",
+              flush=True)
+        reports = run_micro(binary, args.repeat, tmp_dir, args.no_pin)
+    path = write_canonical(MICRO_SCENARIO, "micro", reports)
+    print(f"wrote {os.path.relpath(path, REPO_ROOT)}\n")
+    canonical = json.load(open(path, encoding="utf-8"))
+    print(render_micro_leaderboard(canonical))
     if args.compare:
         print(f"\n-- compare vs {args.compare} --")
-        for canonical in canonicals:
-            old = load_git_canonical(args.compare, canonical["scenario"])
-            if old is None:
-                print(f"{canonical['scenario']}: absent at {args.compare}")
-                continue
-            print(render_compare(canonical["scenario"],
-                                 compare_rows(old, canonical)))
+        old = load_git_canonical(args.compare, MICRO_SCENARIO)
+        if old is None:
+            print(f"{MICRO_SCENARIO}: absent at {args.compare}")
+        else:
+            print(render_compare(
+                MICRO_SCENARIO, micro_compare_rows(old, canonical)))
     return 0
 
 

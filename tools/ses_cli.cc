@@ -30,21 +30,13 @@
 ///   info --instance=DIR | --data=DIR
 ///       Prints shape statistics for an instance or a dataset.
 ///
-///   bench --trace=FILE [--size=S|M|L --out=FILE --timing=false]
-///       Replays a declarative load trace (bench/traces/*.json) against
-///       a live scheduler and emits a machine-readable JSON report:
-///       throughput, per-lane p50/p99 healthy queue waits, per-solver
-///       solve latencies — all from this run's metric snapshot delta —
-///       plus refused/expired counts. --timing=false drops wall-clock
-///       fields so a fixed-seed trace renders byte-identically (see
-///       docs/BENCHMARKS.md).
-///
 ///   lint [ses_lint flags and paths...]
 ///       Runs tools/ses_lint.py against this checkout (the repo root is
 ///       baked in at build time) with any extra arguments passed
 ///       through — `ses_cli lint --list-rules`, `ses_cli lint src`, etc.
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -60,8 +52,6 @@
 #include "ebsn/dataset.h"
 #include "ebsn/dataset_stats.h"
 #include "ebsn/generator.h"
-#include "exp/load_generator.h"
-#include "exp/trace.h"
 #include "exp/workload.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -97,6 +87,25 @@ int CmdGenerateData(int argc, const char* const* argv) {
     return Fail(util::Status::InvalidArgument("--out is required"));
   }
   ebsn::SyntheticMeetupConfig config;
+  // The sizes land in uint32_t fields, so check them before the cast can
+  // wrap. Every group draws up to group_tags_max distinct tags, which
+  // puts a floor under the vocabulary.
+  const struct {
+    const char* name;
+    int64_t value;
+    int64_t min;
+  } sizes[] = {{"users", users, 1},
+               {"events", events, 0},
+               {"groups", groups, 1},
+               {"tags", tags, config.group_tags_max}};
+  for (const auto& size : sizes) {
+    if (size.value < size.min || size.value > int64_t{UINT32_MAX}) {
+      return Fail(util::Status::InvalidArgument(
+          "--" + std::string(size.name) + " must be in [" +
+          std::to_string(size.min) + ", " + std::to_string(UINT32_MAX) +
+          "] (got " + std::to_string(size.value) + ")"));
+    }
+  }
   config.num_users = static_cast<uint32_t>(users);
   config.num_events = static_cast<uint32_t>(events);
   config.num_groups = static_cast<uint32_t>(groups);
@@ -390,63 +399,6 @@ int CmdInfo(int argc, const char* const* argv) {
       util::Status::InvalidArgument("pass --instance or --data"));
 }
 
-int CmdBench(int argc, const char* const* argv) {
-  std::string trace;
-  std::string out;
-  std::string size = "M";
-  bool timing = true;
-  util::FlagSet flags("ses_cli bench");
-  flags.AddString("trace", &trace, "trace descriptor (bench/traces/*.json)");
-  flags.AddString("out", &out,
-                  "write the JSON report here (default: stdout)");
-  flags.AddString("size", &size,
-                  "request-count scale: S (0.25x), M (1x), L (4x)");
-  flags.AddBool("timing", &timing,
-                "include wall-clock fields (p50/p99 waits, throughput); "
-                "--timing=false keeps only seed-stable fields");
-  if (auto status = flags.Parse(argc, argv); !status.ok()) {
-    return Fail(status);
-  }
-  if (trace.empty()) {
-    return Fail(util::Status::InvalidArgument("--trace is required"));
-  }
-  double multiplier = 1.0;
-  if (size == "S") {
-    multiplier = 0.25;
-  } else if (size == "M") {
-    multiplier = 1.0;
-  } else if (size == "L") {
-    multiplier = 4.0;
-  } else {
-    return Fail(util::Status::InvalidArgument(
-        "--size must be S, M, or L (got '" + size + "')"));
-  }
-
-  auto spec = exp::TraceSpec::Load(trace);
-  if (!spec.ok()) return Fail(spec.status());
-  spec->ScaleRequests(multiplier);
-
-  std::fprintf(stderr, "bench: trace '%s', %lld requests at %.1f rps base\n",
-               spec->name.c_str(),
-               static_cast<long long>(spec->num_requests), spec->rate_hz);
-  exp::LoadGenerator generator(*std::move(spec));
-  auto report = generator.Run();
-  if (!report.ok()) return Fail(report.status());
-  const std::string rendered = exp::RenderBenchReportJson(*report, timing);
-  if (out.empty()) {
-    std::fputs(rendered.c_str(), stdout);
-  } else {
-    std::FILE* file = std::fopen(out.c_str(), "w");
-    if (file == nullptr) {
-      return Fail(util::Status::IoError("cannot open for write: " + out));
-    }
-    std::fputs(rendered.c_str(), file);
-    std::fclose(file);
-    std::fprintf(stderr, "bench: wrote %s\n", out.c_str());
-  }
-  return 0;
-}
-
 int CmdLint(int argc, const char* const* argv) {
   // Passthrough to the project linter with repo-root defaults, so the
   // static gates are reachable from the same binary operators already
@@ -477,7 +429,6 @@ void PrintUsage() {
       "  solve           run a solver on a stored instance\n"
       "  metrics         dump the scheduler metric catalog / live values\n"
       "  info            describe a dataset or instance\n"
-      "  bench           replay a load trace and emit a JSON report\n"
       "  lint            run the project linter over this checkout\n",
       stderr);
 }
@@ -498,7 +449,6 @@ int main(int argc, char** argv) {
   if (command == "solve") return CmdSolve(sub_argc, sub_argv);
   if (command == "metrics") return CmdMetrics(sub_argc, sub_argv);
   if (command == "info") return CmdInfo(sub_argc, sub_argv);
-  if (command == "bench") return CmdBench(sub_argc, sub_argv);
   if (command == "lint") return CmdLint(sub_argc, sub_argv);
   PrintUsage();
   return 2;

@@ -16,9 +16,9 @@ docs/ARCHITECTURE.md ("Concurrency invariants & static analysis").
 Token rules:
   layering              src/ include-layering matrix: util includes
                         nothing above it, core -> util only, ebsn ->
-                        core/util, api -> core/util, exp -> anything
-                        (its trace harness is a documented client of
-                        api).
+                        core/util, api -> core/util, exp ->
+                        ebsn/core/util (api and exp never include each
+                        other).
   determinism-clock     no wall-clock reads (std::chrono clocks,
                         time()/clock()/gettimeofday) in src/core or
                         src/ebsn outside core/solve_context.h — solver
@@ -109,16 +109,14 @@ import sys
 
 # Layer -> layers it may include (by the first path component of a
 # quoted include). tests/bench/tools/examples may use everything and are
-# exempt. exp legitimately includes api (the trace-replay
-# exp::LoadGenerator is a documented client of api::Scheduler; see
-# docs/ARCHITECTURE.md "Layer map").
+# exempt.
 LAYERS = ("util", "core", "ebsn", "exp", "api")
 ALLOWED_INCLUDES = {
     "util": {"util"},
     "core": {"core", "util"},
     "ebsn": {"ebsn", "core", "util"},
     "api": {"api", "core", "util"},
-    "exp": {"exp", "ebsn", "core", "util", "api"},
+    "exp": {"exp", "ebsn", "core", "util"},
 }
 
 # Files (repo-relative, forward slashes) exempt from the determinism
@@ -163,7 +161,8 @@ ACCUMULATE_RE = re.compile(
 ALLOW_RE = re.compile(r"//\s*ses-lint:\s*allow\(([^)]*)\)")
 
 RULE_DOCS = {
-    "layering": "src/ include-layering matrix (util < core < ebsn/api < exp)",
+    "layering": "src/ include-layering matrix (util < core < ebsn < exp; "
+                "core < api)",
     "determinism-clock":
         "no wall-clock reads in src/core|src/ebsn outside solve_context.h",
     "determinism-random":
