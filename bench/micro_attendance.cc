@@ -1,8 +1,9 @@
 /// Microbenchmarks of the attendance-model kernels: Eq. 4 marginal-gain
 /// evaluation, Apply, interval-scratch reloads, the reference
-/// objective, and the raw SoA span kernels (core/kernels.h) the model
-/// is built on. google-benchmark binary; `tools/run_benchmarks.py`
-/// wraps it into the canonical BENCH_micro_attendance.json.
+/// objective, the score-grid fill, and the raw SoA span kernels
+/// (core/kernels.h) the model and the fill are built on.
+/// google-benchmark binary; `tools/run_benchmarks.py` wraps it into the
+/// canonical BENCH_micro_attendance.json.
 
 #include <cstdint>
 #include <vector>
@@ -12,6 +13,9 @@
 #include "core/attendance.h"
 #include "core/kernels.h"
 #include "core/objective.h"
+#include "core/score_gen.h"
+#include "core/solve_context.h"
+#include "core/solver.h"
 #include "ebsn/generator.h"
 #include "exp/workload.h"
 #include "util/logging.h"
@@ -100,6 +104,10 @@ void BM_ReferenceTotalUtility(benchmark::State& state) {
 }
 BENCHMARK(BM_ReferenceTotalUtility);
 
+/// The per-pair model sweep: every (event, interval) pair through
+/// MarginalGain on one fresh model. Score generation takes this path
+/// only at warm-started intervals; BM_GenerateAssignmentScores times
+/// the blocked fill the solvers run.
 void BM_InitialScoreGeneration(benchmark::State& state) {
   const core::SesInstance& instance = BenchInstance();
   for (auto _ : state) {
@@ -119,6 +127,26 @@ void BM_InitialScoreGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_InitialScoreGeneration);
 
+/// The grid fill every greedy solver reads (Algorithm 1 lines 2-4):
+/// GenerateAssignmentScores with no warm start at threads 1, so every
+/// interval is scored in 4-interval blocks.
+void BM_GenerateAssignmentScores(benchmark::State& state) {
+  const core::SesInstance& instance = BenchInstance();
+  core::SolverOptions options;
+  options.threads = 1;
+  const int64_t pairs = static_cast<int64_t>(instance.num_events()) *
+                        instance.num_intervals();
+  std::vector<double> scores(static_cast<size_t>(pairs), 0.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::GenerateAssignmentScores(
+        instance, options, core::SolveContext(), scores));
+    benchmark::DoNotOptimize(scores.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * pairs);
+}
+BENCHMARK(BM_GenerateAssignmentScores);
+
 // --------------------------------------------------------------------
 // Raw kernel benchmarks: the span loops in isolation, no model, no
 // virtual dispatch — what the auto-vectorizer actually emits.
@@ -130,6 +158,8 @@ constexpr uint32_t kKernelUsers = 4096;
 
 struct KernelFixture {
   core::IntervalSoA soa{kKernelUsers};
+  /// The same users over kWidth intervals with no scheduled event.
+  core::IntervalBlock block{kKernelUsers};
   std::vector<core::UserIndex> users;
   std::vector<float> values;
 
@@ -147,6 +177,12 @@ struct KernelFixture {
       // The carried old term, as AccumulateMass/TouchMass write it.
       soa.ratio[u] = soa.denom[u] > 0.0 ? soa.sched_mass[u] / soa.denom[u]
                                         : 0.0;
+      for (size_t lane = 0; lane < core::IntervalBlock::kWidth; ++lane) {
+        const size_t i = u * core::IntervalBlock::kWidth + lane;
+        block.denom[i] = 0.5 + 2.0 * core::kernels::HashSigma(13, u, lane);
+        block.sigma[i] =
+            static_cast<float>(core::kernels::HashSigma(7, u, lane));
+      }
     }
   }
 };
@@ -167,6 +203,23 @@ void BM_KernelLuceGain(benchmark::State& state) {
                           kKernelUsers);
 }
 BENCHMARK(BM_KernelLuceGain);
+
+/// LuceGainBlock over the same row at 4 lanes. Items are Luce terms
+/// (users x lanes), comparable with BM_KernelLuceGain's.
+void BM_KernelLuceGainBlock(benchmark::State& state) {
+  KernelFixture& f = Fixture();
+  double out[core::IntervalBlock::kWidth] = {};
+  for (auto _ : state) {
+    core::kernels::LuceGainBlock(f.users.data(), f.values.data(),
+                                 f.users.size(), f.block.denom.data(),
+                                 f.block.sigma.data(), out);
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          kKernelUsers * core::IntervalBlock::kWidth);
+}
+BENCHMARK(BM_KernelLuceGainBlock);
 
 void BM_KernelFillSigmaHash(benchmark::State& state) {
   KernelFixture& f = Fixture();

@@ -26,9 +26,8 @@
 /// already passed, it runs the (cheap) `expire` handler instead of the
 /// job — a dead request is answered without ever occupying a worker for
 /// solver time, so it cannot delay live requests behind it. SweepExpired
-/// proactively drops every expired queued entry the same way; the
-/// scheduler can call it periodically so dead requests do not even hold
-/// queue slots until dequeue.
+/// proactively drops every expired queued entry the same way, so dead
+/// requests need not hold queue slots until dequeue.
 
 #include <array>
 #include <cstddef>
@@ -69,7 +68,7 @@ struct DispatchJob {
 
   /// Runs *instead of* `run` when the deadline has already expired at
   /// dequeue (or sweep) time. Must be cheap — it executes on a worker
-  /// (dequeue) or on the sweeper (SweepExpired) and typically just
+  /// (dequeue) or on the caller of SweepExpired and typically just
   /// resolves the caller's future with kDeadlineExceeded. When null, an
   /// expired job runs normally (pre-deadline-awareness behavior).
   std::function<void()> expire;

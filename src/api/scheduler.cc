@@ -97,40 +97,7 @@ Scheduler::Scheduler(const SchedulerOptions& options)
                     .lane_depth = metrics_.queue_depth,
                     .deadline_expired_in_queue =
                         metrics_.deadline_expired_in_queue}),
-      pool_(options.num_threads) {
-  if (options.expired_sweep_period_seconds > 0.0) {
-    sweeper_ = std::thread(
-        [this, period = options.expired_sweep_period_seconds] {
-          SweeperLoop(period);
-        });
-  }
-}
-
-Scheduler::~Scheduler() {
-  {
-    util::MutexLock lock(sweeper_mutex_);
-    stop_sweeper_ = true;
-  }
-  sweeper_cv_.NotifyAll();
-  if (sweeper_.joinable()) sweeper_.join();
-}
-
-void Scheduler::SweeperLoop(double period_seconds) {
-  sweeper_mutex_.Lock();
-  while (!stop_sweeper_) {
-    // One period per wait; a notification only matters when it carries
-    // the stop flag, so spurious wakeups just re-check and sweep early
-    // (harmless — SweepExpired is idempotent).
-    sweeper_cv_.WaitFor(sweeper_mutex_, period_seconds);
-    if (stop_sweeper_) break;
-    // Sweep outside the wait lock so a concurrent destructor is never
-    // blocked behind expire handlers.
-    sweeper_mutex_.Unlock();
-    dispatch_.SweepExpired();
-    sweeper_mutex_.Lock();
-  }
-  sweeper_mutex_.Unlock();
-}
+      pool_(options.num_threads) {}
 
 SchedulerMetrics Scheduler::Metrics() const {
   SchedulerMetrics metrics;
@@ -300,7 +267,7 @@ PendingSolve Scheduler::SubmitPinned(
     promise->set_value(std::move(response));
   };
   // Deadline-aware admission: a request that is already dead when a
-  // worker (or the sweeper) reaches it is answered without running a
+  // worker (or a manual sweep) reaches it is answered without running a
   // solver — it cannot delay live requests behind it. Counted as
   // deadline_expired_in_queue by the queue, not as a solver-run expiry.
   job.expire = [this, admitted, lane, promise, solver_name]() {

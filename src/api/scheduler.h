@@ -51,9 +51,8 @@
 ///    already expired is dropped at dequeue time — answered with
 ///    kDeadlineExceeded without ever occupying a worker for solver
 ///    time — so dead requests cannot delay live ones under saturation.
-///    SchedulerOptions::expired_sweep_period_seconds optionally runs a
-///    background sweep that drops expired entries while they are still
-///    queued.
+///    SweepExpiredQueued drops every expired entry still queued, on
+///    demand.
 ///  - **Observability.** Every admission, refusal, completion,
 ///    cancellation, and expiry is counted in a util::MetricRegistry,
 ///    along with per-lane queue depth gauges, per-lane queue-wait
@@ -69,7 +68,6 @@
 #include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -170,14 +168,6 @@ struct SchedulerOptions {
   /// immediately with kResourceExhausted.
   size_t max_queued_requests = 0;
 
-  /// Period of the optional background sweep that drops queued requests
-  /// whose deadline has already expired (each is answered
-  /// kDeadlineExceeded and counted as deadline_expired_in_queue without
-  /// occupying a worker). 0 (default) disables the sweeper thread;
-  /// expired requests are then still dropped at dequeue time, just not
-  /// before.
-  double expired_sweep_period_seconds = 0.0;
-
   /// Pool sizing for a `--solver-threads`-style knob (the CLI and the
   /// benches share this policy): 0 keeps the all-cores default, N > 0
   /// is capped at the core count — workers beyond the cores only add
@@ -269,10 +259,6 @@ class Scheduler {
  public:
   explicit Scheduler(const SchedulerOptions& options = SchedulerOptions());
 
-  /// Stops the optional expiry sweeper; queued work drains through the
-  /// pool's destructor as before.
-  ~Scheduler();
-
   /// Typed pre-flight check, run before any solver work: NotFound for an
   /// unknown solver name (the message lists the catalog),
   /// InvalidArgument for an infeasible k or a bad warm start.
@@ -361,9 +347,7 @@ class Scheduler {
 
   /// Drops every queued request whose deadline has already expired
   /// (answering each with kDeadlineExceeded) and returns how many were
-  /// dropped. The optional background sweeper calls this every
-  /// SchedulerOptions::expired_sweep_period_seconds; it is also safe to
-  /// call manually from any thread.
+  /// dropped. Safe to call from any thread.
   size_t SweepExpiredQueued() { return dispatch_.SweepExpired(); }
 
  private:
@@ -425,11 +409,8 @@ class Scheduler {
   /// handles.
   static MetricHandles RegisterMetrics(util::MetricRegistry& registry);
 
-  /// Body of the optional expiry-sweeper thread.
-  void SweeperLoop(double period_seconds) SES_EXCLUDES(sweeper_mutex_);
-
-  /// Owns every metric; declared first so pool tasks and the sweeper,
-  /// which update metrics, are torn down before it.
+  /// Owns every metric; declared first so pool tasks, which update
+  /// metrics, are torn down before it.
   util::MetricRegistry registry_;
   MetricHandles metrics_;
 
@@ -450,14 +431,6 @@ class Scheduler {
   // entry points (Solve) lend it to solvers whose options ask for
   // intra-solver parallelism (SolverOptions::threads != 1).
   mutable util::ThreadPool pool_;
-
-  /// Expiry sweeper (only started when
-  /// SchedulerOptions::expired_sweep_period_seconds > 0); joined in the
-  /// destructor before any member is torn down.
-  util::Mutex sweeper_mutex_;
-  util::CondVar sweeper_cv_;
-  bool stop_sweeper_ SES_GUARDED_BY(sweeper_mutex_) = false;
-  std::thread sweeper_;
 };
 
 /// All registered solver names, in presentation order (forwarded from

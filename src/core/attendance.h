@@ -30,8 +30,8 @@
 /// D, M, sigma row, touched list — contiguous 64-byte-aligned spans),
 /// and every inner loop over that scratch is a batched span kernel from
 /// core/kernels.h rather than an open-coded scalar loop. GRD's access
-/// pattern (interval-major initial sweep, then one interval per
-/// iteration) makes this the right trade: marginal gains cost
+/// pattern (one interval per iteration once score generation has
+/// filled the grid) makes this the right trade: marginal gains cost
 /// O(nnz(row)) with pure array reads, now through restrict-qualified
 /// pointers the compiler can vectorize. The old term D > 0 ? M / D : 0
 /// is the same for every event scored at the loaded interval, so it is
@@ -44,8 +44,8 @@
 /// hash-based sigma provider that is |U| hash evaluations per reload,
 /// the dominant cost of move-based solvers that hop between intervals
 /// thousands of times. Both are now cached per interval. The cache is
-/// populated on an interval's *second* load, so one-shot sweeps (GRD's
-/// generation pass touches each interval exactly once) pay no extra
+/// populated on an interval's *second* load, so one-shot sweeps (an
+/// interval-major pass touches each interval exactly once) pay no extra
 /// memory, while reload-heavy callers (local search, annealing, GRD's
 /// update passes) hit pure array reads. Cached masses are stored as the
 /// same doubles the uncached path accumulates, so results are
@@ -102,10 +102,11 @@ class AttendanceModel {
   /// the current schedule. Does not modify the schedule. The sum itself
   /// is kernels::LuceGain over the loaded SoA spans.
   ///
-  /// SES_HOT: the O(|E|·|T|) score-generation loop (Algorithm 1 lines
-  /// 2–4) funnels through here — the hot-path lint proves this call
-  /// tree allocation-, lock-, and IO-free, and
-  /// tests/core_hot_path_alloc_test.cc re-proves it at runtime.
+  /// SES_HOT: the greedy family's rescoring (Algorithm 1 lines 5–13)
+  /// and score generation at warm-started intervals funnel through here
+  /// — the hot-path lint proves this call tree allocation-, lock-, and
+  /// IO-free, and tests/core_hot_path_alloc_test.cc re-proves it at
+  /// runtime.
   SES_HOT double MarginalGain(EventIndex e, IntervalIndex t);
 
   /// Assigns e to t (must be valid) and updates the tracked utility by

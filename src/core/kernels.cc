@@ -133,6 +133,25 @@ double LuceGain(const UserIndex* SES_RESTRICT users,
   return gain;
 }
 
+void LuceGainBlock(const UserIndex* SES_RESTRICT users,
+                   const float* SES_RESTRICT values, size_t n,
+                   const double* SES_RESTRICT denom,
+                   const float* SES_RESTRICT sigma,
+                   double* SES_RESTRICT out) {
+  constexpr size_t kWidth = IntervalBlock::kWidth;
+  double gain[kWidth] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const size_t base = static_cast<size_t>(users[i]) * kWidth;
+    const double x = static_cast<double>(values[i]);
+    // LuceGain's term with M = 0 and ratio = 0: (0 + x) / (D + x) - 0.
+    for (size_t lane = 0; lane < kWidth; ++lane) {
+      gain[lane] += static_cast<double>(sigma[base + lane]) *
+                    (x / (denom[base + lane] + x));
+    }
+  }
+  for (size_t lane = 0; lane < kWidth; ++lane) out[lane] = gain[lane];
+}
+
 double LuceLoss(const UserIndex* SES_RESTRICT users,
                 const float* SES_RESTRICT values, size_t n,
                 const double* SES_RESTRICT denom,

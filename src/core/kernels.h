@@ -13,6 +13,10 @@
 ///     loaded interval — denominators D, scheduled mass M, the old Luce
 ///     term M / D, the sigma row, and the touched-user list. Dense,
 ///     index-addressed, built once per AttendanceModel::LoadInterval.
+///   - IntervalBlock: D and the sigma rows of 4 intervals with no
+///     scheduled event, lane-interleaved per user, so score generation
+///     gets an event's gain at all 4 from one pass over its row
+///     (kernels::LuceGainBlock).
 ///   - kernels::*: the inner loops as free functions over
 ///     restrict-qualified pointers. No per-element virtual dispatch, no
 ///     branches the compiler cannot if-convert, no aliasing it has to
@@ -88,6 +92,30 @@ struct IntervalSoA {
   /// accepted duplicates and reallocated past its reserve).
   util::AlignedVector<uint8_t> in_touched;
   size_t num_touched = 0;  ///< valid prefix of `touched`
+};
+
+/// Per-user state for kWidth intervals scored in one pass over each
+/// event row (kernels::LuceGainBlock). Only intervals with no scheduled
+/// event go in a block: there M = 0 and the carried ratio is 0, so the
+/// Eq. 4 term is exactly x / (D + x) and D is the competing mass alone.
+///
+/// `denom` (D) and `sigma` are lane-interleaved, [u * kWidth + lane],
+/// so one user's lanes share a cache line. `row` is the |U| scratch a
+/// provider's FillInterval writes before it is interleaved. A partial
+/// block leaves its unused lanes at D = 0 and sigma = 0, whose terms
+/// are finite zeros the caller never stores. 52 bytes per user; the
+/// caller sizes it once, outside the hot loop.
+struct IntervalBlock {
+  static constexpr size_t kWidth = 4;
+
+  explicit IntervalBlock(size_t num_users)
+      : denom(num_users * kWidth, 0.0),
+        sigma(num_users * kWidth, 0.0f),
+        row(num_users, 0.0f) {}
+
+  util::AlignedVector<double> denom;  ///< D per user and lane
+  util::AlignedVector<float> sigma;   ///< sigma(u, t) per user and lane
+  util::AlignedVector<float> row;     ///< one lane's sigma row, |U| long
 };
 
 namespace kernels {
@@ -189,6 +217,19 @@ SES_HOT double LuceGain(const UserIndex* SES_RESTRICT users,
                         const double* SES_RESTRICT sched_mass,
                         const double* SES_RESTRICT ratio,
                         const float* SES_RESTRICT sigma);
+
+/// LuceGain at every lane of an IntervalBlock (M = 0): out[lane] = sum
+/// over the event's row of sigma[u * kWidth + lane] * (x / (D + x)),
+/// with D = denom[u * kWidth + lane]. One pass over the row; each lane
+/// has its own accumulator and sums in row order, so out[lane]
+/// bit-equals LuceGain at that lane's interval (with M = 0 and ratio 0,
+/// M + x and term - ratio are exact). The compiler vectorizes across
+/// lanes, never within one. `out` holds kWidth doubles.
+SES_HOT void LuceGainBlock(const UserIndex* SES_RESTRICT users,
+                           const float* SES_RESTRICT values, size_t n,
+                           const double* SES_RESTRICT denom,
+                           const float* SES_RESTRICT sigma,
+                           double* SES_RESTRICT out);
 
 /// Removal mirror of LuceGain for an event already folded into D and M:
 /// sum of sigma[u] * (ratio[u] - (M - x) / (D - x)), with the emptied

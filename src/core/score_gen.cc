@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "core/attendance.h"
+#include "core/kernels.h"
 #include "util/hot_annotations.h"
 #include "util/logging.h"
 #include "util/mutex.h"
@@ -16,35 +18,116 @@ namespace ses::core {
 
 namespace {
 
-/// Scores intervals [lo, hi) on \p model, writing into the dense grid.
-/// Returns the number of evaluations; sets \p termination and stops at
-/// an interval boundary when the context says so.
+constexpr size_t kWidth = IntervalBlock::kWidth;
+
+/// True when the warm start schedules an event at \p t, so M != 0 there.
+bool WarmStarted(const AttendanceModel* model, size_t t) {
+  return model != nullptr &&
+         !model->schedule().EventsAt(static_cast<IntervalIndex>(t)).empty();
+}
+
+/// True when \p e is warm-started (its cells are left untouched).
+bool Assigned(const AttendanceModel* model, EventIndex e) {
+  return model != nullptr && model->schedule().IsAssigned(e);
+}
+
+/// Loads intervals [first, first + width) into the block's lanes: D is
+/// the competing mass, folded in CompetingAt order with the same
+/// `+= double(value)` as AccumulateMass's competing branch, and sigma is
+/// the provider's row, interleaved. Unused lanes keep D = 0, sigma = 0.
+SES_HOT void LoadBlock(const SesInstance& instance, size_t first,
+                       size_t width, IntervalBlock& block) {
+  std::fill(block.denom.begin(), block.denom.end(), 0.0);
+  std::fill(block.sigma.begin(), block.sigma.end(), 0.0f);
+  for (size_t lane = 0; lane < width; ++lane) {
+    const auto t = static_cast<IntervalIndex>(first + lane);
+    double* SES_RESTRICT denom = block.denom.data() + lane;
+    for (CompetingIndex c : instance.CompetingAt(t)) {
+      auto users = instance.CompetingUsers(c);
+      auto values = instance.CompetingValues(c);
+      for (size_t i = 0; i < users.size(); ++i) {
+        denom[static_cast<size_t>(users[i]) * kWidth] +=
+            static_cast<double>(values[i]);
+      }
+    }
+    instance.sigma().FillInterval(t, block.row);  // ses-lint: allow(hot-path) one virtual bulk fill amortized over |U| entries
+    float* SES_RESTRICT sigma = block.sigma.data() + lane;
+    for (size_t u = 0; u < block.row.size(); ++u) {
+      sigma[u * kWidth] = block.row[u];
+    }
+  }
+}
+
+/// Scores intervals [lo, hi) into the dense grid. Runs of up to kWidth
+/// intervals with no warm-started event share one kernels::LuceGainBlock
+/// pass per event row; an interval that holds one is scored per pair on
+/// \p model, the only path exact for M != 0 (\p model is null when the
+/// warm start is empty). Returns the number of evaluations; sets
+/// \p termination and stops at a block boundary when the context says
+/// so.
 ///
 /// SES_HOT: this is the per-shard fill of the O(|E|·|T|) generation
-/// pass — every cell funnels through MarginalGain with no per-cell
-/// allocation, locking, or IO.
+/// pass — no per-cell allocation, locking, or IO.
 SES_HOT uint64_t ScoreRange(const SesInstance& instance,
-                            AttendanceModel& model,
+                            AttendanceModel* model, IntervalBlock& block,
                             const SolveContext& context, size_t lo, size_t hi,
                             std::vector<double>& scores,
                             util::Status* termination) {
   const size_t num_events = instance.num_events();
   uint64_t evaluations = 0;
-  for (size_t t = lo; t < hi; ++t) {
+  for (size_t t = lo; t < hi;) {
     // Deliberate boundary poll: one deadline/cancellation check per
-    // interval row (a clock read), amortized over |E| gain evaluations.
-    if (context.CheckStop(termination)) break;  // ses-lint: allow(hot-path) boundary poll, once per |E|-cell row
-    // Hoisted restrict row pointer: shards own disjoint [lo, hi) rows,
-    // so nothing else aliases this row while we fill it, and the
-    // compiler may keep the base address in a register across the row.
-    double* SES_RESTRICT row = scores.data() + t * num_events;
+    // block or per warm-started row (a clock read), amortized over up to
+    // kWidth·|E| gain evaluations.
+    if (context.CheckStop(termination)) break;  // ses-lint: allow(hot-path) boundary poll, once per block of |E|-cell rows
+    if (WarmStarted(model, t)) {
+      double* SES_RESTRICT row = scores.data() + t * num_events;
+      for (EventIndex e = 0; e < num_events; ++e) {
+        if (Assigned(model, e)) continue;
+        row[e] = model->MarginalGain(e, static_cast<IntervalIndex>(t));
+        ++evaluations;
+      }
+      ++t;
+      continue;
+    }
+    const size_t first = t;
+    while (t < hi && t - first < kWidth && !WarmStarted(model, t)) ++t;
+    const size_t width = t - first;
+    LoadBlock(instance, first, width, block);
+    // Shards own disjoint [lo, hi) rows, so nothing else aliases the
+    // block's rows while we fill them.
+    double* SES_RESTRICT cells = scores.data() + first * num_events;
+    double gains[kWidth] = {};
     for (EventIndex e = 0; e < num_events; ++e) {
-      if (model.schedule().IsAssigned(e)) continue;  // warm-started
-      row[e] = model.MarginalGain(e, static_cast<IntervalIndex>(t));
-      ++evaluations;
+      if (Assigned(model, e)) continue;
+      auto users = instance.EventUsers(e);
+      auto values = instance.EventValues(e);
+      kernels::LuceGainBlock(users.data(), values.data(), users.size(),
+                             block.denom.data(), block.sigma.data(), gains);
+      for (size_t lane = 0; lane < width; ++lane) {
+        cells[lane * num_events + e] = gains[lane];
+      }
+      evaluations += width;
     }
   }
   return evaluations;
+}
+
+/// One shard: its own block, plus its own model when the warm start is
+/// non-empty. Replaying the validated warm start puts the model in the
+/// exact schedule state the serial pass scores under.
+uint64_t ScoreShard(const SesInstance& instance, const SolverOptions& options,
+                    const SolveContext& context, size_t lo, size_t hi,
+                    std::vector<double>& scores, util::Status* termination) {
+  IntervalBlock block(instance.num_users());
+  std::optional<AttendanceModel> model;
+  if (!options.warm_start.empty()) {
+    model.emplace(instance, options.sigma_cache_capacity);
+    SES_CHECK(ApplyWarmStart(*model, options.warm_start).ok())
+        << "warm start must be validated before score generation";
+  }
+  return ScoreRange(instance, model ? &*model : nullptr, block, context, lo,
+                    hi, scores, termination);
 }
 
 }  // namespace
@@ -70,11 +153,8 @@ ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
   }
 
   if (max_shards == 1 || num_intervals <= 1) {
-    // Serial reference path: one model, no pool.
-    AttendanceModel model(instance, options.sigma_cache_capacity);
-    SES_CHECK(ApplyWarmStart(model, options.warm_start).ok())
-        << "warm start must be validated before score generation";
-    result.gain_evaluations = ScoreRange(instance, model, context, 0,
+    // Serial reference path: one shard, no pool.
+    result.gain_evaluations = ScoreShard(instance, options, context, 0,
                                          num_intervals, scores,
                                          &result.termination);
     return result;
@@ -108,15 +188,10 @@ ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
   } stop;
   pool->ParallelForShards(
       0, num_intervals, max_shards, [&](size_t lo, size_t hi) {
-        // One private model per shard: AttendanceModel keeps per-interval
-        // scratch and is not shareable across threads. Replaying the
-        // validated warm start puts every model in the exact schedule
-        // state the serial pass scores under.
-        AttendanceModel model(instance, options.sigma_cache_capacity);
-        SES_CHECK(ApplyWarmStart(model, options.warm_start).ok())
-            << "warm start must be validated before score generation";
+        // Blocks and models keep per-interval scratch and are not
+        // shareable across threads, so every shard builds its own.
         util::Status termination;
-        evaluations.fetch_add(ScoreRange(instance, model, context, lo, hi,
+        evaluations.fetch_add(ScoreShard(instance, options, context, lo, hi,
                                          scores, &termination),
                               std::memory_order_relaxed);
         if (!termination.ok()) {

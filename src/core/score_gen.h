@@ -9,16 +9,25 @@
 /// The O(|E|·|T|) sweep dominates their runtime on paper-scale
 /// instances and is embarrassingly parallel — no pair's score depends
 /// on another — so it shards interval-contiguously across a
-/// util::ThreadPool with one private AttendanceModel per shard.
+/// util::ThreadPool.
 ///
-/// Determinism contract: the score of (e, t) is a pure function of the
-/// instance and the warm start (each shard model replays the warm start
-/// in request order and accumulates the same doubles in the same order
-/// the serial pass does), so the filled score grid is bit-identical for
-/// every shard count, including the serial reference path. Solvers that
-/// assemble their candidate list from the grid in serial (t-major,
-/// e-minor) order therefore produce byte-identical results at any
-/// SolverOptions::threads value.
+/// Each shard scores its intervals with no warm-started event in blocks
+/// of IntervalBlock::kWidth: one kernels::LuceGainBlock pass over each
+/// event's interest row yields that event's gain at every interval of
+/// the block. M = 0 there, so the Eq. 4 term is x / (D + x). An interval
+/// that holds a warm-started event (M != 0) is scored per pair through
+/// AttendanceModel::MarginalGain on a shard model that replays the warm
+/// start; a shard builds that model only when the warm start is
+/// non-empty.
+///
+/// Determinism contract: every cell bit-equals MarginalGain(e, t) on a
+/// fresh model holding the warm start, at every shard count, the serial
+/// path included. Each block lane folds D in the model's order and sums
+/// its own accumulator in user order, and with M = 0 the model's term
+/// reduces to the block's exactly (tests/core_kernel_diff_test.cc,
+/// ScoreGridMatchesPerPairSweep). Solvers that assemble their candidate
+/// list from the grid in serial (t-major, e-minor) order therefore
+/// produce byte-identical results at any SolverOptions::threads value.
 
 #include <cstdint>
 #include <vector>
@@ -41,9 +50,9 @@ struct ScoreGenResult {
 
   /// OK on a completed pass; the stop status (kDeadlineExceeded /
   /// kCancelled) when \p context interrupted generation. On interruption
-  /// the grid covers only a prefix of intervals and callers must not
-  /// select from it (the greedy family falls back to returning the warm
-  /// start).
+  /// each shard's grid rows cover only a prefix of its intervals and
+  /// callers must not select from it (the greedy family falls back to
+  /// returning the warm start).
   util::Status termination;
 };
 

@@ -57,7 +57,7 @@ class ThreadPool {
   /// differ by at most one, and runs fn(lo, hi) once per shard.
   /// \p max_shards == 0 means one shard per available lane (workers plus
   /// the calling thread). Use this when each shard needs its own scratch
-  /// state (e.g. one AttendanceModel per shard in score generation).
+  /// state (e.g. one interval block per shard in score generation).
   void ParallelForShards(size_t begin, size_t end, size_t max_shards,
                          const std::function<void(size_t, size_t)>& fn);
 

@@ -323,39 +323,6 @@ TEST(SchedulerDeadlineQueueTest, ManualSweepDropsOnlyExpiredEntries) {
   }
 }
 
-// The optional background sweeper does the same without any manual
-// call: dead queued entries resolve while the only worker is busy.
-TEST(SchedulerDeadlineQueueTest, BackgroundSweeperDropsDeadEntries) {
-  const core::SesInstance instance = test::MakeMediumInstance();
-  SchedulerOptions options;
-  options.num_threads = 1;
-  options.expired_sweep_period_seconds = 0.005;
-  Scheduler scheduler(options);
-
-  SolveRequest blocker = BlockerRequest();
-  auto blocker_cancel = blocker.cancel;
-  PendingSolve running = scheduler.Submit(instance, std::move(blocker));
-  WaitForDrainedQueue(scheduler);
-
-  constexpr size_t kDead = 3;
-  std::vector<PendingSolve> dead;
-  for (size_t i = 0; i < kDead; ++i) {
-    SolveRequest request = ChunkyRequest(Priority::kBatch, /*seed=*/i + 1);
-    request.deadline = core::Deadline::After(0.0);
-    dead.push_back(scheduler.Submit(instance, std::move(request)));
-  }
-  // Get() blocks only until the next sweep tick (~5ms), not until the
-  // blocker yields the worker — that is the whole point.
-  for (PendingSolve& handle : dead) {
-    EXPECT_EQ(handle.Get().status.code(),
-              util::StatusCode::kDeadlineExceeded);
-  }
-  EXPECT_EQ(scheduler.Metrics().deadline_expired_in_queue, kDead);
-
-  blocker_cancel->Cancel();
-  EXPECT_EQ(running.Get().status.code(), util::StatusCode::kCancelled);
-}
-
 // --- Determinism regression ----------------------------------------------
 
 // SolveBatch responses stay request-ordered and bit-identical across

@@ -10,6 +10,7 @@
 /// ScopedAllocCheck window opens, and the window then covers the same
 /// call trees the SES_HOT annotations root.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -30,7 +31,8 @@ constexpr char kSkipMessage[] =
     "build with -DSES_ALLOC_GUARD=ON to count allocations";
 
 /// One full interval-major gain sweep over the unassigned events —
-/// the same access pattern as score generation (ScoreRange).
+/// the per-pair model path score generation takes at warm-started
+/// intervals.
 double GainSweep(const SesInstance& instance, AttendanceModel& model) {
   double sink = 0.0;
   for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
@@ -134,6 +136,9 @@ TEST(HotPathAllocTest, KernelSweepIsAllocationFree) {
   // inventory entries.
   constexpr uint32_t kUsers = 512;
   IntervalSoA soa(kUsers);  // allocation happens here, outside the window
+  IntervalBlock block(kUsers);
+  std::fill(block.denom.begin(), block.denom.end(), 1.5);
+  std::fill(block.sigma.begin(), block.sigma.end(), 0.5f);
   std::vector<UserIndex> users;
   std::vector<float> values;
   for (UserIndex u = 0; u < kUsers; u += 3) {
@@ -166,6 +171,10 @@ TEST(HotPathAllocTest, KernelSweepIsAllocationFree) {
         users.data(), values.data(), users.size(), -1.0, soa.denom.data(),
         soa.sched_mass.data(), soa.ratio.data(), soa.touched.data(),
         soa.in_touched.data(), soa.num_touched);
+    double lanes[IntervalBlock::kWidth] = {};
+    kernels::LuceGainBlock(users.data(), values.data(), users.size(),
+                           block.denom.data(), block.sigma.data(), lanes);
+    for (const double lane : lanes) sink += lane;
   }
   EXPECT_EQ(check.allocations(), 0u);
   EXPECT_TRUE(std::isfinite(sink));

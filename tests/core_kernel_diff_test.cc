@@ -258,6 +258,51 @@ TEST(KernelDiffTest, LuceGainBitIdenticalToReference) {
   }
 }
 
+TEST(KernelDiffTest, LuceGainBlockBitIdenticalToReference) {
+  constexpr size_t kWidth = IntervalBlock::kWidth;
+  for (uint64_t seed = 0; seed < 25; ++seed) {
+    util::Rng rng(seed);
+    const uint32_t num_users = seed == 0 ? 1 : 1 + rng.NextBounded(200);
+    // Per-lane state with M = 0: a lane is one interval with no
+    // scheduled event, D its competing mass (0 for some users).
+    std::vector<std::vector<double>> lane_denom(kWidth);
+    std::vector<std::vector<float>> lane_sigma(kWidth);
+    for (size_t lane = 0; lane < kWidth; ++lane) {
+      std::vector<double> unused_sched;
+      RandomState(rng, num_users, lane_denom[lane], unused_sched,
+                  lane_sigma[lane]);
+    }
+    const double density = seed == 0 ? 0.0 : rng.UniformDouble(0.1, 1.0);
+    const SparseRow row = RandomRow(rng, num_users, density);
+    const std::vector<double> zeros(num_users, 0.0);
+
+    // Every width a block takes, partial ones included: the lanes past
+    // `width` keep D = 0 and sigma = 0 and must give finite zeros.
+    for (size_t width = 1; width <= kWidth; ++width) {
+      IntervalBlock block(num_users);
+      for (UserIndex u = 0; u < num_users; ++u) {
+        for (size_t lane = 0; lane < width; ++lane) {
+          block.denom[u * kWidth + lane] = lane_denom[lane][u];
+          block.sigma[u * kWidth + lane] = lane_sigma[lane][u];
+        }
+      }
+      double out[kWidth] = {};
+      kernels::LuceGainBlock(row.users.data(), row.values.data(),
+                             row.users.size(), block.denom.data(),
+                             block.sigma.data(), out);
+      for (size_t lane = 0; lane < kWidth; ++lane) {
+        const double reference =
+            lane < width ? ref::LuceGain(row.users, row.values,
+                                         lane_denom[lane], zeros,
+                                         lane_sigma[lane])
+                         : 0.0;
+        EXPECT_TRUE(BitEq(out[lane], reference))
+            << "seed " << seed << " width " << width << " lane " << lane;
+      }
+    }
+  }
+}
+
 TEST(KernelDiffTest, LuceLossBitIdenticalToReference) {
   for (uint64_t seed = 0; seed < 25; ++seed) {
     util::Rng rng(seed);
@@ -648,8 +693,8 @@ TEST(KernelDiffTest, ModelMatchesScalarRecomputeOnDegenerateShapes) {
 }
 
 // ---------------------------------------------------------------------------
-// Tier 3: sharded score generation stays bit-identical across thread
-// counts on the kernel-backed model.
+// Tier 3: the interval-blocked score grid stays bit-identical across
+// thread counts, and bit-equal to a per-pair MarginalGain sweep.
 // ---------------------------------------------------------------------------
 
 TEST(KernelDiffTest, ShardedScoreGenerationBitIdenticalAcrossThreads) {
@@ -676,6 +721,90 @@ TEST(KernelDiffTest, ShardedScoreGenerationBitIdenticalAcrossThreads) {
   }
   for (size_t i = 0; i < cells; ++i) {
     EXPECT_TRUE(BitEq(serial[i], sharded[i])) << "cell " << i;
+  }
+}
+
+/// A warm start for the grid pin: one feasible event at each interval
+/// \p pick selects, the lowest event index that fits there.
+std::vector<Assignment> WarmStartAt(const SesInstance& instance,
+                                    bool (*pick)(IntervalIndex t,
+                                                 IntervalIndex num)) {
+  AttendanceModel model(instance);
+  std::vector<Assignment> warm;
+  const IntervalIndex num = instance.num_intervals();
+  for (IntervalIndex t = 0; t < num; ++t) {
+    if (!pick(t, num)) continue;
+    for (EventIndex e = 0; e < instance.num_events(); ++e) {
+      if (!model.CanAssign(e, t)) continue;
+      model.Apply(e, t);
+      warm.push_back({e, t});
+      break;
+    }
+  }
+  return warm;
+}
+
+// The grid every greedy solver reads, pinned against an independent
+// path: each unassigned cell bit-equals MarginalGain on a fresh model
+// holding the warm start, at every shard count. The |T| values and
+// warm starts give full blocks, partial blocks at shard tails, and
+// blocks broken by warm-started intervals (which take the model path,
+// the only one exact for M != 0).
+TEST(KernelDiffTest, ScoreGridMatchesPerPairSweep) {
+  using Pick = bool (*)(IntervalIndex, IntervalIndex);
+  const std::pair<const char*, Pick> warm_cases[] = {
+      {"none", [](IntervalIndex, IntervalIndex) { return false; }},
+      {"one", [](IntervalIndex t, IntervalIndex n) { return t == n / 2; }},
+      {"adjacent",
+       [](IntervalIndex t, IntervalIndex n) {
+         return t == (n - 1) / 2 || t == (n - 1) / 2 + 1;
+       }},
+      {"every-third",
+       [](IntervalIndex t, IntervalIndex) { return t % 3 == 0; }},
+  };
+  constexpr double kSentinel = -1234.5;
+  for (const SigmaKind kind :
+       {SigmaKind::kConst, SigmaKind::kDense, SigmaKind::kHashUniform}) {
+    for (const uint32_t num_intervals : {1u, 2u, 3u, 5u, 6u, 9u}) {
+      test::RandomInstanceConfig config;
+      config.num_users = 60;
+      config.num_events = 12;
+      config.num_intervals = num_intervals;
+      config.seed = 7 + num_intervals;
+      const SesInstance instance = MakeInstanceWithSigma(config, kind);
+      const size_t num_events = instance.num_events();
+      for (const auto& [warm_name, pick] : warm_cases) {
+        const std::vector<Assignment> warm = WarmStartAt(instance, pick);
+        AttendanceModel model(instance);
+        ASSERT_TRUE(ApplyWarmStart(model, warm).ok());
+        const uint64_t expected_evaluations =
+            (num_events - warm.size()) * num_intervals;
+        for (const int threads : {1, 2, 3, 0}) {
+          SolverOptions options;
+          options.threads = threads;
+          options.warm_start = warm;
+          std::vector<double> grid(num_events * num_intervals, kSentinel);
+          const ScoreGenResult result = GenerateAssignmentScores(
+              instance, options, SolveContext(), grid);
+          ASSERT_TRUE(result.termination.ok());
+          EXPECT_EQ(result.gain_evaluations, expected_evaluations)
+              << Name(kind) << " |T|=" << num_intervals << " warm "
+              << warm_name << " threads " << threads;
+          for (IntervalIndex t = 0; t < num_intervals; ++t) {
+            for (EventIndex e = 0; e < num_events; ++e) {
+              const double cell = grid[t * num_events + e];
+              const double expected = model.schedule().IsAssigned(e)
+                                          ? kSentinel
+                                          : model.MarginalGain(e, t);
+              EXPECT_TRUE(BitEq(cell, expected))
+                  << Name(kind) << " |T|=" << num_intervals << " warm "
+                  << warm_name << " threads " << threads << " e=" << e
+                  << " t=" << t;
+            }
+          }
+        }
+      }
+    }
   }
 }
 

@@ -330,7 +330,7 @@ class LockLeafTest(LintFixture):
 
     def test_release_before_second_lock_is_clean(self):
         # Scoped blocks that end before the next acquisition never hold
-        # two locks at once — the SweeperLoop/TryDispatch idiom.
+        # two locks at once — the DispatchQueue::TryDispatch idiom.
         self.write("src/api/ab.cc",
                    "namespace ses::api {\n"
                    "util::Mutex a_mu;\n"
