@@ -31,16 +31,16 @@ bool Assigned(const AttendanceModel* model, EventIndex e) {
   return model != nullptr && model->schedule().IsAssigned(e);
 }
 
-/// Loads intervals [first, first + width) into the block's lanes: D is
+/// Loads the intervals lanes[0 .. width) into the block's lanes: D is
 /// the competing mass, folded in CompetingAt order with the same
 /// `+= double(value)` as AccumulateMass's competing branch, and sigma is
 /// the provider's row, interleaved. Unused lanes keep D = 0, sigma = 0.
-SES_HOT void LoadBlock(const SesInstance& instance, size_t first,
+SES_HOT void LoadBlock(const SesInstance& instance, const size_t* lanes,
                        size_t width, IntervalBlock& block) {
   std::fill(block.denom.begin(), block.denom.end(), 0.0);
   std::fill(block.sigma.begin(), block.sigma.end(), 0.0f);
   for (size_t lane = 0; lane < width; ++lane) {
-    const auto t = static_cast<IntervalIndex>(first + lane);
+    const auto t = static_cast<IntervalIndex>(lanes[lane]);
     double* SES_RESTRICT denom = block.denom.data() + lane;
     for (CompetingIndex c : instance.CompetingAt(t)) {
       auto users = instance.CompetingUsers(c);
@@ -58,13 +58,14 @@ SES_HOT void LoadBlock(const SesInstance& instance, size_t first,
   }
 }
 
-/// Scores intervals [lo, hi) into the dense grid. Runs of up to kWidth
-/// intervals with no warm-started event share one kernels::LuceGainBlock
-/// pass per event row; an interval that holds one is scored per pair on
-/// \p model, the only path exact for M != 0 (\p model is null when the
-/// warm start is empty). Returns the number of evaluations; sets
-/// \p termination and stops at a block boundary when the context says
-/// so.
+/// Scores intervals [lo, hi) into the dense grid. The intervals with no
+/// warm-started event are gathered, adjacent or not, into blocks of
+/// kWidth that share one kernels::LuceGainBlock pass per event row; only
+/// the range's last block can be partial. An interval that holds a
+/// warm-started event is scored per pair on \p model, the only path
+/// exact for M != 0 (\p model is null when the warm start is empty).
+/// Returns the number of evaluations; sets \p termination and stops
+/// before the next block or row when the context says so.
 ///
 /// SES_HOT: this is the per-shard fill of the O(|E|·|T|) generation
 /// pass — no per-cell allocation, locking, or IO.
@@ -75,28 +76,31 @@ SES_HOT uint64_t ScoreRange(const SesInstance& instance,
                             util::Status* termination) {
   const size_t num_events = instance.num_events();
   uint64_t evaluations = 0;
+  size_t lanes[kWidth];  // the next block's intervals, lane by lane
+  // Deliberate boundary polls: one deadline/cancellation check (a clock
+  // read) per warm-started row or per block, amortized over up to
+  // kWidth·|E| gain evaluations.
   for (size_t t = lo; t < hi;) {
-    // Deliberate boundary poll: one deadline/cancellation check per
-    // block or per warm-started row (a clock read), amortized over up to
-    // kWidth·|E| gain evaluations.
-    if (context.CheckStop(termination)) break;  // ses-lint: allow(hot-path) boundary poll, once per block of |E|-cell rows
-    if (WarmStarted(model, t)) {
+    size_t width = 0;
+    for (; t < hi && width < kWidth; ++t) {
+      if (!WarmStarted(model, t)) {
+        lanes[width++] = t;
+        continue;
+      }
+      if (context.CheckStop(termination)) return evaluations;  // ses-lint: allow(hot-path) boundary poll, once per |E|-cell row
       double* SES_RESTRICT row = scores.data() + t * num_events;
       for (EventIndex e = 0; e < num_events; ++e) {
         if (Assigned(model, e)) continue;
         row[e] = model->MarginalGain(e, static_cast<IntervalIndex>(t));
         ++evaluations;
       }
-      ++t;
-      continue;
     }
-    const size_t first = t;
-    while (t < hi && t - first < kWidth && !WarmStarted(model, t)) ++t;
-    const size_t width = t - first;
-    LoadBlock(instance, first, width, block);
-    // Shards own disjoint [lo, hi) rows, so nothing else aliases the
-    // block's rows while we fill them.
-    double* SES_RESTRICT cells = scores.data() + first * num_events;
+    if (width == 0) break;
+    if (context.CheckStop(termination)) return evaluations;  // ses-lint: allow(hot-path) boundary poll, once per block of |E|-cell rows
+    LoadBlock(instance, lanes, width, block);
+    // Shards own disjoint intervals, so nothing else aliases the rows
+    // of the block's intervals while we fill them.
+    double* SES_RESTRICT cells = scores.data();
     double gains[kWidth] = {};
     for (EventIndex e = 0; e < num_events; ++e) {
       if (Assigned(model, e)) continue;
@@ -105,7 +109,7 @@ SES_HOT uint64_t ScoreRange(const SesInstance& instance,
       kernels::LuceGainBlock(users.data(), values.data(), users.size(),
                              block.denom.data(), block.sigma.data(), gains);
       for (size_t lane = 0; lane < width; ++lane) {
-        cells[lane * num_events + e] = gains[lane];
+        cells[lanes[lane] * num_events + e] = gains[lane];
       }
       evaluations += width;
     }

@@ -11,14 +11,15 @@
 /// on another — so it shards interval-contiguously across a
 /// util::ThreadPool.
 ///
-/// Each shard scores its intervals with no warm-started event in blocks
-/// of IntervalBlock::kWidth: one kernels::LuceGainBlock pass over each
-/// event's interest row yields that event's gain at every interval of
-/// the block. M = 0 there, so the Eq. 4 term is x / (D + x). An interval
-/// that holds a warm-started event (M != 0) is scored per pair through
-/// AttendanceModel::MarginalGain on a shard model that replays the warm
-/// start; a shard builds that model only when the warm start is
-/// non-empty.
+/// Each shard gathers its intervals with no warm-started event, adjacent
+/// or not, into blocks of IntervalBlock::kWidth: one
+/// kernels::LuceGainBlock pass over each event's interest row yields
+/// that event's gain at every interval of the block. M = 0 at those
+/// intervals, so the Eq. 4 term is x / (D + x). Only a shard's last
+/// block can be partial. An interval that holds a warm-started event
+/// (M != 0) is scored per pair through AttendanceModel::MarginalGain on
+/// a shard model that replays the warm start; a shard builds that model
+/// only when the warm start is non-empty.
 ///
 /// Determinism contract: every cell bit-equals MarginalGain(e, t) on a
 /// fresh model holding the warm start, at every shard count, the serial
@@ -50,8 +51,8 @@ struct ScoreGenResult {
 
   /// OK on a completed pass; the stop status (kDeadlineExceeded /
   /// kCancelled) when \p context interrupted generation. On interruption
-  /// each shard's grid rows cover only a prefix of its intervals and
-  /// callers must not select from it (the greedy family falls back to
+  /// each shard's grid rows cover only part of its intervals and callers
+  /// must not select from it (the greedy family falls back to
   /// returning the warm start).
   util::Status termination;
 };

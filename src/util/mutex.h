@@ -37,7 +37,6 @@
 ///   while (!ready_) cv_.Wait(mutex_);        // TSA-visible wait loop
 ///   mutex_.Unlock();
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -127,10 +126,10 @@ class SES_SCOPED_CAPABILITY ReaderMutexLock {
   SharedMutex& mutex_;
 };
 
-/// Condition variable bound to util::Mutex. Wait/WaitFor require the
-/// mutex held (and return with it held), which is exactly what the
-/// analysis assumes — guarded state read in a TSA-visible wait loop
-/// around these calls checks out without escape hatches.
+/// Condition variable bound to util::Mutex. Wait requires the mutex
+/// held (and returns with it held), which is exactly what the analysis
+/// assumes — guarded state read in a TSA-visible wait loop around the
+/// call checks out without escape hatches.
 class CondVar {
  public:
   CondVar() = default;
@@ -145,16 +144,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mutex.mutex_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();
-  }
-
-  /// Timed Wait: returns false on timeout, true when notified (either
-  /// way the mutex is held again on return).
-  bool WaitFor(Mutex& mutex, double seconds) SES_REQUIRES(mutex) {
-    std::unique_lock<std::mutex> lock(mutex.mutex_, std::adopt_lock);
-    const std::cv_status status =
-        cv_.wait_for(lock, std::chrono::duration<double>(seconds));
-    lock.release();
-    return status == std::cv_status::no_timeout;
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -748,8 +748,8 @@ std::vector<Assignment> WarmStartAt(const SesInstance& instance,
 // path: each unassigned cell bit-equals MarginalGain on a fresh model
 // holding the warm start, at every shard count. The |T| values and
 // warm starts give full blocks, partial blocks at shard tails, and
-// blocks broken by warm-started intervals (which take the model path,
-// the only one exact for M != 0).
+// blocks gathered across warm-started intervals (which take the model
+// path, the only one exact for M != 0).
 TEST(KernelDiffTest, ScoreGridMatchesPerPairSweep) {
   using Pick = bool (*)(IntervalIndex, IntervalIndex);
   const std::pair<const char*, Pick> warm_cases[] = {

@@ -434,7 +434,7 @@ MANUAL_LOCK_RE = re.compile(
     r"((?:\w+(?:\.|->))*\w+)\s*\.\s*"
     r"(Lock|LockShared|Unlock|UnlockShared)\s*\(\s*\)")
 WAIT_RE = re.compile(
-    r"((?:\w+(?:\.|->))*\w+)\s*\.\s*(Wait|WaitFor)\s*\(\s*([^,()]+?)\s*[,)]")
+    r"((?:\w+(?:\.|->))*\w+)\s*\.\s*Wait\s*\(\s*([^()]+?)\s*\)")
 CALL_RE = re.compile(
     r"((?:[A-Za-z_]\w*(?:\.|->))*)((?:[A-Za-z_]\w*::)*)([A-Za-z_]\w*)\s*\(")
 ANNOT_RE = re.compile(
@@ -827,7 +827,7 @@ class CppModel:
             if in_span(m.start()):
                 continue
             line = self._lineno(chunk_start + m.start())
-            events.append((m.start(), ("wait", m.group(3).strip(),
+            events.append((m.start(), ("wait", m.group(2).strip(),
                                        self._rel, line)))
             spans.append(m.span())
         for m in CALL_RE.finditer(chunk):
