@@ -1,7 +1,8 @@
 #include "api/dispatch_queue.h"
 
 #include <utility>
-#include <vector>
+
+#include "util/logging.h"
 
 namespace ses::api {
 
@@ -34,42 +35,10 @@ bool DispatchQueue::TryDispatch(util::ThreadPool& pool, Priority priority,
     }
   }
   // One pool task per admitted job. RunNext is not guaranteed to find
-  // *this* job (a more urgent one drains first) or, after a sweep, any
-  // job at all — but an admitted job is always either run by some pool
-  // task or expired by a sweep, exactly once.
+  // *this* job (a more urgent one may drain first), but every pool task
+  // pops exactly one job, so each admitted job runs (or expires) once.
   pool.Submit([this] { RunNext(); });
   return true;
-}
-
-size_t DispatchQueue::SweepExpired() {
-  // Collect under the lock, run expire handlers outside it: handlers
-  // resolve caller futures and must not hold up dispatchers.
-  std::vector<DispatchJob> expired;
-  {
-    util::MutexLock lock(mutex_);
-    for (size_t lane = 0; lane < lanes_.size(); ++lane) {
-      std::deque<DispatchJob>& entries = lanes_[lane];
-      for (auto it = entries.begin(); it != entries.end();) {
-        if (it->expire != nullptr && it->deadline.Expired()) {
-          expired.push_back(std::move(*it));
-          it = entries.erase(it);
-          --queued_;
-          if (metrics_.lane_depth[lane] != nullptr) {
-            metrics_.lane_depth[lane]->Decrement();
-          }
-        } else {
-          ++it;
-        }
-      }
-    }
-  }
-  for (DispatchJob& job : expired) {
-    if (metrics_.deadline_expired_in_queue != nullptr) {
-      metrics_.deadline_expired_in_queue->Increment();
-    }
-    job.expire();
-  }
-  return expired.size();
 }
 
 size_t DispatchQueue::queued() const {
@@ -98,9 +67,8 @@ void DispatchQueue::RunNext() {
     util::MutexLock lock(mutex_);
     found = PopMostUrgent(&job);
   }
-  // Empty lanes are legitimate: SweepExpired may have drained entries
-  // whose "run the best queued job" pool tasks had not fired yet.
-  if (!found) return;
+  // Every pool task was submitted for a job that only pool tasks pop.
+  SES_CHECK(found) << "dispatch task found every lane empty";
   if (job.expire != nullptr && job.deadline.Expired()) {
     // Dead on arrival at a worker: answer without running the job, so
     // an expired request costs microseconds instead of solver time.

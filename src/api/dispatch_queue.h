@@ -25,9 +25,7 @@
 /// `expire` handler. When a worker dequeues a job whose deadline has
 /// already passed, it runs the (cheap) `expire` handler instead of the
 /// job — a dead request is answered without ever occupying a worker for
-/// solver time, so it cannot delay live requests behind it. SweepExpired
-/// proactively drops every expired queued entry the same way, so dead
-/// requests need not hold queue slots until dequeue.
+/// solver time, so it cannot delay live requests behind it.
 
 #include <array>
 #include <cstddef>
@@ -67,10 +65,10 @@ struct DispatchJob {
   core::Deadline deadline;
 
   /// Runs *instead of* `run` when the deadline has already expired at
-  /// dequeue (or sweep) time. Must be cheap — it executes on a worker
-  /// (dequeue) or on the caller of SweepExpired and typically just
-  /// resolves the caller's future with kDeadlineExceeded. When null, an
-  /// expired job runs normally (pre-deadline-awareness behavior).
+  /// dequeue time. Must be cheap — it executes on a worker and
+  /// typically just resolves the caller's future with
+  /// kDeadlineExceeded. When null, an expired job runs normally
+  /// (pre-deadline-awareness behavior).
   std::function<void()> expire;
 };
 
@@ -80,8 +78,8 @@ struct DispatchJob {
 struct DispatchQueueMetrics {
   /// Per-lane admitted-but-not-started depth, indexed by Priority.
   std::array<util::Gauge*, kNumPriorityLanes> lane_depth{};
-  /// Jobs whose deadline expired while queued (dropped at dequeue or
-  /// swept); their `expire` handler ran instead of the job body.
+  /// Jobs whose deadline expired while queued (dropped at dequeue);
+  /// their `expire` handler ran instead of the job body.
   util::Counter* deadline_expired_in_queue = nullptr;
 };
 
@@ -112,12 +110,6 @@ class DispatchQueue {
                    DispatchJob job, size_t* depth_at_refusal = nullptr)
       SES_EXCLUDES(mutex_);
 
-  /// Removes every queued entry whose deadline has expired and runs its
-  /// `expire` handler (on the calling thread). Entries without an
-  /// `expire` handler are left in place. Returns the number of entries
-  /// dropped. Safe to call concurrently with dispatch and dequeue.
-  size_t SweepExpired() SES_EXCLUDES(mutex_);
-
   /// Jobs admitted and still waiting for a worker. Per-lane depth is
   /// published through DispatchQueueMetrics::lane_depth gauges.
   size_t queued() const SES_EXCLUDES(mutex_);
@@ -126,9 +118,9 @@ class DispatchQueue {
   size_t max_queued() const { return max_queued_; }
 
  private:
-  /// Pops and runs the most urgent queued job (pool-task body). A no-op
-  /// when the lanes are empty, which happens when SweepExpired removed
-  /// entries whose pool tasks had not fired yet.
+  /// Pops and runs the most urgent queued job (pool-task body). Each
+  /// admitted job submits one such task, so the lanes are never empty
+  /// here.
   void RunNext() SES_EXCLUDES(mutex_);
 
   /// Pops the most urgent queued entry into \p job (priority lane

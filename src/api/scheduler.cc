@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/registry.h"
+#include "core/score_gen.h"
 #include "util/mutex.h"
 #include "util/string_util.h"
 
@@ -67,6 +68,8 @@ Scheduler::MetricHandles Scheduler::RegisterMetrics(
       &registry.GetCounter("scheduler.deadline_expired_in_queue");
   handles.session_hits = &registry.GetCounter("scheduler.session.hit");
   handles.session_misses = &registry.GetCounter("scheduler.session.miss");
+  handles.score_grid_reused =
+      &registry.GetCounter("scheduler.score_grid.reused");
   handles.loaded_instances = &registry.GetGauge("scheduler.session.loaded");
   const std::vector<double>& latency = util::MetricRegistry::LatencyBounds();
   for (size_t lane = 0; lane < kNumPriorityLanes; ++lane) {
@@ -111,6 +114,7 @@ SchedulerMetrics Scheduler::Metrics() const {
       metrics_.deadline_expired_in_queue->value();
   metrics.session_hits = metrics_.session_hits->value();
   metrics.session_misses = metrics_.session_misses->value();
+  metrics.score_grid_reused = metrics_.score_grid_reused->value();
   metrics.loaded_instances = metrics_.loaded_instances->value();
   for (size_t lane = 0; lane < kNumPriorityLanes; ++lane) {
     metrics.queue_depth[lane] = metrics_.queue_depth[lane]->value();
@@ -140,6 +144,7 @@ util::Status Scheduler::Validate(const core::SesInstance& instance,
 }
 
 SolveResponse Scheduler::RunRequest(const core::SesInstance& instance,
+                                    core::ScoreGridCache* grid,
                                     const SolveRequest& request) const {
   SolveResponse response;
   response.solver = request.solver;
@@ -155,6 +160,7 @@ SolveResponse Scheduler::RunRequest(const core::SesInstance& instance,
   context.deadline = request.deadline;
   context.cancel = request.cancel;
   context.work_counter = request.work_counter;
+  context.score_grid = grid;
 
   // Intra-solver score-generation shards run on the scheduler's own pool:
   // ThreadPool::ParallelFor is worker-re-entrant, so a solver that was
@@ -211,16 +217,15 @@ SolveResponse Scheduler::RunRequest(const core::SesInstance& instance,
 
 SolveResponse Scheduler::Solve(const core::SesInstance& instance,
                                const SolveRequest& request) const {
-  return RunRequest(instance, request);
+  return RunRequest(instance, nullptr, request);
 }
 
 PendingSolve Scheduler::Submit(const core::SesInstance& instance,
                                SolveRequest request) {
-  return SubmitPinned(BorrowInstance(instance), std::move(request));
+  return SubmitPinned({BorrowInstance(instance), nullptr}, std::move(request));
 }
 
-PendingSolve Scheduler::SubmitPinned(
-    std::shared_ptr<const core::SesInstance> pin, SolveRequest request) {
+PendingSolve Scheduler::SubmitPinned(Session session, SolveRequest request) {
   // Guarantee a token so PendingSolve::Cancel is never a silent no-op.
   if (request.cancel == nullptr) {
     request.cancel = std::make_shared<core::CancelToken>();
@@ -228,7 +233,7 @@ PendingSolve Scheduler::SubmitPinned(
 
   // Fail fast on invalid requests: resolve the handle immediately
   // without occupying a worker or a queue slot.
-  if (auto status = Validate(*pin, request); !status.ok()) {
+  if (auto status = Validate(*session.instance, request); !status.ok()) {
     metrics_.validation_failed->Increment();
     return ResolvedWithError(request.solver, request.cancel,
                              std::move(status));
@@ -247,29 +252,29 @@ PendingSolve Scheduler::SubmitPinned(
 
   // One promise, resolved by exactly one of the two handlers below (the
   // dispatch queue guarantees that): `run` on a worker, or `expire`
-  // when the deadline lapsed while the request was still queued. Both
-  // handlers own the pin via the run lambda / their shared state: a
-  // Drop of the instance while this request is queued or running cannot
-  // invalidate it.
+  // when the deadline lapsed while the request was still queued. The
+  // run lambda owns the session pin: a Drop of the instance while this
+  // request is queued or running cannot invalidate it.
   auto promise = std::make_shared<std::promise<SolveResponse>>();
   pending.future_ = promise->get_future();
   const auto admitted = std::chrono::steady_clock::now();
 
   DispatchJob job;
   job.deadline = request.deadline;
-  job.run = [this, admitted, lane, promise, pin = std::move(pin),
+  job.run = [this, admitted, lane, promise, session = std::move(session),
              request = std::move(request)]() {
     const std::chrono::duration<double> waited =
         std::chrono::steady_clock::now() - admitted;
     metrics_.queue_wait[lane]->Observe(waited.count());
-    SolveResponse response = RunRequest(*pin, request);
+    SolveResponse response =
+        RunRequest(*session.instance, session.grid.get(), request);
     response.queue_seconds = waited.count();
     promise->set_value(std::move(response));
   };
   // Deadline-aware admission: a request that is already dead when a
-  // worker (or a manual sweep) reaches it is answered without running a
-  // solver — it cannot delay live requests behind it. Counted as
-  // deadline_expired_in_queue by the queue, not as a solver-run expiry.
+  // worker reaches it is answered without running a solver — it cannot
+  // delay live requests behind it. Counted as deadline_expired_in_queue
+  // by the queue, not as a solver-run expiry.
   job.expire = [this, admitted, lane, promise, solver_name]() {
     const std::chrono::duration<double> waited =
         std::chrono::steady_clock::now() - admitted;
@@ -309,19 +314,18 @@ PendingSolve Scheduler::SubmitPinned(
 std::vector<SolveResponse> Scheduler::SolveBatch(
     const core::SesInstance& instance,
     const std::vector<SolveRequest>& requests) {
-  return SolveBatchPinned(BorrowInstance(instance), requests);
+  return SolveBatchPinned({BorrowInstance(instance), nullptr}, requests);
 }
 
 std::vector<SolveResponse> Scheduler::SolveBatchPinned(
-    std::shared_ptr<const core::SesInstance> pin,
-    const std::vector<SolveRequest>& requests) {
+    const Session& session, const std::vector<SolveRequest>& requests) {
   // One future slot per request keeps the output order equal to the
   // request order no matter which worker finishes first — and no matter
   // the priorities, which only shuffle start order.
   std::vector<PendingSolve> pending;
   pending.reserve(requests.size());
   for (const SolveRequest& request : requests) {
-    pending.push_back(SubmitPinned(pin, request));
+    pending.push_back(SubmitPinned(session, request));
   }
   std::vector<SolveResponse> responses;
   responses.reserve(requests.size());
@@ -346,8 +350,12 @@ util::Status Scheduler::LoadInstance(
     return util::Status::InvalidArgument(
         "LoadInstance requires a non-null instance");
   }
+  // An empty grid: the session's first complete greedy fill publishes.
+  auto grid = std::make_shared<core::ScoreGridCache>(
+      *instance, *metrics_.score_grid_reused);
   util::WriterMutexLock lock(instances_mutex_);
-  const auto [it, inserted] = instances_.emplace(name, std::move(instance));
+  const auto [it, inserted] = instances_.emplace(
+      name, Session{std::move(instance), std::move(grid)});
   (void)it;
   if (!inserted) {
     return util::Status::AlreadyExists("instance '" + name +
@@ -358,7 +366,7 @@ util::Status Scheduler::LoadInstance(
 }
 
 util::Status Scheduler::Drop(const std::string& name) {
-  std::shared_ptr<const core::SesInstance> released;
+  Session released;
   {
     util::WriterMutexLock lock(instances_mutex_);
     auto it = instances_.find(name);
@@ -379,13 +387,13 @@ std::vector<std::string> Scheduler::LoadedInstances() const {
   {
     util::ReaderMutexLock lock(instances_mutex_);
     names.reserve(instances_.size());
-    for (const auto& [name, instance] : instances_) names.push_back(name);
+    for (const auto& [name, session] : instances_) names.push_back(name);
   }
   std::sort(names.begin(), names.end());
   return names;
 }
 
-util::Result<std::shared_ptr<const core::SesInstance>> Scheduler::Pin(
+util::Result<Scheduler::Session> Scheduler::Pin(
     const std::string& instance_name) const {
   util::ReaderMutexLock lock(instances_mutex_);
   auto it = instances_.find(instance_name);
@@ -407,7 +415,7 @@ SolveResponse Scheduler::Solve(const std::string& instance_name,
     response.status = pin.status();
     return response;
   }
-  return RunRequest(**pin, request);
+  return RunRequest(*pin->instance, pin->grid.get(), request);
 }
 
 PendingSolve Scheduler::Submit(const std::string& instance_name,

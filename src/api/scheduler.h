@@ -46,13 +46,16 @@
 ///    N callers share one loaded copy instead of each threading
 ///    `const SesInstance&` through every hop. In-flight solves pin
 ///    their instance (refcounted), so Drop during a solve is safe: the
-///    solve completes against the pinned copy.
+///    solve completes against the pinned copy. Each session also keeps
+///    the first complete grid that an id-keyed TOP/GRD/lazy/bestfit
+///    request with no warm start fills (core::ScoreGridCache); later
+///    such requests read it, with bit-identical responses. That is one
+///    |E|·|T| grid of doubles, 86 KB on the 5,000-user serving instance
+///    and 960 KB at paper scale. By-reference calls never share it.
 ///  - **Deadline-aware admission.** A queued request whose deadline has
 ///    already expired is dropped at dequeue time — answered with
 ///    kDeadlineExceeded without ever occupying a worker for solver
 ///    time — so dead requests cannot delay live ones under saturation.
-///    SweepExpiredQueued drops every expired entry still queued, on
-///    demand.
 ///  - **Observability.** Every admission, refusal, completion,
 ///    cancellation, and expiry is counted in a util::MetricRegistry,
 ///    along with per-lane queue depth gauges, per-lane queue-wait
@@ -197,12 +200,14 @@ struct SchedulerMetrics {
   /// Solver runs interrupted by an expired deadline.
   uint64_t deadline_expired = 0;
   /// Queued requests dropped because their deadline expired before a
-  /// worker picked them up (dequeue drop or sweep) — they never reached
-  /// a solver.
+  /// worker picked them up — they never reached a solver.
   uint64_t deadline_expired_in_queue = 0;
   /// Id-keyed lookups that found / missed a loaded instance.
   uint64_t session_hits = 0;
   uint64_t session_misses = 0;
+  /// Requests that read their session's score grid instead of filling
+  /// one.
+  uint64_t score_grid_reused = 0;
   /// Instances currently loaded in the session cache.
   int64_t loaded_instances = 0;
   /// Current admitted-but-not-started depth per lane, indexed by
@@ -306,7 +311,8 @@ class Scheduler {
   /// Unregisters \p name. NotFound when it is not loaded. Safe while
   /// solves against \p name are in flight: each solve pinned the
   /// instance at submission, completes normally, and the storage is
-  /// released when the last pin goes away.
+  /// released, with the session's score grid, when the last pin goes
+  /// away. A later LoadInstance under \p name starts with no grid.
   [[nodiscard]] util::Status Drop(const std::string& name)
       SES_EXCLUDES(instances_mutex_);
 
@@ -345,28 +351,32 @@ class Scheduler {
   /// Every name it registers is documented in docs/METRICS.md.
   const util::MetricRegistry& metric_registry() const { return registry_; }
 
-  /// Drops every queued request whose deadline has already expired
-  /// (answering each with kDeadlineExceeded) and returns how many were
-  /// dropped. Safe to call from any thread.
-  size_t SweepExpiredQueued() { return dispatch_.SweepExpired(); }
-
  private:
-  /// Validates and executes one request end to end.
+  /// A pinned instance and its session score grid. The session cache
+  /// holds one per loaded instance and every in-flight request a copy,
+  /// which keeps both alive past a Drop. The by-reference entry points
+  /// pin a non-owning alias and no grid.
+  struct Session {
+    std::shared_ptr<const core::SesInstance> instance;
+    std::shared_ptr<core::ScoreGridCache> grid;
+  };
+
+  /// Validates and executes one request end to end; \p grid (nullable)
+  /// is lent to the solver through SolveContext::score_grid.
   SolveResponse RunRequest(const core::SesInstance& instance,
+                           core::ScoreGridCache* grid,
                            const SolveRequest& request) const;
 
-  /// Shared Submit body: \p pin keeps the instance alive for the task's
-  /// lifetime (non-owning for the by-reference overload).
-  PendingSolve SubmitPinned(
-      std::shared_ptr<const core::SesInstance> pin, SolveRequest request);
+  /// Shared Submit body: \p session keeps the instance and its grid
+  /// alive for the task's lifetime.
+  PendingSolve SubmitPinned(Session session, SolveRequest request);
 
-  /// SolveBatch body over an already-pinned instance.
+  /// SolveBatch body over an already-pinned session.
   std::vector<SolveResponse> SolveBatchPinned(
-      std::shared_ptr<const core::SesInstance> pin,
-      const std::vector<SolveRequest>& requests);
+      const Session& session, const std::vector<SolveRequest>& requests);
 
   /// Looks up a loaded instance; NotFound names the unknown id.
-  [[nodiscard]] util::Result<std::shared_ptr<const core::SesInstance>> Pin(
+  [[nodiscard]] util::Result<Session> Pin(
       const std::string& instance_name) const SES_EXCLUDES(instances_mutex_);
 
   /// A handle already resolved with an error — the shape of every
@@ -388,6 +398,7 @@ class Scheduler {
     util::Counter* deadline_expired_in_queue = nullptr;
     util::Counter* session_hits = nullptr;
     util::Counter* session_misses = nullptr;
+    util::Counter* score_grid_reused = nullptr;
     util::Gauge* loaded_instances = nullptr;
     std::array<util::Gauge*, kNumPriorityLanes> queue_depth = {};
     /// Queue wait of requests that went on to run. Kept separate from
@@ -414,14 +425,14 @@ class Scheduler {
   util::MetricRegistry registry_;
   MetricHandles metrics_;
 
-  /// Loaded instances, keyed by caller-chosen name. shared_ptr values
-  /// are the pins: an in-flight solve holds one, so Drop only removes
-  /// the map entry and the instance outlives it as long as needed.
-  /// Reader/writer capability: lookups (Pin, LoadedInstances) take it
-  /// shared, Load/Drop exclusive.
+  /// Loaded instances, keyed by caller-chosen name. Session values are
+  /// the pins: an in-flight solve holds a copy, so Drop only removes the
+  /// map entry and the instance and its grid outlive it as long as
+  /// needed. Reader/writer capability: lookups (Pin, LoadedInstances)
+  /// take it shared, Load/Drop exclusive.
   mutable util::SharedMutex instances_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<const core::SesInstance>>
-      instances_ SES_GUARDED_BY(instances_mutex_);
+  std::unordered_map<std::string, Session> instances_
+      SES_GUARDED_BY(instances_mutex_);
 
   // Declared before pool_ so the pool (whose destructor drains pending
   // dispatch tasks that touch dispatch_) is destroyed first.

@@ -21,14 +21,15 @@ util::Result<SolverResult> BestFitSolver::DoSolve(
 
   // Pass 1: the generation stage shared with GRD and lazy fills
   // grid[t * |E| + e] with every unassigned pair's warm-start-only score,
-  // bit-identical at any SolverOptions::threads value.
+  // bit-identical at any SolverOptions::threads value. Pass 2 rewrites
+  // rows, so a grid shared with the session is copied.
   const size_t num_events = instance.num_events();
   const IntervalIndex num_intervals = instance.num_intervals();
-  std::vector<double> grid(static_cast<size_t>(num_intervals) * num_events,
-                           0.0);
-  const ScoreGenResult generated =
-      GenerateAssignmentScores(instance, options, context, grid);
-  util::Status termination = generated.termination;
+  InitialScores initial = GetInitialScores(instance, options, context);
+  std::vector<double> grid = initial.shared != nullptr
+                                 ? std::vector<double>(*initial.shared)
+                                 : std::move(initial.owned);
+  util::Status termination = initial.generated.termination;
 
   // Optimistic per-event priority = best empty-schedule score (warm-started
   // events keep their untouched zero cells).
@@ -87,7 +88,7 @@ util::Result<SolverResult> BestFitSolver::DoSolve(
   // Generation ran on its own engines; adding their count keeps the total
   // equal to one model scoring everything.
   stats.gain_evaluations =
-      model.gain_evaluations() + generated.gain_evaluations;
+      model.gain_evaluations() + initial.generated.gain_evaluations;
 
   SolverResult result;
   result.assignments = model.schedule().Assignments();

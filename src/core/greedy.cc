@@ -34,11 +34,9 @@ util::Result<SolverResult> GreedySolver::DoSolve(
   // is read from it in serial t-major order, so L is byte-identical
   // across thread counts (tests/core_parallel_solve_test.cc pins this).
   const size_t num_events = instance.num_events();
-  std::vector<double> grid(
-      static_cast<size_t>(instance.num_intervals()) * num_events, 0.0);
-  const ScoreGenResult generated =
-      GenerateAssignmentScores(instance, options, context, grid);
-  util::Status termination = generated.termination;
+  const InitialScores initial = GetInitialScores(instance, options, context);
+  const std::vector<double>& grid = initial.grid();
+  util::Status termination = initial.generated.termination;
   std::vector<ScoredAssignment> list;
   if (termination.ok()) {
     list.reserve(grid.size());
@@ -89,7 +87,7 @@ util::Result<SolverResult> GreedySolver::DoSolve(
   // Generation ran on its own engines; adding their count keeps the total
   // equal to one model scoring everything.
   stats.gain_evaluations =
-      model.gain_evaluations() + generated.gain_evaluations;
+      model.gain_evaluations() + initial.generated.gain_evaluations;
 
   SolverResult result;
   result.assignments = model.schedule().Assignments();

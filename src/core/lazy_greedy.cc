@@ -40,11 +40,9 @@ util::Result<SolverResult> LazyGreedySolver::DoSolve(
   // serial t-major order, so heap construction — and every pop after
   // it — is identical at every SolverOptions::threads value.
   const size_t num_events = instance.num_events();
-  std::vector<double> grid(
-      static_cast<size_t>(instance.num_intervals()) * num_events, 0.0);
-  const ScoreGenResult generated =
-      GenerateAssignmentScores(instance, options, context, grid);
-  util::Status termination = generated.termination;
+  const InitialScores initial = GetInitialScores(instance, options, context);
+  const std::vector<double>& grid = initial.grid();
+  util::Status termination = initial.generated.termination;
   std::vector<HeapEntry> init;
   if (termination.ok()) {
     init.reserve(grid.size());
@@ -89,7 +87,7 @@ util::Result<SolverResult> LazyGreedySolver::DoSolve(
   // Generation ran on its own engines; adding their count keeps the total
   // equal to one model scoring everything.
   stats.gain_evaluations =
-      model.gain_evaluations() + generated.gain_evaluations;
+      model.gain_evaluations() + initial.generated.gain_evaluations;
 
   SolverResult result;
   result.assignments = model.schedule().Assignments();

@@ -214,4 +214,52 @@ ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
   return result;
 }
 
+std::shared_ptr<const std::vector<double>> ScoreGridCache::Get(
+    const SesInstance& instance) const {
+  SES_CHECK(&instance == instance_)
+      << "score grid cache belongs to another instance";
+  std::shared_ptr<const std::vector<double>> grid;
+  {
+    util::MutexLock lock(mutex_);
+    grid = grid_;
+  }
+  if (grid != nullptr) reused_.Increment();
+  return grid;
+}
+
+void ScoreGridCache::Offer(const SesInstance& instance,
+                           std::shared_ptr<const std::vector<double>> grid) {
+  SES_CHECK(&instance == instance_)
+      << "score grid cache belongs to another instance";
+  util::MutexLock lock(mutex_);
+  if (grid_ == nullptr) grid_ = std::move(grid);
+}
+
+InitialScores GetInitialScores(const SesInstance& instance,
+                               const SolverOptions& options,
+                               const SolveContext& context) {
+  // Only the empty-warm-start grid is a function of the instance alone.
+  ScoreGridCache* cache =
+      options.warm_start.empty() ? context.score_grid : nullptr;
+  InitialScores scores;
+  if (cache != nullptr) {
+    scores.shared = cache->Get(instance);
+    if (scores.shared != nullptr) {
+      scores.generated.gain_evaluations = scores.shared->size();
+      return scores;
+    }
+  }
+  scores.owned.assign(
+      static_cast<size_t>(instance.num_intervals()) * instance.num_events(),
+      0.0);
+  scores.generated =
+      GenerateAssignmentScores(instance, options, context, scores.owned);
+  if (cache != nullptr && scores.generated.termination.ok()) {
+    scores.shared =
+        std::make_shared<const std::vector<double>>(std::move(scores.owned));
+    cache->Offer(instance, scores.shared);
+  }
+  return scores;
+}
+
 }  // namespace ses::core

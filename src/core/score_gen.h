@@ -29,14 +29,23 @@
 /// ScoreGridMatchesPerPairSweep). Solvers that assemble their candidate
 /// list from the grid in serial (t-major, e-minor) order therefore
 /// produce byte-identical results at any SolverOptions::threads value.
+///
+/// Session reuse: with no warm start the grid is a pure function of the
+/// instance. A ScoreGridCache keeps the first complete one and
+/// GetInitialScores lends it to later solves; by the contract above it
+/// bit-equals a fresh fill of the same instance at every shard count.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/instance.h"
 #include "core/solve_context.h"
 #include "core/solver.h"
+#include "util/metrics.h"
+#include "util/mutex.h"
 #include "util/status.h"
+#include "util/thread_annotations.h"
 
 namespace ses::core {
 
@@ -72,6 +81,66 @@ ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
                                         const SolverOptions& options,
                                         const SolveContext& context,
                                         std::vector<double>& scores);
+
+/// One instance's published empty-warm-start score grid. api::Scheduler
+/// keeps one per loaded instance and lends it through
+/// SolveContext::score_grid. Thread-safe; mutex_ is a leaf that covers
+/// only the shared_ptr copy or store.
+class ScoreGridCache {
+ public:
+  /// \p reused is bumped once per Get that finds a grid.
+  ScoreGridCache(const SesInstance& instance, util::Counter& reused)
+      : instance_(&instance), reused_(reused) {}
+
+  ScoreGridCache(const ScoreGridCache&) = delete;
+  ScoreGridCache& operator=(const ScoreGridCache&) = delete;
+
+  /// The published grid, or null when none is published yet.
+  /// \p instance must be the one this cache belongs to.
+  std::shared_ptr<const std::vector<double>> Get(
+      const SesInstance& instance) const SES_EXCLUDES(mutex_);
+
+  /// Publishes \p grid, a complete empty-warm-start fill of \p instance,
+  /// unless a grid is already published: the first offer wins.
+  void Offer(const SesInstance& instance,
+             std::shared_ptr<const std::vector<double>> grid)
+      SES_EXCLUDES(mutex_);
+
+ private:
+  const SesInstance* const instance_;
+  util::Counter& reused_;
+  mutable util::Mutex mutex_;
+  std::shared_ptr<const std::vector<double>> grid_ SES_GUARDED_BY(mutex_);
+};
+
+/// A greedy-family solve's initial scores, laid out as
+/// GenerateAssignmentScores fills them.
+struct InitialScores {
+  /// The session's grid: borrowed, or this solve's own complete fill
+  /// once offered to the cache. Null otherwise.
+  std::shared_ptr<const std::vector<double>> shared;
+
+  /// This solve's own fill when no cache took it.
+  std::vector<double> owned;
+
+  /// The fill's outcome. A borrowed grid reports an OK pass with
+  /// |E|·|T| evaluations, what a fresh fill with no warm start counts.
+  ScoreGenResult generated;
+
+  /// The grid to read.
+  const std::vector<double>& grid() const {
+    return shared != nullptr ? *shared : owned;
+  }
+};
+
+/// The one way TOP, GRD, lazy and bestfit get their initial scores. With
+/// context.score_grid set, an empty warm start and a published grid, it
+/// borrows that grid. Otherwise it fills one through
+/// GenerateAssignmentScores and, when a cache is attached and the fill
+/// completed, moves it into `shared` and offers it.
+InitialScores GetInitialScores(const SesInstance& instance,
+                               const SolverOptions& options,
+                               const SolveContext& context);
 
 }  // namespace ses::core
 

@@ -3,8 +3,9 @@
 
 /// \file
 /// Execution context threaded through every Solver::Solve call: a
-/// wall-clock deadline, a cooperative cancellation token, and an optional
-/// work-counter hook for external progress accounting.
+/// wall-clock deadline, a cooperative cancellation token, an optional
+/// work-counter hook for external progress accounting, and an optional
+/// score grid shared across the solves of one serving session.
 ///
 /// Solvers poll the context at their iteration boundaries (list pops,
 /// heap pops, branch-and-bound nodes, local-search moves). When the
@@ -21,6 +22,8 @@
 #include "util/status.h"
 
 namespace ses::core {
+
+class ScoreGridCache;  // core/score_gen.h
 
 /// A wall-clock budget. Default-constructed deadlines never expire.
 class Deadline {
@@ -88,6 +91,13 @@ struct SolveContext {
   /// Optional externally-owned counter that solvers bump at iteration
   /// boundaries, so a caller can watch progress of an in-flight solve.
   std::atomic<uint64_t>* work_counter = nullptr;
+
+  /// Optional externally-owned score grid of this instance, shared
+  /// across solves (core/score_gen.h). Greedy-family solves with no warm
+  /// start borrow its grid once published, and offer their own complete
+  /// fill otherwise. Like work_counter, it changes no result: a borrowed
+  /// grid bit-equals a fresh fill.
+  ScoreGridCache* score_grid = nullptr;
 
   /// Polls cancellation first (explicit intent wins), then the deadline.
   /// Allocation-free: safe to call on hot paths.

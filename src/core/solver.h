@@ -82,7 +82,9 @@ struct SolverOptions {
 
 /// Work counters reported by solvers for the paper's complexity analysis.
 struct SolverStats {
-  /// Eq. 4 evaluations (initial scores + updates + probes).
+  /// Eq. 4 evaluations (initial scores + updates + probes). A borrowed
+  /// session score grid (SolveContext::score_grid) counts its |E|·|T|
+  /// cells, as a fresh fill with no warm start does.
   uint64_t gain_evaluations = 0;
   /// popTopAssgn operations (GRD) / heap pops (lazy greedy).
   uint64_t pops = 0;

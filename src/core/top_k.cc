@@ -21,11 +21,9 @@ util::Result<SolverResult> TopKSolver::DoSolve(const SesInstance& instance,
   // The initial scores come from the grid the whole greedy family shares
   // (core/score_gen.h), sharded by SolverOptions::threads.
   const size_t num_events = instance.num_events();
-  std::vector<double> grid(
-      static_cast<size_t>(instance.num_intervals()) * num_events, 0.0);
-  const ScoreGenResult generated =
-      GenerateAssignmentScores(instance, options, context, grid);
-  util::Status termination = generated.termination;
+  const InitialScores initial = GetInitialScores(instance, options, context);
+  const std::vector<double>& grid = initial.grid();
+  util::Status termination = initial.generated.termination;
 
   struct Entry {
     EventIndex event;
@@ -68,7 +66,7 @@ util::Result<SolverResult> TopKSolver::DoSolve(const SesInstance& instance,
   // Generation ran on its own engines; adding their count keeps the total
   // equal to one model scoring everything.
   stats.gain_evaluations =
-      model.gain_evaluations() + generated.gain_evaluations;
+      model.gain_evaluations() + initial.generated.gain_evaluations;
 
   SolverResult result;
   result.assignments = model.schedule().Assignments();

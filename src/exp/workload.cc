@@ -57,6 +57,10 @@ util::Result<core::SesInstance> WorkloadFactory::Build(
   if (num_events < config.k) {
     return util::Status::InvalidArgument("|E| must be at least k");
   }
+  if (config.competing_mean < 0.0 || config.competing_spread < 0.0) {
+    return util::Status::InvalidArgument(
+        "competing_mean and competing_spread must be >= 0");
+  }
   const size_t catalog_size = dataset_->events().size();
   if (catalog_size == 0) {
     return util::Status::FailedPrecondition("dataset has no events");

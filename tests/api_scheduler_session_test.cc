@@ -2,9 +2,13 @@
 /// LoadInstance (owning and shared/borrowed), id-keyed Solve / Submit /
 /// SolveBatch, LoadedInstances, Drop — including the contract the
 /// serving layer leans on: Drop while a solve against that instance is
-/// in flight neither crashes nor invalidates that solve's response.
+/// in flight neither crashes nor invalidates that solve's response —
+/// and the session score grid: id-keyed greedy requests after the first
+/// complete fill borrow it and still answer field for field like a
+/// by-reference request, which fills its own.
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -27,24 +31,130 @@ SolveRequest RequestFor(const std::string& solver, int64_t k = 5,
   return request;
 }
 
+/// Field-by-field equality: status, schedule, utility bits and every
+/// work counter. Only the wall-clock fields may differ.
+void ExpectSameResponse(const SolveResponse& actual,
+                        const SolveResponse& expected) {
+  EXPECT_EQ(actual.status.code(), expected.status.code())
+      << actual.status.ToString();
+  EXPECT_EQ(actual.solver, expected.solver);
+  EXPECT_EQ(actual.schedule, expected.schedule);
+  EXPECT_EQ(std::bit_cast<uint64_t>(actual.utility),
+            std::bit_cast<uint64_t>(expected.utility));
+  EXPECT_EQ(actual.stats.gain_evaluations, expected.stats.gain_evaluations);
+  EXPECT_EQ(actual.stats.pops, expected.stats.pops);
+  EXPECT_EQ(actual.stats.updates, expected.stats.updates);
+  EXPECT_EQ(actual.stats.nodes, expected.stats.nodes);
+  EXPECT_EQ(actual.stats.moves_tried, expected.stats.moves_tried);
+  EXPECT_EQ(actual.stats.moves_accepted, expected.stats.moves_accepted);
+}
+
 TEST(SessionCacheTest, LoadSolveByIdMatchesSolveByReference) {
   const core::SesInstance reference = test::MakeMediumInstance();
+  Scheduler scheduler(SchedulerOptions{.num_threads = 2});
+  for (const char* solver : {"grd", "lazy", "top", "bestfit", "rand"}) {
+    const bool reads_grid = std::string(solver) != "rand";
+    for (int64_t threads : {1, 0, 3}) {
+      SCOPED_TRACE(std::string(solver) + " threads=" +
+                   std::to_string(threads));
+      // A fresh session per combination, so its first request fills.
+      // Owning load: an identically-built copy moves into the scheduler.
+      ASSERT_TRUE(
+          scheduler.LoadInstance("meetup", test::MakeMediumInstance()).ok());
+      EXPECT_EQ(scheduler.LoadedInstances(),
+                std::vector<std::string>{"meetup"});
+      SolveRequest request = RequestFor(solver);
+      request.options.threads = threads;
+      const SolveResponse by_ref = scheduler.Solve(reference, request);
+      ASSERT_TRUE(by_ref.status.ok()) << by_ref.status.ToString();
+
+      const uint64_t reused = scheduler.Metrics().score_grid_reused;
+      ExpectSameResponse(scheduler.Solve("meetup", request), by_ref);
+      EXPECT_EQ(scheduler.Metrics().score_grid_reused, reused);
+      ExpectSameResponse(scheduler.Solve("meetup", request), by_ref);
+      ExpectSameResponse(scheduler.Submit("meetup", request).Get(), by_ref);
+      EXPECT_EQ(scheduler.Metrics().score_grid_reused,
+                reused + (reads_grid ? 2 : 0));
+      ASSERT_TRUE(scheduler.Drop("meetup").ok());
+    }
+  }
+}
+
+TEST(SessionCacheTest, WarmStartedRequestNeverBorrows) {
+  const core::SesInstance reference = test::MakeMediumInstance();
   Scheduler scheduler(SchedulerOptions{.num_threads = 1});
-  // Owning load: an identically-built copy moves into the scheduler.
   ASSERT_TRUE(
       scheduler.LoadInstance("meetup", test::MakeMediumInstance()).ok());
-  EXPECT_EQ(scheduler.LoadedInstances(),
-            std::vector<std::string>{"meetup"});
+  // Publish the session grid, then seed requests with part of a schedule.
+  const SolveResponse seed = scheduler.Solve("meetup", RequestFor("grd"));
+  ASSERT_TRUE(seed.status.ok()) << seed.status.ToString();
+  ASSERT_GE(seed.schedule.size(), 2u);
 
-  for (const char* solver : {"grd", "lazy", "rand"}) {
+  for (const char* solver : {"grd", "lazy", "top", "bestfit"}) {
     SCOPED_TRACE(solver);
-    const SolveResponse by_id =
-        scheduler.Solve("meetup", RequestFor(solver));
-    const SolveResponse by_ref =
-        scheduler.Solve(reference, RequestFor(solver));
-    ASSERT_TRUE(by_id.status.ok()) << by_id.status.ToString();
-    EXPECT_EQ(by_id.schedule, by_ref.schedule);
-    EXPECT_EQ(by_id.utility, by_ref.utility);
+    SolveRequest request = RequestFor(solver);
+    request.options.warm_start.assign(seed.schedule.begin(),
+                                      seed.schedule.begin() + 2);
+    const SolveResponse by_ref = scheduler.Solve(reference, request);
+    ASSERT_TRUE(by_ref.status.ok()) << by_ref.status.ToString();
+    ExpectSameResponse(scheduler.Solve("meetup", request), by_ref);
+    EXPECT_EQ(scheduler.Metrics().score_grid_reused, 0u);
+  }
+}
+
+TEST(SessionCacheTest, InterruptedFillIsNotPublished) {
+  const core::SesInstance reference = test::MakeMediumInstance();
+  Scheduler scheduler(SchedulerOptions{.num_threads = 1});
+  ASSERT_TRUE(
+      scheduler.LoadInstance("meetup", test::MakeMediumInstance()).ok());
+
+  // Two first requests whose fills stop at their first poll.
+  SolveRequest expired = RequestFor("grd");
+  expired.deadline = core::Deadline::After(0.0);
+  EXPECT_EQ(scheduler.Solve("meetup", expired).status.code(),
+            util::StatusCode::kDeadlineExceeded);
+  SolveRequest cancelled = RequestFor("grd");
+  cancelled.cancel = std::make_shared<core::CancelToken>();
+  cancelled.cancel->Cancel();
+  EXPECT_EQ(scheduler.Solve("meetup", cancelled).status.code(),
+            util::StatusCode::kCancelled);
+  EXPECT_EQ(scheduler.Metrics().score_grid_reused, 0u);
+
+  // Neither published: the next request fills, the one after borrows.
+  const SolveResponse by_ref = scheduler.Solve(reference, RequestFor("grd"));
+  ASSERT_TRUE(by_ref.status.ok()) << by_ref.status.ToString();
+  ExpectSameResponse(scheduler.Solve("meetup", RequestFor("grd")), by_ref);
+  EXPECT_EQ(scheduler.Metrics().score_grid_reused, 0u);
+  ExpectSameResponse(scheduler.Solve("meetup", RequestFor("grd")), by_ref);
+  EXPECT_EQ(scheduler.Metrics().score_grid_reused, 1u);
+}
+
+TEST(SessionCacheTest, ReloadUnderSameNameGetsFreshGrid) {
+  Scheduler scheduler(SchedulerOptions{.num_threads = 1});
+  ASSERT_TRUE(scheduler.LoadInstance("a", test::MakeMediumInstance(1)).ok());
+  ASSERT_TRUE(scheduler.Solve("a", RequestFor("grd")).status.ok());
+  ASSERT_TRUE(scheduler.Drop("a").ok());
+
+  ASSERT_TRUE(scheduler.LoadInstance("a", test::MakeMediumInstance(7)).ok());
+  const core::SesInstance reference = test::MakeMediumInstance(7);
+  ExpectSameResponse(scheduler.Solve("a", RequestFor("grd")),
+                     scheduler.Solve(reference, RequestFor("grd")));
+  EXPECT_EQ(scheduler.Metrics().score_grid_reused, 0u);
+}
+
+TEST(SessionCacheTest, ConcurrentFirstFillsAllMatchReference) {
+  const core::SesInstance reference = test::MakeMediumInstance();
+  Scheduler scheduler(SchedulerOptions{.num_threads = 4});
+  ASSERT_TRUE(
+      scheduler.LoadInstance("meetup", test::MakeMediumInstance()).ok());
+  // Several requests may fill at once; one offer wins, and every
+  // response, filled or borrowed, is the same.
+  const std::vector<SolveResponse> responses = scheduler.SolveBatch(
+      "meetup", std::vector<SolveRequest>(8, RequestFor("grd")));
+  const SolveResponse by_ref = scheduler.Solve(reference, RequestFor("grd"));
+  ASSERT_TRUE(by_ref.status.ok()) << by_ref.status.ToString();
+  for (const SolveResponse& response : responses) {
+    ExpectSameResponse(response, by_ref);
   }
 }
 

@@ -13,7 +13,7 @@
 ///    wall of Batch requests completes before (at least 6 of 8 of)
 ///    them, and High median queue wait <= Batch median queue wait;
 ///  - a queued request whose deadline already expired is dropped at
-///    dequeue (or swept) without ever reaching a solver, answered
+///    dequeue without ever reaching a solver, answered
 ///    kDeadlineExceeded, and never delays a live High request;
 ///  - scheduler metrics agree with observed behavior: the refusal
 ///    counter equals the observed kResourceExhausted responses, the
@@ -276,51 +276,6 @@ TEST(SchedulerDeadlineQueueTest, ExpiredAtDequeueNeverReachesSolver) {
                 .FindHistogram("scheduler.expired_queue_wait_seconds.high")
                 ->count,
             0u);
-}
-
-// SweepExpiredQueued drops dead entries while they are still queued —
-// their handles resolve before any worker frees up — and leaves live
-// entries untouched.
-TEST(SchedulerDeadlineQueueTest, ManualSweepDropsOnlyExpiredEntries) {
-  const core::SesInstance instance = test::MakeMediumInstance();
-  Scheduler scheduler(SchedulerOptions{.num_threads = 1});
-
-  SolveRequest blocker = BlockerRequest();
-  auto blocker_cancel = blocker.cancel;
-  PendingSolve running = scheduler.Submit(instance, std::move(blocker));
-  WaitForDrainedQueue(scheduler);
-
-  constexpr size_t kDead = 4;
-  constexpr size_t kLive = 2;
-  std::vector<PendingSolve> dead;
-  for (size_t i = 0; i < kDead; ++i) {
-    SolveRequest request = ChunkyRequest(Priority::kBatch, /*seed=*/i + 1);
-    request.deadline = core::Deadline::After(0.0);
-    dead.push_back(scheduler.Submit(instance, std::move(request)));
-  }
-  std::vector<PendingSolve> live;
-  for (size_t i = 0; i < kLive; ++i) {
-    live.push_back(scheduler.Submit(
-        instance, ChunkyRequest(Priority::kNormal, /*seed=*/50 + i)));
-  }
-  ASSERT_EQ(scheduler.queued_requests(), kDead + kLive);
-
-  // The worker is still pinned by the blocker, yet the dead entries
-  // resolve right now, on the sweeping thread.
-  EXPECT_EQ(scheduler.SweepExpiredQueued(), kDead);
-  EXPECT_EQ(scheduler.queued_requests(), kLive);
-  for (PendingSolve& handle : dead) {
-    ASSERT_TRUE(handle.Ready());
-    EXPECT_EQ(handle.Get().status.code(),
-              util::StatusCode::kDeadlineExceeded);
-  }
-  EXPECT_EQ(scheduler.Metrics().deadline_expired_in_queue, kDead);
-
-  blocker_cancel->Cancel();
-  EXPECT_EQ(running.Get().status.code(), util::StatusCode::kCancelled);
-  for (PendingSolve& handle : live) {
-    EXPECT_TRUE(handle.Get().status.ok());
-  }
 }
 
 // --- Determinism regression ----------------------------------------------

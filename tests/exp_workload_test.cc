@@ -180,6 +180,16 @@ TEST(WorkloadFactoryTest, RejectsBadConfigs) {
   config = SmallConfig();
   config.num_candidate_events = 100000;  // > catalog
   EXPECT_FALSE(factory.Build(config).ok());
+
+  // Negative competing counts used to clamp silently to a valid range.
+  config = SmallConfig();
+  config.competing_mean = -1.0;
+  EXPECT_EQ(factory.Build(config).status().code(),
+            util::StatusCode::kInvalidArgument);
+  config = SmallConfig();
+  config.competing_spread = -1.0;
+  EXPECT_EQ(factory.Build(config).status().code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -212,6 +212,10 @@ int CmdSolve(int argc, const char* const* argv) {
     return Fail(
         util::Status::InvalidArgument("--solver-threads must be >= 0"));
   }
+  if (budget_seconds < 0.0) {
+    return Fail(
+        util::Status::InvalidArgument("--budget-seconds must be >= 0"));
+  }
   if (max_queued < 0) {
     return Fail(util::Status::InvalidArgument("--max-queued must be >= 0"));
   }
