@@ -100,7 +100,6 @@ int main(int argc, char** argv) {
     request.solver = name;
     request.options.k = k;
     request.options.seed = static_cast<uint64_t>(seed);
-    request.options.max_iterations = 5000;
     pending.push_back(scheduler.Submit(*instance, std::move(request)));
     names.push_back(name);
   }

@@ -89,7 +89,7 @@ namespace ses::api {
 /// One solve request: which solver, its options, and optional run bounds.
 struct SolveRequest {
   /// Registered solver name ("grd", "lazy", "bestfit", "top", "rand",
-  /// "exact", "ls", "anneal"); see ListSolvers().
+  /// "exact"); see ListSolvers().
   std::string solver;
 
   /// Solver tuning knobs (k, seed, warm start, ...). Setting

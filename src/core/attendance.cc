@@ -6,8 +6,7 @@
 
 namespace ses::core {
 
-AttendanceModel::AttendanceModel(const SesInstance& instance,
-                                 size_t sigma_cache_capacity)
+AttendanceModel::AttendanceModel(const SesInstance& instance)
     : instance_(&instance),
       schedule_(instance),
       // The constructor down-payment for the hot-path contract: every
@@ -16,47 +15,13 @@ AttendanceModel::AttendanceModel(const SesInstance& instance,
       // through pre-sized spans — no growth, no allocation (re-proven
       // at runtime by tests/core_hot_path_alloc_test.cc).
       soa_(instance.num_users()),
-      interval_cache_(instance.num_intervals()),
-      cache_capacity_(sigma_cache_capacity) {
-  if (cache_capacity_ > 0) ready_intervals_.reserve(cache_capacity_);
-}
-
-void AttendanceModel::EvictLeastRecent() {
-  SES_CHECK(!ready_intervals_.empty()) << "eviction with no ready entry";
-  size_t victim_slot = 0;
-  for (size_t i = 1; i < ready_intervals_.size(); ++i) {
-    if (interval_cache_[ready_intervals_[i]].last_used <
-        interval_cache_[ready_intervals_[victim_slot]].last_used) {
-      victim_slot = i;
-    }
-  }
-  IntervalCache& victim = interval_cache_[ready_intervals_[victim_slot]];
-  victim.ready = false;
-  // Reset the load counter: an evicted interval must prove itself
-  // reload-heavy again, so cyclic working sets larger than the
-  // capacity stop re-materializing on every load.
-  victim.loads = 0;
-  // Swap-with-empty actually releases the memory — the whole point of
-  // the capacity bound.
-  std::vector<UserIndex>().swap(victim.competing_users);
-  util::AlignedVector<double>().swap(victim.competing_mass);
-  util::AlignedVector<float>().swap(victim.sigma);
-  ready_intervals_[victim_slot] = ready_intervals_.back();
-  ready_intervals_.pop_back();
-}
+      interval_cache_(instance.num_intervals()) {}
 
 void AttendanceModel::MaterializeCache(IntervalIndex t,
                                        IntervalCache& cache) {
   // Snapshot the interval's competing masses (soa_.denom holds exactly
   // C here — scheduled events are folded in after this returns) and its
-  // sigma row for every future reload. Under a capacity bound, make
-  // room first (LRU): the cache is pure memoization, so eviction can
-  // never change a result bit.
-  if (cache_capacity_ > 0) {
-    if (ready_intervals_.size() >= cache_capacity_) EvictLeastRecent();
-    ready_intervals_.push_back(t);
-  }
-  cache.last_used = ++lru_clock_;
+  // sigma row for every future reload.
   cache.competing_users.reserve(soa_.num_touched);
   cache.competing_mass.reserve(soa_.num_touched);
   for (size_t i = 0; i < soa_.num_touched; ++i) {
@@ -84,7 +49,6 @@ void AttendanceModel::LoadInterval(IntervalIndex t) {
   if (cache.ready) {
     // Fast path: replay the schedule-independent state from the cache
     // — two contiguous span reads, one scatter.
-    cache.last_used = ++lru_clock_;
     soa_.num_touched = kernels::ScatterMasses(
         cache.competing_users.data(), cache.competing_mass.data(),
         cache.competing_users.size(), soa_.denom.data(),
@@ -101,14 +65,12 @@ void AttendanceModel::LoadInterval(IntervalIndex t) {
           nullptr, nullptr, soa_.touched.data(), soa_.in_touched.data(),
           soa_.num_touched);
     }
-    if (cache.loads < 2) ++cache.loads;
-    if (cache.loads >= 2) {
+    if (++cache.loads >= 2) {
       // Second load: the interval proved reload-heavy, so pay the
       // (allocating) materialization once. The edge suppression
-      // quarantines that cost: it fires at most once per interval per
-      // eviction cycle, never in the steady state this function is hot
-      // for.
-      MaterializeCache(t, cache);  // ses-lint: allow(hot-path) cold: at most once per interval per eviction cycle
+      // quarantines that cost: it fires at most once per interval,
+      // never in the steady state this function is hot for.
+      MaterializeCache(t, cache);  // ses-lint: allow(hot-path) cold: at most once per interval
     } else {
       // One virtual bulk fill per interval load, amortized over the
       // |U|-entry row it produces — the sanctioned exception to the

@@ -41,26 +41,15 @@
 /// Reloading an interval used to recompute its schedule-independent
 /// state from scratch every time: the aggregated competing-event
 /// interest mass (the C part of D) and the full sigma row — for the
-/// hash-based sigma provider that is |U| hash evaluations per reload,
-/// the dominant cost of move-based solvers that hop between intervals
-/// thousands of times. Both are now cached per interval. The cache is
-/// populated on an interval's *second* load, so one-shot sweeps (an
-/// interval-major pass touches each interval exactly once) pay no extra
-/// memory, while reload-heavy callers (local search, annealing, GRD's
-/// update passes) hit pure array reads. Cached masses are stored as the
-/// same doubles the uncached path accumulates, so results are
-/// bit-for-bit identical with and without the cache
+/// hash-based sigma provider that is |U| hash evaluations per reload.
+/// Both are now cached per interval. The cache is populated on an
+/// interval's *second* load, so one-shot sweeps (an interval-major pass
+/// touches each interval exactly once) pay no extra memory, while
+/// reload-heavy callers (lazy greedy's stale rescorings, exact's
+/// branch-and-bound, GRD's update passes) hit pure array reads. Cached
+/// masses are stored as the same doubles the uncached path accumulates,
+/// so results are bit-for-bit identical with and without the cache
 /// (tests/core_sigma_cache_test.cc pins this).
-///
-/// On paper-scale instances a materialized entry holds up to |U| floats
-/// plus the competing masses, per interval — |T|·|U| worst case per
-/// model. The optional `sigma_cache_capacity` constructor knob
-/// (surfaced as SolverOptions::sigma_cache_capacity) bounds that: at
-/// most `capacity` intervals keep materialized entries, with
-/// least-recently-loaded eviction. An evicted interval falls back to
-/// the uncached scratch path until it again proves reload-heavy, so
-/// the cap is a pure memory/speed trade — results stay bit-identical
-/// at any capacity.
 
 #include <cstdint>
 #include <span>
@@ -79,10 +68,7 @@ namespace ses::core {
 /// Incremental schedule + utility tracker.
 class AttendanceModel {
  public:
-  /// \param sigma_cache_capacity max intervals with materialized cache
-  /// entries (LRU-evicted beyond that); 0 = unlimited.
-  explicit AttendanceModel(const SesInstance& instance,
-                           size_t sigma_cache_capacity = 0);
+  explicit AttendanceModel(const SesInstance& instance);
 
   // sigma_row_ points into this object's own buffers (scratch or the
   // interval cache); a copied or moved model would silently dangle.
@@ -141,15 +127,9 @@ class AttendanceModel {
   /// replay is a contiguous two-span scatter (kernels::ScatterMasses)
   /// instead of a pair-walk.
   struct IntervalCache {
-    /// Saturating load counter; the cache materializes at 2. Reset on
-    /// eviction, so an evicted interval must prove itself reload-heavy
-    /// again before re-materializing — a cyclic working set larger
-    /// than the capacity degrades toward the scratch path instead of
-    /// re-materializing (and re-evicting) on every single load.
+    /// Uncached loads so far; the cache materializes at 2.
     uint8_t loads = 0;
     bool ready = false;
-    /// LRU stamp: value of lru_clock_ at the last load of this entry.
-    uint64_t last_used = 0;
     /// Users with non-zero competing mass, parallel to competing_mass.
     std::vector<UserIndex> competing_users;
     /// Aggregated competing-event interest mass per user (C), doubles to
@@ -163,12 +143,9 @@ class AttendanceModel {
   /// The deliberately cold half of LoadInterval: snapshots interval
   /// \p t's competing masses and sigma row into its cache entry
   /// (allocating) on the interval's second load. Runs at most once per
-  /// interval per eviction cycle — its call edge carries the hot-path
-  /// suppression so the allocations stay quarantined here.
+  /// interval — its call edge carries the hot-path suppression so the
+  /// allocations stay quarantined here.
   void MaterializeCache(IntervalIndex t, IntervalCache& cache);
-
-  /// Frees the least-recently-loaded ready entry (capacity reached).
-  void EvictLeastRecent();
 
   const SesInstance* instance_;
   Schedule schedule_;
@@ -180,12 +157,6 @@ class AttendanceModel {
   IntervalSoA soa_;
   const float* sigma_row_ = nullptr;  ///< sigma(u, loaded interval)
   std::vector<IntervalCache> interval_cache_;  ///< one slot per interval
-  size_t cache_capacity_ = 0;  ///< max ready entries; 0 = unlimited
-  uint64_t lru_clock_ = 0;     ///< monotonic load stamp source
-  /// Intervals with a ready cache entry, maintained only under a
-  /// capacity bound (size <= cache_capacity_) so eviction scans
-  /// O(capacity) candidates, not all |T| slots.
-  std::vector<IntervalIndex> ready_intervals_;
 
   double total_utility_ = 0.0;
   uint64_t gain_evaluations_ = 0;

@@ -12,8 +12,8 @@ namespace {
 
 /// DFS state shared across the recursion.
 struct SearchContext {
-  SearchContext(const SesInstance& inst, size_t sigma_cache_capacity)
-      : instance(&inst), model(inst, sigma_cache_capacity) {}
+  explicit SearchContext(const SesInstance& inst)
+      : instance(&inst), model(inst) {}
 
   const SesInstance* instance;
   AttendanceModel model;
@@ -108,7 +108,7 @@ util::Result<SolverResult> ExactSolver::DoSolve(const SesInstance& instance,
                                                 const SolveContext& context) {
   util::WallTimer timer;
 
-  SearchContext ctx(instance, options.sigma_cache_capacity);
+  SearchContext ctx(instance);
   ctx.context = &context;
   // The search places only the k - |warm start| assignments still open;
   // a run stopped before its first complete schedule returns the
@@ -126,7 +126,7 @@ util::Result<SolverResult> ExactSolver::DoSolve(const SesInstance& instance,
   // before any of the precompute, not just before the first search node.
   ctx.event_upper_bound.assign(instance.num_events(), 0.0);
   {
-    AttendanceModel probe(instance, options.sigma_cache_capacity);
+    AttendanceModel probe(instance);
     for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
       if (context.CheckStop(&ctx.termination)) break;
       for (EventIndex e = 0; e < instance.num_events(); ++e) {

@@ -25,7 +25,7 @@ util::Result<SolverResult> GreedySolver::DoSolve(
     const SolveContext& context) {
   util::WallTimer timer;
 
-  AttendanceModel model(instance, options.sigma_cache_capacity);
+  AttendanceModel model(instance);
   SES_RETURN_IF_ERROR(ApplyWarmStart(model, options.warm_start));
   SolverStats stats;
 

@@ -1,11 +1,9 @@
 #include "core/registry.h"
 
-#include "core/annealing.h"
 #include "core/best_fit.h"
 #include "core/exact.h"
 #include "core/greedy.h"
 #include "core/lazy_greedy.h"
-#include "core/local_search.h"
 #include "core/random_schedule.h"
 #include "core/top_k.h"
 
@@ -20,15 +18,11 @@ util::Result<std::unique_ptr<Solver>> MakeSolver(std::string_view name) {
   if (name == "top") return std::unique_ptr<Solver>(new TopKSolver());
   if (name == "rand") return std::unique_ptr<Solver>(new RandomSolver());
   if (name == "exact") return std::unique_ptr<Solver>(new ExactSolver());
-  if (name == "ls") return std::unique_ptr<Solver>(new LocalSearchSolver());
-  if (name == "anneal") {
-    return std::unique_ptr<Solver>(new SimulatedAnnealingSolver());
-  }
   return util::Status::NotFound("unknown solver: " + std::string(name));
 }
 
 std::vector<std::string> ListSolvers() {
-  return {"grd", "lazy", "bestfit", "top", "rand", "exact", "ls", "anneal"};
+  return {"grd", "lazy", "bestfit", "top", "rand", "exact"};
 }
 
 }  // namespace ses::core

@@ -14,8 +14,8 @@
 
 namespace ses::core {
 
-/// Creates a solver by name: "grd", "lazy", "top", "rand", "exact", "ls",
-/// "anneal". NotFound for anything else.
+/// Creates a solver by name: "grd", "lazy", "bestfit", "top", "rand",
+/// "exact". NotFound for anything else.
 [[nodiscard]] util::Result<std::unique_ptr<Solver>> MakeSolver(
     std::string_view name);
 

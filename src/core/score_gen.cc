@@ -126,7 +126,7 @@ uint64_t ScoreShard(const SesInstance& instance, const SolverOptions& options,
   IntervalBlock block(instance.num_users());
   std::optional<AttendanceModel> model;
   if (!options.warm_start.empty()) {
-    model.emplace(instance, options.sigma_cache_capacity);
+    model.emplace(instance);
     SES_CHECK(ApplyWarmStart(*model, options.warm_start).ok())
         << "warm start must be validated before score generation";
   }

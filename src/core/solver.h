@@ -18,12 +18,6 @@
 
 namespace ses::core {
 
-/// Which solver seeds an improvement heuristic (local search, annealing).
-enum class BaseSolver {
-  kRandom,
-  kGreedy,
-};
-
 /// Tuning knobs shared by every solver. Unused fields are ignored.
 struct SolverOptions {
   /// Number of assignments to schedule (the paper's k).
@@ -33,22 +27,11 @@ struct SolverOptions {
 
   /// Pre-committed assignments (incremental re-planning): the solver
   /// starts from this partial schedule and extends it to k assignments.
-  /// Must be feasible and hold at most k assignments. Constructive
-  /// solvers (grd/lazy/bestfit/top/rand) and exact never move committed
-  /// assignments; the improvement heuristics (ls/anneal) receive them
-  /// only as the seed of their base solver and may relocate them. Use
-  /// case: the organizer already announced some events and the budget k
-  /// grew, or a new planning round starts from last week's program.
+  /// Must be feasible and hold at most k assignments. No solver moves
+  /// a committed assignment. Use case: the organizer already announced
+  /// some events and the budget k grew, or a new planning round starts
+  /// from last week's program.
   std::vector<Assignment> warm_start;
-
-  /// Local search / annealing: maximum number of candidate moves.
-  int64_t max_iterations = 20000;
-  /// Local search / annealing: schedule that seeds the improvement.
-  BaseSolver base_solver = BaseSolver::kRandom;
-
-  /// Simulated annealing: starting temperature and geometric cooling.
-  double initial_temperature = 1.0;
-  double cooling = 0.995;
 
   /// Exact solver: node budget before giving up with ResourceExhausted.
   uint64_t max_nodes = 50000000;
@@ -60,16 +43,6 @@ struct SolverOptions {
   /// the shard count at N. Results are bit-identical to the serial path
   /// regardless of this value — only wall-clock time changes.
   int64_t threads = 1;
-
-  /// Memory bound for AttendanceModel's per-interval sigma/competing
-  /// cache: at most this many intervals keep materialized cache entries
-  /// (least-recently-loaded evicted beyond that). 0 = unlimited, the
-  /// historical behavior. A materialized entry costs up to |U| floats
-  /// plus the interval's competing masses, so move-based solvers on
-  /// paper-scale instances can hold |T|·|U| floats per model without a
-  /// cap. Purely a memory/speed trade: results are bit-identical at any
-  /// capacity (tests/core_sigma_cache_test.cc pins capacity 2).
-  size_t sigma_cache_capacity = 0;
 
   /// Borrowed pool for score-generation shards; not owned, may be null.
   /// api::Scheduler fills this in with its own pool for requests that
@@ -92,9 +65,8 @@ struct SolverStats {
   uint64_t updates = 0;
   /// Branch-and-bound nodes (exact solver).
   uint64_t nodes = 0;
-  /// Moves tried / accepted (local search, annealing).
+  /// Random (event, interval) pairs drawn (RAND).
   uint64_t moves_tried = 0;
-  uint64_t moves_accepted = 0;
 };
 
 /// Outcome of one solver run.

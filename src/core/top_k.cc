@@ -14,7 +14,7 @@ util::Result<SolverResult> TopKSolver::DoSolve(const SesInstance& instance,
                                                const SolveContext& context) {
   util::WallTimer timer;
 
-  AttendanceModel model(instance, options.sigma_cache_capacity);
+  AttendanceModel model(instance);
   SES_RETURN_IF_ERROR(ApplyWarmStart(model, options.warm_start));
   SolverStats stats;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "util/logging.h"
@@ -46,20 +47,41 @@ WorkloadFactory::WorkloadFactory(const ebsn::EbsnDataset& dataset)
 
 util::Result<core::SesInstance> WorkloadFactory::Build(
     const PaperWorkloadConfig& config) const {
-  if (config.k <= 0) {
-    return util::Status::InvalidArgument("k must be positive");
+  // |E| >= k must fit a uint32_t, and the 3k/2 and 2k defaults must not
+  // overflow.
+  if (config.k <= 0 || config.k > std::numeric_limits<uint32_t>::max()) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "k must be in [1, %u], got %lld",
+        std::numeric_limits<uint32_t>::max(),
+        static_cast<long long>(config.k)));
   }
   const int64_t num_intervals = config.ResolvedIntervals();
   const int64_t num_events = config.ResolvedEvents();
-  if (num_intervals <= 0) {
-    return util::Status::InvalidArgument("|T| must be positive");
+  if (num_intervals <= 0 ||
+      num_intervals > std::numeric_limits<uint32_t>::max()) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "|T| must be in [1, %u], got %lld",
+        std::numeric_limits<uint32_t>::max(),
+        static_cast<long long>(num_intervals)));
   }
   if (num_events < config.k) {
     return util::Status::InvalidArgument("|E| must be at least k");
   }
+  // NaN passes every `< 0` test, and std::llround of a value outside
+  // int64_t is unspecified, so both ends of the competing range are
+  // checked before they are rounded below.
+  if (!std::isfinite(config.competing_mean) ||
+      !std::isfinite(config.competing_spread)) {
+    return util::Status::InvalidArgument(
+        "competing_mean and competing_spread must be finite");
+  }
   if (config.competing_mean < 0.0 || config.competing_spread < 0.0) {
     return util::Status::InvalidArgument(
         "competing_mean and competing_spread must be >= 0");
+  }
+  if (config.competing_mean + config.competing_spread >= 0x1p63) {
+    return util::Status::InvalidArgument(
+        "competing_mean + competing_spread must be below 2^63");
   }
   const size_t catalog_size = dataset_->events().size();
   if (catalog_size == 0) {

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -46,7 +47,6 @@ void ExpectSameResponse(const SolveResponse& actual,
   EXPECT_EQ(actual.stats.updates, expected.stats.updates);
   EXPECT_EQ(actual.stats.nodes, expected.stats.nodes);
   EXPECT_EQ(actual.stats.moves_tried, expected.stats.moves_tried);
-  EXPECT_EQ(actual.stats.moves_accepted, expected.stats.moves_accepted);
 }
 
 TEST(SessionCacheTest, LoadSolveByIdMatchesSolveByReference) {
@@ -204,9 +204,8 @@ TEST(SessionCacheTest, DropDuringInFlightSolveIsSafe) {
 
   // A long cancellable run against the loaded instance; the work
   // counter proves the solver is actually executing before the Drop.
-  SolveRequest request = RequestFor("anneal");
-  request.options.max_iterations = 4'000'000'000LL;
-  request.options.cooling = 0.9999999;
+  SolveRequest request = RequestFor("exact", 10);
+  request.options.max_nodes = std::numeric_limits<uint64_t>::max();
   std::atomic<uint64_t> progress{0};
   request.work_counter = &progress;
   PendingSolve pending = scheduler.Submit("live", std::move(request));

@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -55,22 +56,21 @@ SolveRequest RequestFor(const std::string& solver, int64_t k = 5,
   return request;
 }
 
-/// A request sized to run for minutes unless cancelled — pins the
-/// worker so everything submitted behind it queues deterministically.
+/// A request sized to run for minutes unless cancelled (exact at k=10
+/// with no node budget; it polls the context every 256 nodes) — pins
+/// the worker so everything submitted behind it queues deterministically.
 SolveRequest BlockerRequest() {
-  SolveRequest request = RequestFor("anneal");
-  request.options.max_iterations = 4'000'000'000LL;
-  request.options.cooling = 0.9999999;
+  SolveRequest request = RequestFor("exact", 10);
+  request.options.max_nodes = std::numeric_limits<uint64_t>::max();
   request.cancel = std::make_shared<core::CancelToken>();
   return request;
 }
 
-/// A bounded but non-trivial request (annealing for a fixed move
-/// budget): long enough that completion-order measurements dwarf thread
-/// wake-up jitter, short enough for sanitizer CI.
+/// A bounded but non-trivial request (exact at k=3, about 12,700
+/// search nodes): long enough that completion-order measurements dwarf
+/// thread wake-up jitter, short enough for sanitizer CI.
 SolveRequest ChunkyRequest(Priority priority, uint64_t seed) {
-  SolveRequest request = RequestFor("anneal", 5, seed);
-  request.options.max_iterations = 6000;
+  SolveRequest request = RequestFor("exact", 3, seed);
   request.priority = priority;
   return request;
 }

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -136,11 +137,10 @@ TEST(SchedulerCancelTest, PreCancelledTokenReturnsCancelled) {
 TEST(SchedulerCancelTest, CancelMidSolveThroughPendingSolve) {
   const core::SesInstance instance = MediumInstance();
   Scheduler scheduler(SchedulerOptions{.num_threads = 1});
-  // An annealing run sized to take minutes unless cancelled: the test
-  // passes quickly precisely because cancellation interrupts it.
-  SolveRequest request = RequestFor("anneal");
-  request.options.max_iterations = 4'000'000'000LL;
-  request.options.cooling = 0.9999999;
+  // A branch-and-bound run sized to take minutes unless cancelled: the
+  // test passes quickly precisely because cancellation interrupts it.
+  SolveRequest request = RequestFor("exact", 10);
+  request.options.max_nodes = std::numeric_limits<uint64_t>::max();
   PendingSolve pending = scheduler.Submit(instance, std::move(request));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   pending.Cancel();
@@ -227,12 +227,12 @@ TEST(SchedulerBatchTest, InvalidRequestFailsOnlyItsSlot) {
 
 // --- Admission control ---------------------------------------------------
 
-/// A request sized to run for minutes unless cancelled: the tool for
-/// keeping a worker provably busy while the queue is inspected.
+/// A request sized to run for minutes unless cancelled (exact at k=10
+/// with no node budget; it polls the context every 256 nodes): the tool
+/// for keeping a worker provably busy while the queue is inspected.
 SolveRequest BlockerRequest() {
-  SolveRequest request = RequestFor("anneal");
-  request.options.max_iterations = 4'000'000'000LL;
-  request.options.cooling = 0.9999999;
+  SolveRequest request = RequestFor("exact", 10);
+  request.options.max_nodes = std::numeric_limits<uint64_t>::max();
   request.cancel = std::make_shared<core::CancelToken>();
   return request;
 }

@@ -39,7 +39,6 @@ TEST(RegistryTest, ConstructedSolversActuallySolve) {
   const SesInstance instance = test::MakeRandomInstance(config);
   SolverOptions options;
   options.k = 2;
-  options.max_iterations = 200;
   for (const std::string& name : ListSolvers()) {
     auto solver = MakeSolver(name);
     ASSERT_TRUE(solver.ok());

@@ -11,13 +11,11 @@
 #include <gtest/gtest.h>
 
 #include "core/attendance.h"
-#include "core/best_fit.h"
+#include "core/exact.h"
 #include "core/greedy.h"
 #include "core/lazy_greedy.h"
-#include "core/local_search.h"
 #include "core/objective.h"
 #include "core/schedule.h"
-#include "core/top_k.h"
 #include "tests/test_util.h"
 
 namespace ses::core {
@@ -97,7 +95,7 @@ TEST(SigmaCacheTest, UnapplyOnCachedIntervalsMatchesReference) {
   const SesInstance instance = CacheInstance(11);
   AttendanceModel model(instance);
 
-  // Apply/unapply churn across intervals — the local-search access
+  // Apply/unapply churn across intervals — the branch-and-bound access
   // pattern that the cache accelerates.
   ASSERT_TRUE(model.CanAssign(0, 0));
   model.Apply(0, 0);
@@ -150,12 +148,12 @@ TEST(SigmaCacheTest, SolverUtilitiesPinnedToReferenceObjective) {
   SolverOptions options;
   options.k = 5;
   options.seed = 3;
-  options.max_iterations = 2000;
 
   GreedySolver grd;
   LazyGreedySolver lazy;
-  LocalSearchSolver ls;
-  for (Solver* solver : std::initializer_list<Solver*>{&grd, &lazy, &ls}) {
+  ExactSolver exact;
+  for (Solver* solver :
+       std::initializer_list<Solver*>{&grd, &lazy, &exact}) {
     auto result = solver->Solve(instance, options);
     ASSERT_TRUE(result.ok()) << solver->name();
     Schedule schedule(instance);
@@ -163,7 +161,7 @@ TEST(SigmaCacheTest, SolverUtilitiesPinnedToReferenceObjective) {
       ASSERT_TRUE(schedule.Assign(a.event, a.interval).ok());
     }
     EXPECT_NEAR(result->utility, TotalUtility(instance, schedule), 1e-9)
-        << solver->name();  // exact: both sides use the reference objective
+        << solver->name();  // tight: both sides use the reference objective
 
     // Determinism across reruns: the cache must not perturb a single
     // bit of the answer.
@@ -171,81 +169,6 @@ TEST(SigmaCacheTest, SolverUtilitiesPinnedToReferenceObjective) {
     ASSERT_TRUE(rerun.ok());
     EXPECT_EQ(result->assignments, rerun->assignments) << solver->name();
     EXPECT_EQ(result->utility, rerun->utility) << solver->name();
-  }
-}
-
-// --- LRU capacity bound ---------------------------------------------------
-
-TEST(SigmaCacheLruTest, CapacityTwoMatchesUnboundedBitwise) {
-  const SesInstance instance = CacheInstance(23);
-  // Capacity 2 against 5 intervals: the round-robin sweeps below force
-  // constant materialize/evict churn in the capped model, which must
-  // not perturb a single bit relative to the unbounded one.
-  AttendanceModel capped(instance, /*sigma_cache_capacity=*/2);
-  AttendanceModel unbounded(instance);
-
-  std::vector<Assignment> applied;
-  for (size_t round = 0; round < 6; ++round) {
-    SCOPED_TRACE(round);
-    const std::vector<double> capped_gains = AllGains(instance, capped);
-    const std::vector<double> unbounded_gains =
-        AllGains(instance, unbounded);
-    ASSERT_EQ(capped_gains.size(), unbounded_gains.size());
-    for (size_t i = 0; i < capped_gains.size(); ++i) {
-      EXPECT_EQ(capped_gains[i], unbounded_gains[i]) << "gain #" << i;
-    }
-    EXPECT_EQ(capped.total_utility(), unbounded.total_utility());
-
-    // Grow both schedules identically, rotating intervals so several
-    // cache entries keep cycling through the capped model.
-    const EventIndex e = static_cast<EventIndex>(round);
-    for (uint32_t offset = 0; offset < instance.num_intervals(); ++offset) {
-      const IntervalIndex t = static_cast<IntervalIndex>(
-          (round + offset) % instance.num_intervals());
-      if (!capped.CanAssign(e, t)) continue;
-      capped.Apply(e, t);
-      unbounded.Apply(e, t);
-      applied.push_back({e, t});
-      break;
-    }
-  }
-  EXPECT_GE(applied.size(), 3u);
-
-  // Apply/unapply churn on top — the eviction-heavy local-search shape.
-  for (const Assignment& a : applied) {
-    capped.Unapply(a.event);
-    unbounded.Unapply(a.event);
-    EXPECT_EQ(capped.total_utility(), unbounded.total_utility());
-  }
-}
-
-TEST(SigmaCacheLruTest, SolversBitIdenticalAtCapacityTwo) {
-  const SesInstance instance = CacheInstance(29);
-  SolverOptions reference_options;
-  reference_options.k = 5;
-  reference_options.seed = 3;
-  reference_options.max_iterations = 2000;
-
-  SolverOptions capped_options = reference_options;
-  capped_options.sigma_cache_capacity = 2;
-
-  TopKSolver top;
-  GreedySolver grd;
-  LazyGreedySolver lazy;
-  BestFitSolver bestfit;
-  LocalSearchSolver ls;
-  for (Solver* solver :
-       std::initializer_list<Solver*>{&top, &grd, &lazy, &bestfit, &ls}) {
-    auto reference = solver->Solve(instance, reference_options);
-    auto capped = solver->Solve(instance, capped_options);
-    ASSERT_TRUE(reference.ok()) << solver->name();
-    ASSERT_TRUE(capped.ok()) << solver->name();
-    EXPECT_EQ(reference->assignments, capped->assignments)
-        << solver->name();
-    EXPECT_EQ(reference->utility, capped->utility) << solver->name();
-    EXPECT_EQ(reference->stats.gain_evaluations,
-              capped->stats.gain_evaluations)
-        << solver->name();
   }
 }
 

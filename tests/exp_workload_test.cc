@@ -1,5 +1,6 @@
 #include "exp/workload.h"
 
+#include <limits>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -188,6 +189,33 @@ TEST(WorkloadFactoryTest, RejectsBadConfigs) {
             util::StatusCode::kInvalidArgument);
   config = SmallConfig();
   config.competing_spread = -1.0;
+  EXPECT_EQ(factory.Build(config).status().code(),
+            util::StatusCode::kInvalidArgument);
+
+  // Non-finite or huge competing counts used to round to LLONG_MIN and
+  // clamp to an instance with no competing events.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), 1e300}) {
+    SCOPED_TRACE(bad);
+    config = SmallConfig();
+    config.competing_mean = bad;
+    EXPECT_EQ(factory.Build(config).status().code(),
+              util::StatusCode::kInvalidArgument);
+    config = SmallConfig();
+    config.competing_spread = bad;
+    EXPECT_EQ(factory.Build(config).status().code(),
+              util::StatusCode::kInvalidArgument);
+  }
+
+  // |T| beyond uint32_t used to wrap in the instance while the competing
+  // loop still ran the full 64-bit count.
+  config = SmallConfig();
+  config.num_intervals = (int64_t{1} << 32) + 15;
+  EXPECT_EQ(factory.Build(config).status().code(),
+            util::StatusCode::kInvalidArgument);
+  // A k this large overflowed the 3k/2 default for |T|.
+  config = SmallConfig();
+  config.k = std::numeric_limits<int64_t>::max() / 2;
   EXPECT_EQ(factory.Build(config).status().code(),
             util::StatusCode::kInvalidArgument);
 }

@@ -1,9 +1,9 @@
 /// util::MetricRegistry semantics: counter/gauge/histogram behavior,
 /// bucket-edge placement, snapshot consistency under concurrent
-/// increments, renderer output — and the docs-lockstep pin that every
+/// increments, renderer output — and the docs-lockstep pins that every
 /// metric name an api::Scheduler registers appears verbatim in
-/// docs/METRICS.md (the operator reference must never drift from the
-/// code).
+/// docs/METRICS.md and every name the doc's tables list is registered
+/// (the operator reference must never drift from the code).
 
 #include "util/metrics.h"
 
@@ -186,19 +186,22 @@ TEST(RenderTest, TextAndCsvContainEveryMetric) {
 
 // --- Docs lockstep --------------------------------------------------------
 
+std::string ReadMetricsDoc() {
+  const std::string doc_path =
+      std::string(SES_SOURCE_DIR) + "/docs/METRICS.md";
+  std::ifstream doc_file(doc_path);
+  EXPECT_TRUE(doc_file.good()) << "cannot open " << doc_path;
+  std::stringstream buffer;
+  buffer << doc_file.rdbuf();
+  return buffer.str();
+}
+
 // docs/METRICS.md must list every metric name an api::Scheduler
 // registers, verbatim. A fresh scheduler already exposes the full
 // catalog (fixed names plus one solve-latency histogram per registered
 // solver), so the doc can never silently lag a new metric.
 TEST(MetricsDocsTest, EveryRegisteredNameAppearsInMetricsDoc) {
-  const std::string doc_path =
-      std::string(SES_SOURCE_DIR) + "/docs/METRICS.md";
-  std::ifstream doc_file(doc_path);
-  ASSERT_TRUE(doc_file.good()) << "cannot open " << doc_path;
-  std::stringstream buffer;
-  buffer << doc_file.rdbuf();
-  const std::string doc = buffer.str();
-
+  const std::string doc = ReadMetricsDoc();
   const api::Scheduler scheduler;
   const std::vector<std::string> names =
       scheduler.metric_registry().Snapshot().Names();
@@ -209,6 +212,32 @@ TEST(MetricsDocsTest, EveryRegisteredNameAppearsInMetricsDoc) {
         << "' is registered by api::Scheduler but not documented in "
            "docs/METRICS.md";
   }
+}
+
+// The reverse direction: every name in the first column of a table row
+// (`| `name` | ...`) must be registered by a fresh api::Scheduler, so a
+// row for a deleted metric or solver cannot outlive the code; and with
+// one row per registered name, no name is listed twice.
+TEST(MetricsDocsTest, EveryDocumentedNameIsRegistered) {
+  std::stringstream doc(ReadMetricsDoc());
+  const api::Scheduler scheduler;
+  const std::vector<std::string> registered =
+      scheduler.metric_registry().Snapshot().Names();
+  const std::set<std::string> names(registered.begin(), registered.end());
+
+  size_t rows = 0;
+  std::string line;
+  while (std::getline(doc, line)) {
+    if (!line.starts_with("| `")) continue;
+    const size_t end = line.find('`', 3);
+    ASSERT_NE(end, std::string::npos) << line;
+    const std::string name = line.substr(3, end - 3);
+    ++rows;
+    EXPECT_TRUE(names.contains(name))
+        << "docs/METRICS.md documents '" << name
+        << "', which a fresh api::Scheduler does not register";
+  }
+  EXPECT_EQ(rows, names.size());
 }
 
 }  // namespace
