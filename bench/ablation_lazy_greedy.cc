@@ -1,8 +1,8 @@
-/// Ablation (extension beyond the paper): faithful GRD vs CELF-style lazy
-/// greedy. Both pick the same greedy sequence (up to score ties); the
-/// lazy variant skips most of GRD's per-iteration score updates because
-/// stale scores upper-bound fresh ones. The table reports utility
-/// (should match), wall time, and Eq. 4 evaluations (should shrink).
+/// Ablation (extension beyond the paper): GRD vs the solver registered
+/// as "lazy". Lazy was a CELF-style variant; it now runs GRD under its
+/// own name (core/greedy.h). The table reports utility and Eq. 4
+/// evaluations, which must match, and wall time, whose two columns show
+/// run-to-run spread.
 
 #include <cstdio>
 

@@ -6,11 +6,9 @@
 ///   top      stale global ranking, no updates (paper baseline)
 ///   bestfit  event-major greedy: stale event order, fresh intervals
 ///   grd      the paper's pair-major greedy with updates
-///   lazy     GRD with CELF-style deferred updates (the same selection
-///            only when scores are distinct; exact ties break
-///            differently, see the ROADMAP canonical-order item)
+///   lazy     GRD under its second registered name (core/greedy.h)
 ///
-/// Expected order: rand ~ top < bestfit <= grd ~ lazy, with bestfit
+/// Expected order: rand ~ top < bestfit <= grd = lazy, with bestfit
 /// recovering most of GRD's advantage at a fraction of the evaluations.
 
 #include <cstdio>

@@ -14,27 +14,7 @@ AttendanceModel::AttendanceModel(const SesInstance& instance)
       // steady-state LoadInterval/TouchLoaded kernels only ever store
       // through pre-sized spans — no growth, no allocation (re-proven
       // at runtime by tests/core_hot_path_alloc_test.cc).
-      soa_(instance.num_users()),
-      interval_cache_(instance.num_intervals()) {}
-
-void AttendanceModel::MaterializeCache(IntervalIndex t,
-                                       IntervalCache& cache) {
-  // Snapshot the interval's competing masses (soa_.denom holds exactly
-  // C here — scheduled events are folded in after this returns) and its
-  // sigma row for every future reload.
-  cache.competing_users.reserve(soa_.num_touched);
-  cache.competing_mass.reserve(soa_.num_touched);
-  for (size_t i = 0; i < soa_.num_touched; ++i) {
-    const UserIndex u = soa_.touched[i];
-    cache.competing_users.push_back(u);
-    cache.competing_mass.push_back(soa_.denom[u]);
-  }
-  cache.sigma.resize(instance_->num_users());
-  instance_->sigma().FillInterval(
-      t, std::span<float>(cache.sigma.data(), cache.sigma.size()));
-  cache.ready = true;
-  sigma_row_ = cache.sigma.data();
-}
+      soa_(instance.num_users()) {}
 
 void AttendanceModel::LoadInterval(IntervalIndex t) {
   if (loaded_ == t) return;
@@ -45,41 +25,21 @@ void AttendanceModel::LoadInterval(IntervalIndex t) {
   soa_.num_touched = 0;
   loaded_ = t;
 
-  IntervalCache& cache = interval_cache_[t];
-  if (cache.ready) {
-    // Fast path: replay the schedule-independent state from the cache
-    // — two contiguous span reads, one scatter.
-    soa_.num_touched = kernels::ScatterMasses(
-        cache.competing_users.data(), cache.competing_mass.data(),
-        cache.competing_users.size(), soa_.denom.data(),
-        soa_.touched.data(), soa_.in_touched.data());
-    sigma_row_ = cache.sigma.data();
-  } else {
-    for (CompetingIndex c : instance_->CompetingAt(t)) {
-      auto users = instance_->CompetingUsers(c);
-      auto values = instance_->CompetingValues(c);
-      // Competing mass is never removed, so M and the ratio stay
-      // untouched (null).
-      soa_.num_touched = kernels::AccumulateMass(
-          users.data(), values.data(), users.size(), soa_.denom.data(),
-          nullptr, nullptr, soa_.touched.data(), soa_.in_touched.data(),
-          soa_.num_touched);
-    }
-    if (++cache.loads >= 2) {
-      // Second load: the interval proved reload-heavy, so pay the
-      // (allocating) materialization once. The edge suppression
-      // quarantines that cost: it fires at most once per interval,
-      // never in the steady state this function is hot for.
-      MaterializeCache(t, cache);  // ses-lint: allow(hot-path) cold: at most once per interval
-    } else {
-      // One virtual bulk fill per interval load, amortized over the
-      // |U|-entry row it produces — the sanctioned exception to the
-      // no-virtual-dispatch rule (SigmaProvider is the extension
-      // point; per-entry At() calls are what the rule exists to stop).
-      instance_->sigma().FillInterval(t, soa_.sigma);  // ses-lint: allow(hot-path) one virtual bulk fill amortized over |U| entries
-      sigma_row_ = soa_.sigma.data();
-    }
+  for (CompetingIndex c : instance_->CompetingAt(t)) {
+    auto users = instance_->CompetingUsers(c);
+    auto values = instance_->CompetingValues(c);
+    // Competing mass is never removed, so M and the ratio stay
+    // untouched (null).
+    soa_.num_touched = kernels::AccumulateMass(
+        users.data(), values.data(), users.size(), soa_.denom.data(),
+        nullptr, nullptr, soa_.touched.data(), soa_.in_touched.data(),
+        soa_.num_touched);
   }
+  // One virtual bulk fill per interval load, amortized over the |U|-entry
+  // row it produces — the sanctioned exception to the no-virtual-dispatch
+  // rule (SigmaProvider is the extension point; per-entry At() calls are
+  // what the rule exists to stop).
+  instance_->sigma().FillInterval(t, soa_.sigma);  // ses-lint: allow(hot-path) one virtual bulk fill amortized over |U| entries
 
   for (EventIndex p : schedule_.EventsAt(t)) {
     auto users = instance_->EventUsers(p);
@@ -109,7 +69,21 @@ double AttendanceModel::MarginalGain(EventIndex e, IntervalIndex t) {
   auto values = instance_->EventValues(e);
   return kernels::LuceGain(users.data(), values.data(), users.size(),
                            soa_.denom.data(), soa_.sched_mass.data(),
-                           soa_.ratio.data(), sigma_row_);
+                           soa_.ratio.data(), soa_.sigma.data());
+}
+
+uint64_t AttendanceModel::RescoreRow(IntervalIndex t,
+                                     std::span<double> row) {
+  uint64_t rescored = 0;
+  for (EventIndex e = 0; e < row.size(); ++e) {
+    if (CanAssign(e, t)) {
+      row[e] = MarginalGain(e, t);
+      ++rescored;
+    } else {
+      row[e] = kNoScore;
+    }
+  }
+  return rescored;
 }
 
 void AttendanceModel::Apply(EventIndex e, IntervalIndex t) {
@@ -133,7 +107,7 @@ void AttendanceModel::Unapply(EventIndex e) {
   auto values = instance_->EventValues(e);
   const double loss = kernels::LuceLoss(
       users.data(), values.data(), users.size(), soa_.denom.data(),
-      soa_.sched_mass.data(), soa_.ratio.data(), sigma_row_);
+      soa_.sched_mass.data(), soa_.ratio.data(), soa_.sigma.data());
 
   SES_CHECK(schedule_.Unassign(e).ok());
   TouchLoaded(e, -1.0);

@@ -21,59 +21,48 @@
 ///
 ///   (1) gain_u >= 0, so greedy progress never decreases utility;
 ///   (2) d(gain_u)/dM < 0 whenever C > 0, i.e. marginal gains only shrink
-///       as the interval fills up — which is what justifies both GRD's
-///       "only update the chosen interval" rule and the lazy (CELF-style)
-///       greedy variant.
+///       as the interval fills up — which is what justifies GRD's
+///       "only update the chosen interval" rule.
 ///
 /// The engine keeps its dense per-user scratch for a single "loaded"
 /// interval at a time as a structure-of-arrays bundle (core::IntervalSoA:
 /// D, M, sigma row, touched list — contiguous 64-byte-aligned spans),
 /// and every inner loop over that scratch is a batched span kernel from
 /// core/kernels.h rather than an open-coded scalar loop. GRD's access
-/// pattern (one interval per iteration once score generation has
+/// pattern (one interval per update pass once score generation has
 /// filled the grid) makes this the right trade: marginal gains cost
-/// O(nnz(row)) with pure array reads, now through restrict-qualified
+/// O(nnz(row)) with pure array reads, through restrict-qualified
 /// pointers the compiler can vectorize. The old term D > 0 ? M / D : 0
 /// is the same for every event scored at the loaded interval, so it is
 /// carried per user in the bundle (IntervalSoA::ratio), rewritten only
 /// where D or M change, and each gain term costs one division.
 ///
-/// Reloading an interval used to recompute its schedule-independent
-/// state from scratch every time: the aggregated competing-event
-/// interest mass (the C part of D) and the full sigma row — for the
-/// hash-based sigma provider that is |U| hash evaluations per reload.
-/// Both are now cached per interval. The cache is populated on an
-/// interval's *second* load, so one-shot sweeps (an interval-major pass
-/// touches each interval exactly once) pay no extra memory, while
-/// reload-heavy callers (lazy greedy's stale rescorings, exact's
-/// branch-and-bound, GRD's update passes) hit pure array reads. Cached
-/// masses are stored as the same doubles the uncached path accumulates,
-/// so results are bit-for-bit identical with and without the cache
-/// (tests/core_sigma_cache_test.cc pins this).
+/// Loading an interval rebuilds that scratch from the instance: the
+/// competing-event mass, the provider's sigma row and the scheduled
+/// events, in that order. An update pass (RescoreRow) scores a whole
+/// interval row under one load.
 
 #include <cstdint>
+#include <limits>
 #include <span>
-#include <vector>
 
 #include "core/instance.h"
 #include "core/kernels.h"
 #include "core/schedule.h"
 #include "core/types.h"
-#include "util/aligned.h"
 #include "util/hot_annotations.h"
 #include "util/status.h"
 
 namespace ses::core {
 
+/// The score of a grid cell that fails CanAssign. RescoreRow writes it,
+/// and a strict-maximum scan never selects it.
+inline constexpr double kNoScore = -std::numeric_limits<double>::infinity();
+
 /// Incremental schedule + utility tracker.
 class AttendanceModel {
  public:
   explicit AttendanceModel(const SesInstance& instance);
-
-  // sigma_row_ points into this object's own buffers (scratch or the
-  // interval cache); a copied or moved model would silently dangle.
-  AttendanceModel(const AttendanceModel&) = delete;
-  AttendanceModel& operator=(const AttendanceModel&) = delete;
 
   /// The evolving schedule.
   const Schedule& schedule() const { return schedule_; }
@@ -95,6 +84,13 @@ class AttendanceModel {
   /// runtime.
   SES_HOT double MarginalGain(EventIndex e, IntervalIndex t);
 
+  /// The greedy family's update pass at interval \p t: row[e] =
+  /// MarginalGain(e, t) for every event with CanAssign(e, t), and
+  /// kNoScore for every other event. \p row is interval t's row of the
+  /// |T| x |E| score grid, |E| cells. Returns the number of cells
+  /// rescored.
+  SES_HOT uint64_t RescoreRow(IntervalIndex t, std::span<double> row);
+
   /// Assigns e to t (must be valid) and updates the tracked utility by
   /// the exact gain.
   void Apply(EventIndex e, IntervalIndex t);
@@ -112,40 +108,13 @@ class AttendanceModel {
  private:
   /// Rebuilds the SoA scratch (denominators, scheduled mass, old-term
   /// ratio, sigma row) for interval \p t unless already loaded, via the
-  /// scatter kernels in core/kernels.h. Steady-state loads (cache
-  /// replay or scratch accumulate) are allocation-free: every SoA span
-  /// is sized to its instance-dimension bound at construction, and the
-  /// one materializing path is split into MaterializeCache below.
+  /// scatter kernels in core/kernels.h. Allocation-free: every SoA span
+  /// is sized to its instance-dimension bound at construction.
   SES_HOT void LoadInterval(IntervalIndex t);
 
   /// Adds (sign=+1) or removes (sign=-1) event \p e's interest row from
   /// the loaded scratch, ratio included (kernels::TouchMass).
   SES_HOT void TouchLoaded(EventIndex e, double sign);
-
-  /// Schedule-independent per-interval state, cached on second load.
-  /// Stored structure-of-arrays (parallel user/mass vectors) so cache
-  /// replay is a contiguous two-span scatter (kernels::ScatterMasses)
-  /// instead of a pair-walk.
-  struct IntervalCache {
-    /// Uncached loads so far; the cache materializes at 2.
-    uint8_t loads = 0;
-    bool ready = false;
-    /// Users with non-zero competing mass, parallel to competing_mass.
-    std::vector<UserIndex> competing_users;
-    /// Aggregated competing-event interest mass per user (C), doubles to
-    /// keep cached reloads bitwise identical to the uncached path.
-    util::AlignedVector<double> competing_mass;
-    /// Dense sigma(u, t) row, kernel-aligned like the scratch row it
-    /// substitutes for.
-    util::AlignedVector<float> sigma;
-  };
-
-  /// The deliberately cold half of LoadInterval: snapshots interval
-  /// \p t's competing masses and sigma row into its cache entry
-  /// (allocating) on the interval's second load. Runs at most once per
-  /// interval — its call edge carries the hot-path suppression so the
-  /// allocations stay quarantined here.
-  void MaterializeCache(IntervalIndex t, IntervalCache& cache);
 
   const SesInstance* instance_;
   Schedule schedule_;
@@ -155,8 +124,6 @@ class AttendanceModel {
   /// interval, as contiguous aligned spans (see core/kernels.h for the
   /// layout and the bit-identity contract of the kernels that walk it).
   IntervalSoA soa_;
-  const float* sigma_row_ = nullptr;  ///< sigma(u, loaded interval)
-  std::vector<IntervalCache> interval_cache_;  ///< one slot per interval
 
   double total_utility_ = 0.0;
   uint64_t gain_evaluations_ = 0;

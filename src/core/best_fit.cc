@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "core/attendance.h"
 #include "core/objective.h"
@@ -19,20 +20,19 @@ util::Result<SolverResult> BestFitSolver::DoSolve(
   SES_RETURN_IF_ERROR(ApplyWarmStart(model, options.warm_start));
   SolverStats stats;
 
-  // Pass 1: the generation stage shared with GRD and lazy fills
+  // Pass 1: the generation stage shared with TOP and GRD fills
   // grid[t * |E| + e] with every unassigned pair's warm-start-only score,
   // bit-identical at any SolverOptions::threads value. Pass 2 rewrites
-  // rows, so a grid shared with the session is copied.
+  // rows, so it takes the grid as its own.
   const size_t num_events = instance.num_events();
   const IntervalIndex num_intervals = instance.num_intervals();
   InitialScores initial = GetInitialScores(instance, options, context);
-  std::vector<double> grid = initial.shared != nullptr
-                                 ? std::vector<double>(*initial.shared)
-                                 : std::move(initial.owned);
+  std::vector<double> grid = initial.TakeGrid();
   util::Status termination = initial.generated.termination;
 
   // Optimistic per-event priority = best empty-schedule score (warm-started
-  // events keep their untouched zero cells).
+  // events keep their untouched zero cells). Events visit in descending
+  // priority; equal priorities (twin events) go in ascending event order.
   std::vector<double> priority(num_events, 0.0);
   for (IntervalIndex t = 0; t < num_intervals; ++t) {
     const double* row = grid.data() + static_cast<size_t>(t) * num_events;
@@ -44,15 +44,17 @@ util::Result<SolverResult> BestFitSolver::DoSolve(
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(),
             [&priority](EventIndex a, EventIndex b) {
-              return priority[a] > priority[b];
+              if (priority[a] != priority[b]) return priority[a] > priority[b];
+              return a < b;
             });
 
   // Pass 2: each event takes its currently-best feasible interval, read
   // from the grid. Invariant: when an event is visited, grid[t][e] equals
   // MarginalGain(e, t) under the current schedule for every feasible t.
   // Only the chosen interval's scores change on Apply, so that row is
-  // rescored for the events still to come; a pair infeasible at refresh
-  // time stays infeasible (the schedule only grows) and is never read.
+  // rescored; the events it can still take are exactly the ones still to
+  // come that fit there. A pair infeasible at refresh time stays
+  // infeasible (the schedule only grows) and is never read.
   // Skipped when pass 1 was cut short (priorities would be truncated).
   const size_t k = static_cast<size_t>(options.k);
   for (size_t i = 0; i < order.size(); ++i) {
@@ -76,13 +78,10 @@ util::Result<SolverResult> BestFitSolver::DoSolve(
     ++stats.pops;
     if (model.schedule().size() >= k) continue;  // no reader left
 
-    double* row = grid.data() + static_cast<size_t>(best_interval) * num_events;
-    for (size_t j = i + 1; j < order.size(); ++j) {
-      const EventIndex f = order[j];
-      if (!model.CanAssign(f, best_interval)) continue;
-      row[f] = model.MarginalGain(f, best_interval);
-      ++stats.updates;
-    }
+    stats.updates += model.RescoreRow(
+        best_interval,
+        std::span<double>(grid).subspan(
+            static_cast<size_t>(best_interval) * num_events, num_events));
   }
 
   // Generation ran on its own engines; adding their count keeps the total

@@ -7,27 +7,27 @@
 /// GRD is pair-major: it maintains scores for all |E| x |T| assignments
 /// and repeatedly takes the global top, paying for score updates across
 /// the chosen interval. BESTFIT instead fixes the *order of events* up
-/// front (by their best empty-schedule score, an optimistic priority) and
-/// then gives each event in turn its currently-best feasible interval.
+/// front (by their best empty-schedule score, an optimistic priority,
+/// equal priorities in ascending event order) and then gives each event
+/// in turn its currently-best feasible interval.
 ///
 /// Both passes run on one dense |T| x |E| score grid. Pass 1 fills it
-/// with the generation stage GRD and lazy share (core/score_gen.h), so it
+/// with the generation stage TOP and GRD share (core/score_gen.h), so it
 /// shards across SolverOptions::threads with the same bit-identity. Pass
 /// 2 reads each event's candidate scores from the grid and, after every
-/// placement, rescores the chosen interval's row for the events still to
-/// come — GRD's update rule, on the interval the engine already has
+/// placement, rescores the chosen interval's row with GRD's update pass
+/// (AttendanceModel::RescoreRow), on the interval the engine already has
 /// loaded. Scores of other intervals cannot change (an event's gain
 /// depends only on its own interval), so every score read is the fresh
 /// gain bit for bit, and no interval is reloaded just to be scored.
 ///
 /// Cost: |E||T| initial evaluations (the same pass as TOP) plus one row
-/// refresh per placement over the events still to come — at most |E|
-/// evaluations each, k|E| in all, counted in SolverStats::updates. GRD
-/// refreshes the same row but over every unassigned event, and pays a
-/// linear scan of its candidate list per pick on top. Quality sits
-/// between TOP and GRD: event order is decided on stale information,
-/// but interval choice is always fresh. The ablation bench quantifies
-/// that trade.
+/// refresh per placement over the events that can still go there — the
+/// events still to come, at most |E| evaluations each, k|E| in all,
+/// counted in SolverStats::updates. GRD refreshes the same row, and pays
+/// a scan of the whole grid per pick on top. Quality sits between TOP
+/// and GRD: event order is decided on stale information, but interval
+/// choice is always fresh. The ablation bench quantifies that trade.
 
 #include "core/solver.h"
 

@@ -124,7 +124,10 @@ util::Result<SolverResult> ExactSolver::DoSolve(const SesInstance& instance,
   // they add no further gain. The probe alone is O(|E|·|T|) gain
   // evaluations, so it polls the context too — a ~0 deadline must return
   // before any of the precompute, not just before the first search node.
+  // Its evaluations are the solve's only counted ones: the search's own
+  // gains all run inside Apply, which does not count them.
   ctx.event_upper_bound.assign(instance.num_events(), 0.0);
+  uint64_t probe_evaluations = 0;
   {
     AttendanceModel probe(instance);
     for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
@@ -134,6 +137,7 @@ util::Result<SolverResult> ExactSolver::DoSolve(const SesInstance& instance,
             std::max(ctx.event_upper_bound[e], probe.MarginalGain(e, t));
       }
     }
+    probe_evaluations = probe.gain_evaluations();
   }
   for (const Assignment& a : options.warm_start) {
     ctx.event_upper_bound[a.event] = 0.0;
@@ -182,7 +186,8 @@ util::Result<SolverResult> ExactSolver::DoSolve(const SesInstance& instance,
   result.utility = TotalUtility(instance, schedule);
   result.wall_seconds = timer.ElapsedSeconds();
   result.stats.nodes = ctx.nodes;
-  result.stats.gain_evaluations = ctx.model.gain_evaluations();
+  result.stats.gain_evaluations =
+      ctx.model.gain_evaluations() + probe_evaluations;
   result.solver = std::string(name());
   result.termination = std::move(ctx.termination);
   return result;

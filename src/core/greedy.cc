@@ -1,6 +1,8 @@
 #include "core/greedy.h"
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "core/attendance.h"
 #include "core/objective.h"
@@ -8,17 +10,6 @@
 #include "util/timer.h"
 
 namespace ses::core {
-
-namespace {
-
-/// One entry of the assignment list L.
-struct ScoredAssignment {
-  EventIndex event;
-  IntervalIndex interval;
-  double score;
-};
-
-}  // namespace
 
 util::Result<SolverResult> GreedySolver::DoSolve(
     const SesInstance& instance, const SolverOptions& options,
@@ -29,59 +20,49 @@ util::Result<SolverResult> GreedySolver::DoSolve(
   SES_RETURN_IF_ERROR(ApplyWarmStart(model, options.warm_start));
   SolverStats stats;
 
-  // Algorithm 1, lines 2-4: generate all assignments with their scores.
-  // The grid is bit-identical at every SolverOptions::threads value and L
-  // is read from it in serial t-major order, so L is byte-identical
-  // across thread counts (tests/core_parallel_solve_test.cc pins this).
+  // Algorithm 1, lines 2-4. The grid is bit-identical at every
+  // SolverOptions::threads value and the scan below reads it in one
+  // fixed order, so the schedule is byte-identical across thread counts
+  // (tests/core_parallel_solve_test.cc pins this).
   const size_t num_events = instance.num_events();
-  const InitialScores initial = GetInitialScores(instance, options, context);
-  const std::vector<double>& grid = initial.grid();
+  const IntervalIndex num_intervals = instance.num_intervals();
+  InitialScores initial = GetInitialScores(instance, options, context);
   util::Status termination = initial.generated.termination;
-  std::vector<ScoredAssignment> list;
+  std::vector<double> grid;
+  // Skipped when generation was cut short: selecting from a partial grid
+  // would bias toward low intervals.
   if (termination.ok()) {
-    list.reserve(grid.size());
-    for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+    grid = initial.TakeGrid();
+    // Warm-started events and pairs infeasible from the start.
+    for (IntervalIndex t = 0; t < num_intervals; ++t) {
       for (EventIndex e = 0; e < num_events; ++e) {
-        if (model.schedule().IsAssigned(e)) continue;  // warm-started
-        list.push_back({e, t, grid[static_cast<size_t>(t) * num_events + e]});
+        if (!model.CanAssign(e, t)) {
+          grid[static_cast<size_t>(t) * num_events + e] = kNoScore;
+        }
       }
     }
   }
 
   const size_t k = static_cast<size_t>(options.k);
-  // Algorithm 1, lines 5-13. Skipped entirely when generation was cut
-  // short: selecting from a partial list would bias toward low intervals.
-  while (termination.ok() && model.schedule().size() < k && !list.empty()) {
+  // Algorithm 1, lines 5-13.
+  while (termination.ok() && model.schedule().size() < k) {
     if (context.CheckStop(&termination)) break;
     context.CountWork(1);
-    // popTopAssgn: find and remove the largest-score assignment.
-    size_t best = 0;
-    for (size_t i = 1; i < list.size(); ++i) {
-      if (list[i].score > list[best].score) best = i;
-    }
+    // popTopAssgn: the first strict maximum in (interval, event) order.
+    const auto top = std::max_element(grid.begin(), grid.end());
+    if (top == grid.end() || *top == kNoScore) break;  // nothing valid left
+    const auto cell = static_cast<size_t>(top - grid.begin());
+    const auto t = static_cast<IntervalIndex>(cell / num_events);
+    const auto e = static_cast<EventIndex>(cell % num_events);
+    model.Apply(e, t);
     ++stats.pops;
-    const ScoredAssignment top = list[best];
-    list[best] = list.back();
-    list.pop_back();
-
-    if (!model.CanAssign(top.event, top.interval)) continue;
-    model.Apply(top.event, top.interval);
-
-    if (model.schedule().size() >= k) break;
-
-    // Update pass: recompute scores of valid assignments referring to the
-    // chosen interval; remove invalid assignments from L.
-    size_t write = 0;
-    for (size_t i = 0; i < list.size(); ++i) {
-      ScoredAssignment a = list[i];
-      if (!model.CanAssign(a.event, a.interval)) continue;  // drop
-      if (a.interval == top.interval) {
-        a.score = model.MarginalGain(a.event, a.interval);
-        ++stats.updates;
-      }
-      list[write++] = a;
+    for (IntervalIndex u = 0; u < num_intervals; ++u) {
+      grid[static_cast<size_t>(u) * num_events + e] = kNoScore;
     }
-    list.resize(write);
+    if (model.schedule().size() >= k) break;
+    // Update pass: only the chosen interval's scores changed.
+    stats.updates += model.RescoreRow(
+        t, std::span<double>(grid).subspan(cell - e, num_events));
   }
 
   // Generation ran on its own engines; adding their count keeps the total

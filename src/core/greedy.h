@@ -2,32 +2,53 @@
 #define SES_CORE_GREEDY_H_
 
 /// \file
-/// GRD — the paper's greedy approximation algorithm (Algorithm 1).
+/// GRD — the paper's greedy approximation algorithm (Algorithm 1) — on
+/// the dense |T| x |E| score grid.
 ///
 /// GRD first computes the assignment score (Eq. 4) of every (event,
-/// interval) pair and stores them in a list L. It then repeats k times:
-/// pop the top-scoring assignment from L; if it is valid (event not yet
-/// assigned + feasible) insert it into the schedule and recompute the
-/// scores of the remaining assignments that refer to the chosen interval
-/// (scores of other intervals are unaffected — Eq. 4 only depends on the
-/// events co-located in the assignment's interval). Invalid assignments
-/// encountered during the update pass are dropped from L (Algorithm 1,
-/// line 13).
+/// interval) pair (lines 2-4, core/score_gen.h). It then repeats k times:
+/// take the top valid assignment, insert it into the schedule, and
+/// recompute the scores of the assignments that refer to the chosen
+/// interval (lines 5-13). Scores of other intervals are unaffected: Eq. 4
+/// only depends on the events co-located in the assignment's interval.
+///
+/// The grid is the paper's list L. A cell that fails CanAssign holds
+/// kNoScore (-inf): every such cell is set once up front, the chosen
+/// event's column after each selection, and the chosen interval's row
+/// by its update pass (AttendanceModel::RescoreRow). The top valid
+/// assignment is then the first strict maximum of a scan in (interval,
+/// event) order, and the run ends early when that maximum is kNoScore.
+/// Exact score ties are common (twin events have identical interest
+/// rows); the scan breaks them toward the lowest interval, then the
+/// lowest event.
+///
+/// The registry also serves GRD as "lazy". That name once meant a
+/// CELF-style variant (Leskovec et al., KDD'07) that deferred rescoring.
+/// On this grid it selected GRD's schedule on every instance tried and
+/// saved about 1% of the evaluations, so the name now runs GRD.
+
+#include <string>
+#include <utility>
 
 #include "core/solver.h"
 
 namespace ses::core {
 
-/// The paper's GRD, faithful to Algorithm 1: L is a flat list, pop-top is
-/// a linear scan, and updates rewrite scores in place.
+/// The paper's GRD: rescores the chosen interval after every selection.
 class GreedySolver final : public Solver {
  public:
-  std::string_view name() const override { return "grd"; }
+  /// \p name is the registered name results report: "grd" or "lazy".
+  explicit GreedySolver(std::string name = "grd") : name_(std::move(name)) {}
+
+  std::string_view name() const override { return name_; }
 
  protected:
-  [[nodiscard]] util::Result<SolverResult> DoSolve(const SesInstance& instance,
-                                     const SolverOptions& options,
-                                     const SolveContext& context) override;
+  [[nodiscard]] util::Result<SolverResult> DoSolve(
+      const SesInstance& instance, const SolverOptions& options,
+      const SolveContext& context) override;
+
+ private:
+  std::string name_;
 };
 
 }  // namespace ses::core

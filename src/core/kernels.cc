@@ -44,20 +44,6 @@ void ClearTouched(const UserIndex* SES_RESTRICT touched, size_t n,
   }
 }
 
-size_t ScatterMasses(const UserIndex* SES_RESTRICT users,
-                     const double* SES_RESTRICT masses, size_t n,
-                     double* SES_RESTRICT denom,
-                     UserIndex* SES_RESTRICT touched,
-                     uint8_t* SES_RESTRICT in_touched) {
-  for (size_t i = 0; i < n; ++i) {
-    const UserIndex u = users[i];
-    touched[i] = u;
-    in_touched[u] = 1;
-    denom[u] = masses[i];
-  }
-  return n;
-}
-
 size_t AccumulateMass(const UserIndex* SES_RESTRICT users,
                       const float* SES_RESTRICT values, size_t n,
                       double* SES_RESTRICT denom,

@@ -57,19 +57,18 @@ namespace ses::core {
 /// entries), pre-sized to |U| so steady-state loads never allocate.
 ///
 /// D and M are doubles: the incremental engine accumulates interest
-/// mass across Apply/Unapply and cache replays, and the bit-identity
-/// contract between cached and uncached loads
-/// (tests/core_sigma_cache_test.cc) requires the replayed masses to be
-/// the exact doubles the scratch path accumulated. Sigma stays float —
-/// it is read-only within a load, so no precision compounds.
+/// mass across Apply/Unapply, where float rounding would compound, and
+/// every pinned gain and utility is computed from these doubles. Sigma
+/// stays float — it is read-only within a load, so no precision
+/// compounds.
 ///
 /// `ratio` carries the old Luce term D > 0 ? M / D : 0 per user, so the
 /// gain and loss kernels divide once per term instead of twice. The
 /// kernels that change M (AccumulateMass on a scheduled row, TouchMass)
 /// rewrite it with exactly that expression right after the change;
-/// ClearTouched zeroes it. Competing rows and cache replays change D
-/// while M is still 0, so their users keep ratio 0, which is what the
-/// expression gives for M = 0.
+/// ClearTouched zeroes it. Competing rows change D while M is still 0,
+/// so their users keep ratio 0, which is what the expression gives for
+/// M = 0.
 struct IntervalSoA {
   explicit IntervalSoA(size_t num_users)
       : denom(num_users, 0.0),
@@ -162,18 +161,6 @@ SES_HOT void ClearTouched(const UserIndex* SES_RESTRICT touched, size_t n,
                           double* SES_RESTRICT sched_mass,
                           double* SES_RESTRICT ratio,
                           uint8_t* SES_RESTRICT in_touched);
-
-/// Cache replay: denom[users[i]] = masses[i], recording each user in
-/// `touched` + the mask. Returns the touched count (== n; cache
-/// entries are mask-deduplicated at materialization). The masses are
-/// the exact doubles AccumulateMass produced when the entry
-/// materialized, so a replayed load is bit-identical to the scratch
-/// load it skips.
-SES_HOT size_t ScatterMasses(const UserIndex* SES_RESTRICT users,
-                             const double* SES_RESTRICT masses, size_t n,
-                             double* SES_RESTRICT denom,
-                             UserIndex* SES_RESTRICT touched,
-                             uint8_t* SES_RESTRICT in_touched);
 
 /// Scatter-adds one sparse interest row: denom[u] += values[i], and
 /// for scheduled-event rows (sched_mass and ratio non-null) M likewise,

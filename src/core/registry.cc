@@ -3,7 +3,6 @@
 #include "core/best_fit.h"
 #include "core/exact.h"
 #include "core/greedy.h"
-#include "core/lazy_greedy.h"
 #include "core/random_schedule.h"
 #include "core/top_k.h"
 
@@ -11,7 +10,7 @@ namespace ses::core {
 
 util::Result<std::unique_ptr<Solver>> MakeSolver(std::string_view name) {
   if (name == "grd") return std::unique_ptr<Solver>(new GreedySolver());
-  if (name == "lazy") return std::unique_ptr<Solver>(new LazyGreedySolver());
+  if (name == "lazy") return std::unique_ptr<Solver>(new GreedySolver("lazy"));
   if (name == "bestfit") {
     return std::unique_ptr<Solver>(new BestFitSolver());
   }

@@ -4,8 +4,8 @@
 /// \file
 /// Assignment-score generation shared by the greedy family (Algorithm 1,
 /// lines 2-4 of the paper): the marginal gain of every (event, interval)
-/// pair under the warm-start-only schedule. TOP, GRD, lazy greedy and
-/// bestfit all read their initial scores from the one grid this fills.
+/// pair under the warm-start-only schedule. TOP, GRD and bestfit all
+/// read their initial scores from the one grid this fills.
 /// The O(|E|·|T|) sweep dominates their runtime on paper-scale
 /// instances and is embarrassingly parallel — no pair's score depends
 /// on another — so it shards interval-contiguously across a
@@ -26,9 +26,9 @@
 /// path included. Each block lane folds D in the model's order and sums
 /// its own accumulator in user order, and with M = 0 the model's term
 /// reduces to the block's exactly (tests/core_kernel_diff_test.cc,
-/// ScoreGridMatchesPerPairSweep). Solvers that assemble their candidate
-/// list from the grid in serial (t-major, e-minor) order therefore
-/// produce byte-identical results at any SolverOptions::threads value.
+/// ScoreGridMatchesPerPairSweep). Solvers that read the grid in one
+/// fixed order therefore produce byte-identical results at any
+/// SolverOptions::threads value.
 ///
 /// Session reuse: with no warm start the grid is a pure function of the
 /// instance. A ScoreGridCache keeps the first complete one and
@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/instance.h"
@@ -131,9 +132,16 @@ struct InitialScores {
   const std::vector<double>& grid() const {
     return shared != nullptr ? *shared : owned;
   }
+
+  /// The grid to rewrite: the owned fill, moved out, or a copy of the
+  /// shared grid, which other solves may be reading.
+  std::vector<double> TakeGrid() {
+    if (shared != nullptr) return *shared;
+    return std::move(owned);
+  }
 };
 
-/// The one way TOP, GRD, lazy and bestfit get their initial scores. With
+/// The one way TOP, GRD and bestfit get their initial scores. With
 /// context.score_grid set, an empty warm start and a published grid, it
 /// borrows that grid. Otherwise it fills one through
 /// GenerateAssignmentScores and, when a cache is attached and the fill

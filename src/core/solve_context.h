@@ -7,8 +7,8 @@
 /// work-counter hook for external progress accounting, and an optional
 /// score grid shared across the solves of one serving session.
 ///
-/// Solvers poll the context at their iteration boundaries (list pops,
-/// heap pops, branch-and-bound nodes, random draws). When the
+/// Solvers poll the context at their iteration boundaries (grid scans,
+/// ranked entries, branch-and-bound nodes, random draws). When the
 /// context says stop, the solver returns normally with the best feasible
 /// schedule found so far and marks SolverResult::termination with
 /// kDeadlineExceeded or kCancelled — budgeted best-effort answers instead

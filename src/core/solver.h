@@ -36,8 +36,8 @@ struct SolverOptions {
   /// Exact solver: node budget before giving up with ResourceExhausted.
   uint64_t max_nodes = 50000000;
 
-  /// Intra-solver parallelism for assignment-score generation (TOP, GRD,
-  /// lazy greedy and bestfit): the maximum number of generation shards. 1
+  /// Intra-solver parallelism for assignment-score generation (TOP, GRD
+  /// and bestfit): the maximum number of generation shards. 1
   /// (default) is the serial reference path; 0 means one shard per
   /// available lane (pool workers plus the calling thread); N > 1 caps
   /// the shard count at N. Results are bit-identical to the serial path
@@ -59,7 +59,9 @@ struct SolverStats {
   /// session score grid (SolveContext::score_grid) counts its |E|·|T|
   /// cells, as a fresh fill with no warm start does.
   uint64_t gain_evaluations = 0;
-  /// popTopAssgn operations (GRD) / heap pops (lazy greedy).
+  /// Selections: GRD's popTopAssgn operations that placed an
+  /// assignment, bestfit's placements, and the ranked entries TOP
+  /// walked.
   uint64_t pops = 0;
   /// Score-update recomputations after a selection.
   uint64_t updates = 0;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "core/attendance.h"
 #include "core/objective.h"
+#include "core/schedule.h"
 #include "core/score_gen.h"
 #include "util/timer.h"
 
@@ -14,8 +14,9 @@ util::Result<SolverResult> TopKSolver::DoSolve(const SesInstance& instance,
                                                const SolveContext& context) {
   util::WallTimer timer;
 
-  AttendanceModel model(instance);
-  SES_RETURN_IF_ERROR(ApplyWarmStart(model, options.warm_start));
+  // TOP prices nothing after generation, so a plain schedule suffices.
+  Schedule schedule(instance);
+  SES_RETURN_IF_ERROR(ApplyWarmStart(schedule, options.warm_start));
   SolverStats stats;
 
   // The initial scores come from the grid the whole greedy family shares
@@ -40,7 +41,7 @@ util::Result<SolverResult> TopKSolver::DoSolve(const SesInstance& instance,
     entries.reserve(grid.size());
     for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
       for (EventIndex e = 0; e < num_events; ++e) {
-        if (model.schedule().IsAssigned(e)) continue;  // warm-started
+        if (schedule.IsAssigned(e)) continue;  // warm-started
         entries.push_back(
             {e, t, grid[static_cast<size_t>(t) * num_events + e]});
       }
@@ -57,20 +58,18 @@ util::Result<SolverResult> TopKSolver::DoSolve(const SesInstance& instance,
   for (const Entry& entry : entries) {
     if ((polls++ & 63) == 0 && context.CheckStop(&termination)) break;
     context.CountWork(1);
-    if (model.schedule().size() >= k) break;
+    if (schedule.size() >= k) break;
     ++stats.pops;
-    if (!model.CanAssign(entry.event, entry.interval)) continue;
-    model.Apply(entry.event, entry.interval);
+    if (!schedule.CanAssign(entry.event, entry.interval)) continue;
+    SES_CHECK(schedule.Assign(entry.event, entry.interval).ok());
   }
 
-  // Generation ran on its own engines; adding their count keeps the total
-  // equal to one model scoring everything.
-  stats.gain_evaluations =
-      model.gain_evaluations() + initial.generated.gain_evaluations;
+  // Generation is TOP's only Eq. 4 work.
+  stats.gain_evaluations = initial.generated.gain_evaluations;
 
   SolverResult result;
-  result.assignments = model.schedule().Assignments();
-  result.utility = TotalUtility(instance, model.schedule());
+  result.assignments = schedule.Assignments();
+  result.utility = TotalUtility(instance, schedule);
   result.wall_seconds = timer.ElapsedSeconds();
   result.stats = stats;
   result.solver = std::string(name());

@@ -151,7 +151,8 @@ TEST(BestFitSingleTest, FreshGainSeesEarlierPlacements) {
 /// Bestfit before it read its scores from a shared grid: one model scores
 /// every pair for the priorities, then each visited event calls
 /// MarginalGain at every feasible interval (each call reloads that
-/// interval). The solver must reproduce it bit for bit.
+/// interval). Events visit in descending priority, equal priorities in
+/// ascending event order. The solver must reproduce it bit for bit.
 struct ScanResult {
   std::vector<Assignment> assignments;
   double utility = 0.0;
@@ -172,7 +173,8 @@ ScanResult EventMajorScan(const SesInstance& instance,
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(),
             [&priority](EventIndex a, EventIndex b) {
-              return priority[a] > priority[b];
+              if (priority[a] != priority[b]) return priority[a] > priority[b];
+              return a < b;
             });
   for (EventIndex e : order) {
     if (model.schedule().size() >= static_cast<size_t>(options.k)) break;
@@ -258,6 +260,42 @@ TEST(BestFitEquivalenceTest, MatchesEventMajorScanOnRandomInstances) {
           if (HasFailure()) return;  // one report, not thousands
         }
       }
+    }
+  }
+}
+
+TEST(BestFitEquivalenceTest, VisitsEqualPriorityTwinsInEventOrder) {
+  // Every event has priority 1.0, so bestfit visits them in event order:
+  // events 0..19 take interval 0, the first of the tied best intervals,
+  // and each twin 20..39 then finds its gain at interval 0 dropped to 0
+  // and takes interval 1.
+  const SesInstance instance = test::MakeAllTiedInstance(20, 3);
+  std::vector<Assignment> expected;
+  for (EventIndex e = 0; e < 40; ++e) expected.push_back({e, e / 20});
+  SolverOptions options;
+  options.k = 40;
+  BestFitSolver bestfit;
+  auto result = bestfit.Solve(instance, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->assignments, expected);
+  EXPECT_EQ(result->utility, 40.0);
+
+  // Random twin pairs tie on priority only with each other.
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    test::RandomInstanceConfig config;
+    config.seed = seed;
+    config.num_users = 30;
+    config.num_events = 24;
+    config.num_intervals = 4;
+    config.theta = 10.0;
+    config.twins = true;
+    const SesInstance twins = test::MakeRandomInstance(config);
+    for (int64_t k : {6, 12, 24}) {
+      options.k = k;
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " k=" + std::to_string(k));
+      ExpectMatchesScan(twins, options);
+      if (HasFailure()) return;
     }
   }
 }

@@ -101,6 +101,33 @@ TEST(ExactSolverLimitsTest, NodeBudgetExhaustionReported) {
   EXPECT_EQ(result.status().code(), util::StatusCode::kResourceExhausted);
 }
 
+TEST(ExactSolverLimitsTest, CountsBoundProbeEvaluations) {
+  // The search's gains all run inside Apply, which does not count them;
+  // the bound probe scores every pair once on the empty schedule.
+  test::RandomInstanceConfig config;
+  config.num_events = 8;
+  config.num_intervals = 4;
+  const SesInstance instance = test::MakeRandomInstance(config);
+  SolverOptions options;
+  options.k = 3;
+  ExactSolver exact;
+  auto complete = exact.Solve(instance, options);
+  ASSERT_TRUE(complete.ok()) << complete.status().ToString();
+  ASSERT_TRUE(complete->termination.ok());
+  EXPECT_EQ(complete->stats.gain_evaluations,
+            static_cast<uint64_t>(instance.num_events()) *
+                instance.num_intervals());
+
+  // A ~0 deadline stops the probe before its first interval.
+  SolveContext expired;
+  expired.deadline = Deadline::After(0.0);
+  auto stopped = exact.Solve(instance, options, expired);
+  ASSERT_TRUE(stopped.ok()) << stopped.status().ToString();
+  EXPECT_EQ(stopped->termination.code(), util::StatusCode::kDeadlineExceeded);
+  EXPECT_LT(stopped->stats.gain_evaluations,
+            complete->stats.gain_evaluations);
+}
+
 TEST(ExactSolverLimitsTest, InfeasibleKReported) {
   // Two events sharing one location, a single interval: k=2 impossible.
   InstanceBuilder builder;

@@ -6,9 +6,9 @@
 /// GTEST_SKIPs rather than passing vacuously.
 ///
 /// The split mirrors the lint's cold/hot boundary exactly: warm-up
-/// passes (cache materialization, schedule mutation) run before the
-/// ScopedAllocCheck window opens, and the window then covers the same
-/// call trees the SES_HOT annotations root.
+/// passes (schedule mutation) run before the ScopedAllocCheck window
+/// opens, and the window then covers the same call trees the SES_HOT
+/// annotations root.
 
 #include <algorithm>
 #include <cmath>
@@ -48,10 +48,8 @@ TEST(HotPathAllocTest, FirstSweepScratchPathIsAllocationFree) {
   if (!util::AllocGuardEnabled()) GTEST_SKIP() << kSkipMessage;
   const SesInstance instance = test::MakeMediumInstance();
   AttendanceModel model(instance);
-  // A fresh model's first pass takes the uncached scratch path in
-  // every interval (the cache materializes on the *second* load), so
-  // this window proves the constructor's reserve down-payments cover
-  // steady-state LoadInterval with zero allocations from load one.
+  // This window proves the constructor's down-payments cover
+  // LoadInterval with zero allocations from a fresh model's first load.
   util::ScopedAllocCheck check;
   const double sink = GainSweep(instance, model);
   EXPECT_EQ(check.allocations(), 0u);
@@ -62,18 +60,16 @@ TEST(HotPathAllocTest, CacheWarmSweepIsAllocationFree) {
   if (!util::AllocGuardEnabled()) GTEST_SKIP() << kSkipMessage;
   const SesInstance instance = test::MakeMediumInstance();
   AttendanceModel model(instance);
-  // Two warm passes: pass one counts each interval's load, pass two
-  // triggers the (allocating, lint-suppressed) MaterializeCache on
-  // every interval. Both stay outside the window.
+  // Two warm passes outside the window; the window's sweep then
+  // reloads every interval a third time.
   double warm = GainSweep(instance, model);
   warm += GainSweep(instance, model);
   util::ScopedAllocCheck check;
   const double sink = GainSweep(instance, model);
   EXPECT_EQ(check.allocations(), 0u);
-  // The cached replay must also reproduce the uncached sweeps exactly:
-  // warm holds two bit-identical passes, and (x + x) / 2 is exact in
-  // IEEE arithmetic (bit-identity is pinned in depth by
-  // core_sigma_cache_test).
+  // A reload rebuilds the scratch from the instance, so every sweep is
+  // bit-identical: warm holds two of them, and (x + x) / 2 is exact in
+  // IEEE arithmetic.
   EXPECT_EQ(sink, warm / 2.0);
   EXPECT_TRUE(std::isfinite(sink));
 }
@@ -95,12 +91,30 @@ TEST(HotPathAllocTest, SweepOverPartialScheduleIsAllocationFree) {
     }
   }
   ASSERT_GT(applied, 0);
-  double warm = GainSweep(instance, model);  // materialization pass 1
-  warm += GainSweep(instance, model);        // materialization pass 2
   util::ScopedAllocCheck check;
   const double sink = GainSweep(instance, model);
   EXPECT_EQ(check.allocations(), 0u);
   EXPECT_TRUE(std::isfinite(sink));
+}
+
+TEST(HotPathAllocTest, RescoreRowIsAllocationFree) {
+  if (!util::AllocGuardEnabled()) GTEST_SKIP() << kSkipMessage;
+  const SesInstance instance = test::MakeMediumInstance();
+  AttendanceModel model(instance);
+  // The greedy family's update pass: Apply (cold, it grows the
+  // schedule) outside the window, then the chosen interval's row
+  // rescored inside it — every cell, scored or masked, written into
+  // the caller's grid row.
+  std::vector<double> row(instance.num_events(), 0.0);
+  uint64_t rescored = 0;
+  for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+    const auto e = static_cast<EventIndex>(t);
+    if (model.CanAssign(e, t)) model.Apply(e, t);
+    util::ScopedAllocCheck check;
+    rescored += model.RescoreRow(t, row);
+    EXPECT_EQ(check.allocations(), 0u) << "interval " << t;
+  }
+  EXPECT_GT(rescored, 0u);
 }
 
 TEST(HotPathAllocTest, SigmaProviderFillsAreAllocationFree) {

@@ -437,30 +437,6 @@ TEST(KernelDiffTest, TouchMassBitIdenticalToReference) {
   }
 }
 
-TEST(KernelDiffTest, ScatterMassesReplaysExactDoubles) {
-  util::Rng rng(7);
-  const uint32_t num_users = 64;
-  std::vector<UserIndex> users;
-  std::vector<double> masses;
-  for (UserIndex u = 0; u < num_users; ++u) {
-    if (!rng.Bernoulli(0.5)) continue;
-    users.push_back(u);
-    masses.push_back(rng.UniformDouble(1e-9, 5.0));
-  }
-  std::vector<double> denom(num_users, 0.0);
-  std::vector<UserIndex> touched(num_users, 0);
-  std::vector<uint8_t> mask(num_users, 0);
-  const size_t n = kernels::ScatterMasses(users.data(), masses.data(),
-                                          users.size(), denom.data(),
-                                          touched.data(), mask.data());
-  ASSERT_EQ(n, users.size());
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(touched[i], users[i]);
-    EXPECT_EQ(mask[users[i]], 1);
-    EXPECT_TRUE(BitEq(denom[users[i]], masses[i]));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Tier 1b: sigma fill kernels vs per-element evaluation, bit-identical,
 // for every provider (the base-class fallback included).
@@ -637,9 +613,8 @@ void RunModelDiff(const SesInstance& instance, uint64_t seed,
     expect_cell(applied[i], t);
   }
 
-  // The second sweep reloads the intervals the first one materialized
-  // in the cache: replayed competing masses with scheduled rows folded
-  // on top.
+  // Two sweeps: every interval is reloaded from the instance, with the
+  // scheduled rows folded on top of the competing masses.
   for (int sweep = 0; sweep < 2; ++sweep) {
     for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
       for (EventIndex e = 0; e < instance.num_events(); ++e) {

@@ -1,9 +1,13 @@
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "core/attendance.h"
 #include "core/greedy.h"
-#include "core/lazy_greedy.h"
 #include "core/objective.h"
 #include "core/random_schedule.h"
+#include "core/registry.h"
 #include "core/top_k.h"
 #include "core/validate.h"
 #include "tests/test_util.h"
@@ -18,8 +22,7 @@ SolverOptions OptionsWithK(int64_t k, uint64_t seed = 1) {
   return options;
 }
 
-/// Seed-parameterized battery shared by the three paper methods plus the
-/// lazy variant.
+/// Seed-parameterized battery shared by the three paper methods.
 class SolverPropertyTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   SesInstance MakeInstance() const {
@@ -38,11 +41,9 @@ TEST_P(SolverPropertyTest, AllSolversProduceFeasibleKSchedules) {
   const SolverOptions options = OptionsWithK(4, GetParam());
 
   GreedySolver grd;
-  LazyGreedySolver lazy;
   TopKSolver top;
   RandomSolver rand;
-  for (Solver* solver :
-       std::initializer_list<Solver*>{&grd, &lazy, &top, &rand}) {
+  for (Solver* solver : std::initializer_list<Solver*>{&grd, &top, &rand}) {
     auto result = solver->Solve(instance, options);
     ASSERT_TRUE(result.ok()) << solver->name() << ": "
                              << result.status().ToString();
@@ -81,29 +82,21 @@ TEST_P(SolverPropertyTest, GreedyIsDeterministic) {
   EXPECT_DOUBLE_EQ(a->utility, b->utility);
 }
 
-TEST_P(SolverPropertyTest, LazyGreedyMatchesGreedyUtility) {
+TEST_P(SolverPropertyTest, LazyIsGreedyUnderItsOwnName) {
   const SesInstance instance = MakeInstance();
   const SolverOptions options = OptionsWithK(5, GetParam());
   GreedySolver grd;
-  LazyGreedySolver lazy;
+  auto lazy = MakeSolver("lazy");
+  ASSERT_TRUE(lazy.ok());
   auto a = grd.Solve(instance, options);
-  auto b = lazy.Solve(instance, options);
+  auto b = (*lazy)->Solve(instance, options);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  // Identical selections up to score ties; utilities agree tightly.
-  EXPECT_NEAR(a->utility, b->utility, 1e-6 + 1e-6 * a->utility);
-}
-
-TEST_P(SolverPropertyTest, LazyGreedyDoesFewerEvaluationsThanGreedy) {
-  const SesInstance instance = MakeInstance();
-  const SolverOptions options = OptionsWithK(5, GetParam());
-  GreedySolver grd;
-  LazyGreedySolver lazy;
-  auto a = grd.Solve(instance, options);
-  auto b = lazy.Solve(instance, options);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_LE(b->stats.gain_evaluations, a->stats.gain_evaluations);
+  EXPECT_EQ(b->solver, "lazy");
+  EXPECT_EQ(a->assignments, b->assignments);
+  EXPECT_EQ(a->utility, b->utility);
+  EXPECT_EQ(a->stats.gain_evaluations, b->stats.gain_evaluations);
+  EXPECT_EQ(a->stats.updates, b->stats.updates);
 }
 
 TEST_P(SolverPropertyTest, GreedyBeatsOrTiesRandomAndTop) {
@@ -192,6 +185,85 @@ TEST(GreedySolverTest, StatsArepopulated) {
                 instance.num_intervals());
   EXPECT_GE(result->stats.pops, 3u);
   EXPECT_GT(result->wall_seconds, 0.0);
+}
+
+// --- One tie order: GRD on twin events ---------------------------------------
+
+/// GRD by definition: each step scores every valid pair afresh on the
+/// current schedule and takes the highest score, exact ties going to
+/// the lowest interval, then the lowest event.
+std::vector<Assignment> FreshGreedy(const SesInstance& instance,
+                                    const SolverOptions& options) {
+  AttendanceModel model(instance);
+  SES_CHECK(ApplyWarmStart(model, options.warm_start).ok());
+  while (model.schedule().size() < static_cast<size_t>(options.k)) {
+    double best = kNoScore;
+    Assignment top;
+    for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+      for (EventIndex e = 0; e < instance.num_events(); ++e) {
+        if (!model.CanAssign(e, t)) continue;
+        const double gain = model.MarginalGain(e, t);
+        if (gain > best) {
+          best = gain;
+          top = {e, t};
+        }
+      }
+    }
+    if (top.event == kInvalidIndex) break;
+    model.Apply(top.event, top.interval);
+  }
+  return model.schedule().Assignments();
+}
+
+TEST(GreedyTieOrderTest, ExactTiesGoToLowestIntervalThenEvent) {
+  // Every gain ties at 1.0 until an event's twin is placed, which drops
+  // the event's gain at the twin's interval to 0. Lowest (interval,
+  // event) first puts events 0..19 at interval 0 and their twins
+  // 20..39 at interval 1; interval 2 stays empty.
+  const SesInstance instance = test::MakeAllTiedInstance(20, 3);
+  std::vector<Assignment> expected;
+  for (EventIndex e = 0; e < 40; ++e) expected.push_back({e, e / 20});
+  GreedySolver grd;
+  auto result = grd.Solve(instance, OptionsWithK(40));
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->assignments, expected);
+  EXPECT_EQ(result->utility, 40.0);
+}
+
+TEST(GreedyTieOrderTest, GreedyMatchesFreshGreedyOnTwinInstances) {
+  GreedySolver grd;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    test::RandomInstanceConfig config;
+    config.seed = seed;
+    config.num_users = 30;
+    config.num_events = 12;
+    config.num_intervals = 4;
+    config.num_locations = 2 + seed % 4;
+    config.theta = 8.0;
+    config.twins = true;
+    const SesInstance instance = test::MakeRandomInstance(config);
+    // A warm-started twin: event 0 (xi <= 4 fits any empty interval),
+    // while its twin, event 6, stays free.
+    const std::vector<Assignment> warm = {
+        {0, static_cast<IntervalIndex>(seed % config.num_intervals)}};
+    for (bool warm_started : {false, true}) {
+      for (int64_t k = 1; k <= config.num_events; ++k) {
+        for (int64_t threads : {1, 3}) {
+          SolverOptions options = OptionsWithK(k);
+          options.threads = threads;
+          if (warm_started) options.warm_start = warm;
+          SCOPED_TRACE("seed=" + std::to_string(seed) +
+                       " k=" + std::to_string(k) +
+                       " warm=" + std::to_string(warm_started) +
+                       " threads=" + std::to_string(threads));
+          auto g = grd.Solve(instance, options);
+          ASSERT_TRUE(g.ok()) << g.status().ToString();
+          EXPECT_EQ(g->assignments, FreshGreedy(instance, options));
+          if (HasFailure()) return;  // one report, not thousands
+        }
+      }
+    }
+  }
 }
 
 TEST(TopKSolverTest, NeverUpdatesScores) {

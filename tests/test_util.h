@@ -27,6 +27,10 @@ struct RandomInstanceConfig {
   double interest_density = 0.4;  ///< P(user interested in an event)
   double competing_per_interval = 2.0;
   uint64_t seed = 42;
+  /// Events e and e + ceil(|E| / 2) share one interest row: twin events,
+  /// the trivial bicliques of the interest graph. Twins score exactly
+  /// alike at every interval, so exact score ties are common.
+  bool twins = false;
 };
 
 /// Builds a random, fully-validated small instance.
@@ -50,11 +54,18 @@ inline core::SesInstance MakeRandomInstance(
     return row;
   };
 
+  const uint32_t pairs = (config.num_events + 1) / 2;
+  std::vector<std::vector<std::pair<core::UserIndex, float>>> rows;
   for (uint32_t e = 0; e < config.num_events; ++e) {
     const core::LocationId location = static_cast<core::LocationId>(
         rng.NextBounded(config.num_locations));
     const double xi = rng.UniformDouble(config.xi_min, config.xi_max);
-    builder.AddEvent(location, xi, random_row());
+    if (config.twins && e >= pairs) {
+      builder.AddEvent(location, xi, rows[e - pairs]);
+      continue;
+    }
+    rows.push_back(random_row());
+    builder.AddEvent(location, xi, rows.back());
   }
   for (uint32_t t = 0; t < config.num_intervals; ++t) {
     const int count = util::PoissonSample(rng, config.competing_per_interval);
@@ -79,6 +90,26 @@ inline RandomInstanceConfig MediumInstanceConfig(uint64_t seed = 42) {
   config.num_intervals = 8;
   config.theta = 15.0;
   return config;
+}
+
+/// \p pairs twin pairs (events e and e + pairs) in which every gain
+/// ties: each pair has its own single user, events have distinct
+/// locations and ample resources, sigma is constant and nothing
+/// competes. Every gain at an interval without the event's twin is
+/// exactly 1.0, and exactly 0 where the twin sits.
+inline core::SesInstance MakeAllTiedInstance(uint32_t pairs,
+                                             uint32_t intervals) {
+  core::InstanceBuilder builder;
+  builder.SetNumUsers(pairs)
+      .SetNumIntervals(intervals)
+      .SetTheta(2.0 * pairs)
+      .SetSigma(std::make_shared<core::ConstSigma>(1.0));
+  for (core::EventIndex e = 0; e < 2 * pairs; ++e) {
+    builder.AddEvent(e, 1.0, {{e % pairs, 0.5f}});
+  }
+  auto instance = builder.Build();
+  SES_CHECK(instance.ok()) << instance.status().ToString();
+  return std::move(instance).value();
 }
 
 /// Builds the medium preset directly.
