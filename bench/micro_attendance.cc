@@ -1,16 +1,20 @@
 /// Microbenchmarks of the attendance-model kernels: Eq. 4 marginal-gain
 /// evaluation, Apply, interval-scratch reloads, the reference
-/// objective, the score-grid fill, and the raw SoA span kernels
-/// (core/kernels.h) the model and the fill are built on.
+/// objective, the score-grid fill (also on an instance without twins),
+/// and the raw SoA span kernels (core/kernels.h) the model and the fill
+/// are built on.
 /// google-benchmark binary; `tools/run_benchmarks.py` wraps it into the
 /// canonical BENCH_micro_attendance.json.
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "core/attendance.h"
+#include "core/instance.h"
 #include "core/kernels.h"
 #include "core/objective.h"
 #include "core/score_gen.h"
@@ -19,6 +23,7 @@
 #include "ebsn/generator.h"
 #include "exp/workload.h"
 #include "util/logging.h"
+#include "util/random.h"
 
 namespace {
 
@@ -127,11 +132,49 @@ void BM_InitialScoreGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_InitialScoreGeneration);
 
+/// BenchInstance's shape (5,000 users, |E| = 80, |T| = 60, 8 competing
+/// events per interval) with every interest row drawn independently, so
+/// no two events are twins: the fill gains nothing from profiles there
+/// and pays for them.
+const core::SesInstance& TwinFreeInstance() {
+  static const core::SesInstance* instance = [] {
+    constexpr uint32_t kUsers = 5000;
+    constexpr uint32_t kEvents = 80;
+    constexpr uint32_t kIntervals = 60;
+    constexpr uint32_t kCompetingPerInterval = 8;
+    util::Rng rng(5);
+    auto random_row = [&rng] {
+      std::vector<std::pair<core::UserIndex, float>> row;
+      for (core::UserIndex u = 0; u < kUsers; ++u) {
+        if (rng.Bernoulli(0.3)) {
+          row.push_back({u, static_cast<float>(rng.UniformDouble(0.05, 1.0))});
+        }
+      }
+      return row;
+    };
+    core::InstanceBuilder builder;
+    builder.SetNumUsers(kUsers)
+        .SetNumIntervals(kIntervals)
+        .SetTheta(20.0)
+        .SetSigma(std::make_shared<core::HashUniformSigma>(3));
+    for (uint32_t e = 0; e < kEvents; ++e) {
+      builder.AddEvent(e % 25, 1.0 + e % 5, random_row());
+    }
+    for (uint32_t c = 0; c < kIntervals * kCompetingPerInterval; ++c) {
+      builder.AddCompetingEvent(c / kCompetingPerInterval, random_row());
+    }
+    auto built = builder.Build();
+    SES_CHECK(built.ok()) << built.status().ToString();
+    return new core::SesInstance(std::move(built).value());
+  }();
+  return *instance;
+}
+
 /// The grid fill every greedy solver reads (Algorithm 1 lines 2-4):
 /// GenerateAssignmentScores with no warm start at threads 1, so every
 /// interval is scored in 4-interval blocks.
-void BM_GenerateAssignmentScores(benchmark::State& state) {
-  const core::SesInstance& instance = BenchInstance();
+void GenerateScores(benchmark::State& state,
+                    const core::SesInstance& instance) {
   core::SolverOptions options;
   options.threads = 1;
   const int64_t pairs = static_cast<int64_t>(instance.num_events()) *
@@ -145,7 +188,16 @@ void BM_GenerateAssignmentScores(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * pairs);
 }
+
+void BM_GenerateAssignmentScores(benchmark::State& state) {
+  GenerateScores(state, BenchInstance());
+}
 BENCHMARK(BM_GenerateAssignmentScores);
+
+void BM_GenerateAssignmentScoresTwinFree(benchmark::State& state) {
+  GenerateScores(state, TwinFreeInstance());
+}
+BENCHMARK(BM_GenerateAssignmentScoresTwinFree);
 
 // --------------------------------------------------------------------
 // Raw kernel benchmarks: the span loops in isolation, no model, no

@@ -14,7 +14,8 @@ AttendanceModel::AttendanceModel(const SesInstance& instance)
       // steady-state LoadInterval/TouchLoaded kernels only ever store
       // through pre-sized spans — no growth, no allocation (re-proven
       // at runtime by tests/core_hot_path_alloc_test.cc).
-      soa_(instance.num_users()) {}
+      soa_(instance.num_users()),
+      profile_gains_(instance.num_profiles()) {}
 
 void AttendanceModel::LoadInterval(IntervalIndex t) {
   if (loaded_ == t) return;
@@ -74,14 +75,21 @@ double AttendanceModel::MarginalGain(EventIndex e, IntervalIndex t) {
 
 uint64_t AttendanceModel::RescoreRow(IntervalIndex t,
                                      std::span<double> row) {
+  // A profile whose stamp is not this call's has not been scored yet.
+  ++rescore_calls_;
   uint64_t rescored = 0;
   for (EventIndex e = 0; e < row.size(); ++e) {
-    if (CanAssign(e, t)) {
-      row[e] = MarginalGain(e, t);
-      ++rescored;
-    } else {
+    if (!CanAssign(e, t)) {
       row[e] = kNoScore;
+      continue;
     }
+    ProfileGain& profile = profile_gains_[instance_->EventProfile(e)];
+    if (profile.call != rescore_calls_) {
+      profile.gain = MarginalGain(e, t);
+      profile.call = rescore_calls_;
+    }
+    row[e] = profile.gain;
+    ++rescored;
   }
   return rescored;
 }

@@ -40,11 +40,13 @@
 /// Loading an interval rebuilds that scratch from the instance: the
 /// competing-event mass, the provider's sigma row and the scheduled
 /// events, in that order. An update pass (RescoreRow) scores a whole
-/// interval row under one load.
+/// interval row under one load, and each profile in it once: twins
+/// (core/instance.h) have one row and so one gain.
 
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <vector>
 
 #include "core/instance.h"
 #include "core/kernels.h"
@@ -87,8 +89,10 @@ class AttendanceModel {
   /// The greedy family's update pass at interval \p t: row[e] =
   /// MarginalGain(e, t) for every event with CanAssign(e, t), and
   /// kNoScore for every other event. \p row is interval t's row of the
-  /// |T| x |E| score grid, |E| cells. Returns the number of cells
-  /// rescored.
+  /// |T| x |E| score grid, |E| cells. The first such event of each
+  /// profile is scored and its twins copy the gain, so
+  /// gain_evaluations() grows by the distinct profiles among them.
+  /// Returns the number of cells rescored, twins included.
   SES_HOT uint64_t RescoreRow(IntervalIndex t, std::span<double> row);
 
   /// Assigns e to t (must be valid) and updates the tracked utility by
@@ -124,6 +128,15 @@ class AttendanceModel {
   /// interval, as contiguous aligned spans (see core/kernels.h for the
   /// layout and the bit-identity contract of the kernels that walk it).
   IntervalSoA soa_;
+
+  /// RescoreRow's per-profile scratch, one entry per profile, sized at
+  /// construction: the call that last scored the profile, and its gain.
+  struct ProfileGain {
+    uint64_t call = 0;
+    double gain = 0.0;
+  };
+  std::vector<ProfileGain> profile_gains_;
+  uint64_t rescore_calls_ = 0;
 
   double total_utility_ = 0.0;
   uint64_t gain_evaluations_ = 0;

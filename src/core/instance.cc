@@ -1,6 +1,7 @@
 #include "core/instance.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/logging.h"
@@ -13,6 +14,42 @@ namespace {
 /// NaN fails the comparison, so it is rejected along with negatives.
 bool IsFiniteNonNegative(double x) { return x >= 0.0 && std::isfinite(x); }
 
+using Row = std::vector<std::pair<UserIndex, float>>;
+
+/// One (user, mu) entry as 64 bits: the user and the float's bits.
+uint64_t EntryBits(const std::pair<UserIndex, float>& entry) {
+  return (uint64_t{entry.first} << 32) | std::bit_cast<uint32_t>(entry.second);
+}
+
+/// Four independent multiply chains keep hashing near one entry per
+/// cycle; the final mix spreads every bit into the low bits the intern
+/// table indexes by.
+uint64_t HashRow(const Row& row) {
+  constexpr uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  uint64_t lanes[4] = {row.size(), 0, 0, 0};
+  size_t i = 0;
+  for (; i + 4 <= row.size(); i += 4) {
+    for (size_t lane = 0; lane < 4; ++lane) {
+      lanes[lane] = (lanes[lane] ^ EntryBits(row[i + lane])) * kMul;
+    }
+  }
+  for (; i < row.size(); ++i) lanes[0] = (lanes[0] ^ EntryBits(row[i])) * kMul;
+  uint64_t hash = 0;
+  for (const uint64_t lane : lanes) {
+    hash = (hash ^ lane) * kMul;
+    hash ^= hash >> 32;
+  }
+  return hash;
+}
+
+/// Equal users and equal float bits, entry by entry.
+bool SameRow(const Row& a, const Row& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const auto& x, const auto& y) {
+                      return EntryBits(x) == EntryBits(y);
+                    });
+}
+
 }  // namespace
 
 void InterestRows::Reserve(size_t rows, size_t entries) {
@@ -23,9 +60,13 @@ void InterestRows::Reserve(size_t rows, size_t entries) {
 
 uint32_t InterestRows::AddRow(
     std::span<const std::pair<UserIndex, float>> entries) {
-  for (const auto& [user, value] : entries) {
-    users_.push_back(user);
-    values_.push_back(value);
+  // Sized up front, so the copy loop has no capacity checks.
+  const size_t begin = users_.size();
+  users_.resize(begin + entries.size());
+  values_.resize(begin + entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    users_[begin + i] = entries[i].first;
+    values_[begin + i] = entries[i].second;
   }
   offsets_.push_back(users_.size());
   return static_cast<uint32_t>(offsets_.size() - 2);
@@ -58,6 +99,16 @@ const CandidateEventInfo& SesInstance::event(EventIndex e) const {
 const CompetingEventInfo& SesInstance::competing(CompetingIndex c) const {
   SES_CHECK_LT(c, competing_.size());
   return competing_[c];
+}
+
+uint32_t SesInstance::EventProfile(EventIndex e) const {
+  SES_CHECK_LT(e, event_profile_.size());
+  return event_profile_[e];
+}
+
+uint32_t SesInstance::CompetingProfile(CompetingIndex c) const {
+  SES_CHECK_LT(c, competing_profile_.size());
+  return competing_profile_[c];
 }
 
 std::span<const CompetingIndex> SesInstance::CompetingAt(
@@ -126,17 +177,56 @@ util::Status InstanceBuilder::ValidateRow(
   return util::Status::Ok();
 }
 
-void InstanceBuilder::MoveRows(std::vector<PendingRow>* pending,
-                              InterestRows* rows) {
-  size_t entries = 0;
-  for (const PendingRow& row : *pending) entries += row.entries.size();
-  rows->Reserve(pending->size(), entries);
-  // Each pending row is freed once copied, so the CSR grows into the
-  // memory the rows give back.
-  for (PendingRow& row : *pending) {
-    const auto copied = std::move(row.entries);
-    rows->AddRow(copied);
+void InstanceBuilder::InternRows(SesInstance* instance) {
+  const size_t num_events = event_rows_.size();
+  const size_t num_rows = num_events + competing_rows_.size();
+  auto row = [&](size_t i) -> PendingRow& {
+    return i < num_events ? event_rows_[i] : competing_rows_[i - num_events];
+  };
+
+  // Pass 1: number the profiles in order of first appearance. The table
+  // is open-addressed over profile ids and at most half full.
+  std::vector<uint32_t> profile(num_rows);
+  std::vector<size_t> first_row;  // per profile: its first pending row
+  first_row.reserve(num_rows);
+  constexpr uint32_t kEmpty = ~uint32_t{0};
+  std::vector<uint32_t> table(std::bit_ceil(2 * num_rows + 1), kEmpty);
+  const size_t mask = table.size() - 1;
+  size_t distinct_entries = 0;
+  for (size_t i = 0; i < num_rows; ++i) {
+    const PendingRow& pending = row(i);
+    if (i < num_events) {
+      instance->num_interest_entries_ += pending.entries.size();
+    }
+    size_t slot = pending.hash & mask;
+    for (; table[slot] != kEmpty; slot = (slot + 1) & mask) {
+      const PendingRow& first = row(first_row[table[slot]]);
+      if (first.hash == pending.hash &&
+          SameRow(first.entries, pending.entries)) {
+        break;
+      }
+    }
+    if (table[slot] == kEmpty) {
+      table[slot] = static_cast<uint32_t>(first_row.size());
+      first_row.push_back(i);
+      distinct_entries += pending.entries.size();
+    }
+    profile[i] = table[slot];
   }
+
+  // Pass 2: copy each profile's first row into one exact reservation and
+  // free every pending row once passed; a twin always follows the row it
+  // repeats.
+  InterestRows& rows = instance->profiles_;
+  rows.Reserve(first_row.size(), distinct_entries);
+  for (size_t i = 0; i < num_rows; ++i) {
+    const Row entries = std::move(row(i).entries);
+    if (profile[i] == rows.num_rows()) rows.AddRow(entries);
+  }
+  instance->event_profile_.assign(profile.begin(),
+                                  profile.begin() + num_events);
+  instance->competing_profile_.assign(profile.begin() + num_events,
+                                      profile.end());
 }
 
 util::Result<SesInstance> InstanceBuilder::Build() {
@@ -161,6 +251,8 @@ util::Result<SesInstance> InstanceBuilder::Build() {
           e, events_[e].required_resources));
     }
     SES_RETURN_IF_ERROR(ValidateRow(event_rows_[e].entries, "event", e));
+    // Hashed while validation has the row in cache.
+    event_rows_[e].hash = HashRow(event_rows_[e].entries);
   }
   for (size_t c = 0; c < competing_.size(); ++c) {
     if (competing_[c].interval >= num_intervals_) {
@@ -170,6 +262,7 @@ util::Result<SesInstance> InstanceBuilder::Build() {
     }
     SES_RETURN_IF_ERROR(
         ValidateRow(competing_rows_[c].entries, "competing event", c));
+    competing_rows_[c].hash = HashRow(competing_rows_[c].entries);
   }
 
   SesInstance instance;
@@ -184,8 +277,7 @@ util::Result<SesInstance> InstanceBuilder::Build() {
     instance.interval_competing_[instance.competing_[c].interval].push_back(
         static_cast<CompetingIndex>(c));
   }
-  MoveRows(&event_rows_, &instance.event_interest_);
-  MoveRows(&competing_rows_, &instance.competing_interest_);
+  InternRows(&instance);
   return instance;
 }
 

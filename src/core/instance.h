@@ -6,10 +6,17 @@
 /// T, competing events C, users U, interest function mu, activity
 /// probabilities sigma, organizer resources theta (paper Section II).
 ///
-/// Interests are stored as CSR sparse rows (event -> sorted (user, mu)
-/// pairs); virtually all users have zero interest in any given event, and
-/// every algorithm in this library only ever iterates the non-zero
-/// entries.
+/// Interests are stored as CSR sparse rows (sorted (user, mu) pairs);
+/// virtually all users have zero interest in any given event, and every
+/// algorithm in this library only ever iterates the non-zero entries.
+///
+/// Rows are interned: InstanceBuilder::Build keeps each distinct row, a
+/// *profile*, once, and candidate and competing events both map to
+/// profiles. Events with bit-identical rows are *twins*; the synthetic
+/// Meetup generator gives every event of one organizer group the same
+/// row, so most events have twins. A marginal gain depends on its event
+/// only through the row, so twins score alike and the score fill and
+/// AttendanceModel::RescoreRow score each profile once.
 
 #include <memory>
 #include <span>
@@ -35,7 +42,7 @@ struct CompetingEventInfo {
   IntervalIndex interval = kInvalidIndex;
 };
 
-/// CSR container of sparse per-event interest rows.
+/// CSR container of sparse interest rows.
 class InterestRows {
  public:
   /// Appends a row; \p entries must be sorted by user and hold mu in
@@ -47,9 +54,6 @@ class InterestRows {
 
   /// Number of rows.
   size_t num_rows() const { return offsets_.size() - 1; }
-
-  /// Total non-zero entries.
-  size_t num_entries() const { return users_.size(); }
 
   /// Sorted user ids of row \p row.
   std::span<const UserIndex> RowUsers(uint32_t row) const;
@@ -97,39 +101,51 @@ class SesInstance {
   /// Competing events pre-scheduled at interval \p t (C_t).
   std::span<const CompetingIndex> CompetingAt(IntervalIndex t) const;
 
+  /// Profile (distinct interest row) of candidate event \p e. Twins
+  /// share one; so do a candidate and a competing event with the same
+  /// row. Ids are dense in [0, num_profiles()).
+  uint32_t EventProfile(EventIndex e) const;
+
+  /// Profile of competing event \p c.
+  uint32_t CompetingProfile(CompetingIndex c) const;
+
+  /// Number of distinct interest rows among all events.
+  uint32_t num_profiles() const {
+    return static_cast<uint32_t>(profiles_.num_rows());
+  }
+
   /// Sparse interest row of candidate event \p e.
   std::span<const UserIndex> EventUsers(EventIndex e) const {
-    return event_interest_.RowUsers(e);
+    return profiles_.RowUsers(EventProfile(e));
   }
   std::span<const float> EventValues(EventIndex e) const {
-    return event_interest_.RowValues(e);
+    return profiles_.RowValues(EventProfile(e));
   }
 
   /// mu(user, candidate event); 0 when the user is uninterested.
   float EventInterest(EventIndex e, UserIndex u) const {
-    return event_interest_.ValueAt(e, u);
+    return profiles_.ValueAt(EventProfile(e), u);
   }
 
   /// Sparse interest row of competing event \p c.
   std::span<const UserIndex> CompetingUsers(CompetingIndex c) const {
-    return competing_interest_.RowUsers(c);
+    return profiles_.RowUsers(CompetingProfile(c));
   }
   std::span<const float> CompetingValues(CompetingIndex c) const {
-    return competing_interest_.RowValues(c);
+    return profiles_.RowValues(CompetingProfile(c));
   }
 
   /// mu(user, competing event); 0 when the user is uninterested.
   float CompetingInterest(CompetingIndex c, UserIndex u) const {
-    return competing_interest_.ValueAt(c, u);
+    return profiles_.ValueAt(CompetingProfile(c), u);
   }
 
   /// The activity-probability provider sigma.
   const SigmaProvider& sigma() const { return *sigma_; }
 
-  /// Total non-zero candidate interest entries (for reporting).
-  size_t num_interest_entries() const {
-    return event_interest_.num_entries();
-  }
+  /// Total non-zero candidate interest entries, every twin's counted
+  /// (for reporting).
+  size_t num_interest_entries() const { return num_interest_entries_; }
 
  private:
   friend class InstanceBuilder;
@@ -141,8 +157,11 @@ class SesInstance {
   std::vector<CandidateEventInfo> events_;
   std::vector<CompetingEventInfo> competing_;
   std::vector<std::vector<CompetingIndex>> interval_competing_;
-  InterestRows event_interest_;
-  InterestRows competing_interest_;
+  /// One row per profile.
+  InterestRows profiles_;
+  std::vector<uint32_t> event_profile_;
+  std::vector<uint32_t> competing_profile_;
+  size_t num_interest_entries_ = 0;
   std::shared_ptr<const SigmaProvider> sigma_;
 };
 
@@ -164,18 +183,23 @@ class InstanceBuilder {
       IntervalIndex interval,
       std::vector<std::pair<UserIndex, float>> interests);
 
-  /// Validates and produces the instance. The builder is left in a
-  /// moved-from state on success.
+  /// Validates and produces the instance, keeping each distinct
+  /// interest row once: rows are hashed, and rows with equal hashes are
+  /// compared user by user and float bit by float bit. The builder is
+  /// left in a moved-from state on success.
   [[nodiscard]] util::Result<SesInstance> Build();
 
  private:
   struct PendingRow {
     std::vector<std::pair<UserIndex, float>> entries;
+    /// Hash of the entries' users and float bits, set once validated.
+    uint64_t hash = 0;
   };
 
-  /// Copies \p pending into \p rows in one reservation, freeing each
-  /// pending row as it goes.
-  static void MoveRows(std::vector<PendingRow>* pending, InterestRows* rows);
+  /// Interns every pending row, candidate events first: sets each
+  /// event's profile and copies each distinct row into \p instance's
+  /// CSR in order of first appearance, freeing the pending rows.
+  void InternRows(SesInstance* instance);
 
   [[nodiscard]] util::Status ValidateRow(
       const std::vector<std::pair<UserIndex, float>>& row,

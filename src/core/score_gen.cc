@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <span>
 #include <thread>
 
 #include "core/attendance.h"
@@ -26,9 +27,26 @@ bool WarmStarted(const AttendanceModel* model, size_t t) {
          !model->schedule().EventsAt(static_cast<IntervalIndex>(t)).empty();
 }
 
-/// True when \p e is warm-started (its cells are left untouched).
-bool Assigned(const AttendanceModel* model, EventIndex e) {
-  return model != nullptr && model->schedule().IsAssigned(e);
+/// Per event, its representative: the first unassigned event with the
+/// same profile. The fill scores only representatives, and their twins
+/// copy their cells; a representative precedes its twins, so its cells
+/// in a row or block are written before they are copied. Warm-started
+/// events map to kInvalidIndex and keep their cells untouched. They are
+/// never representatives, so the next twin of one is scored itself.
+std::vector<EventIndex> Representatives(
+    const SesInstance& instance, std::span<const Assignment> warm_start) {
+  std::vector<EventIndex> representative(instance.num_events(), 0);
+  for (const Assignment& a : warm_start) {
+    representative[a.event] = kInvalidIndex;
+  }
+  std::vector<EventIndex> first(instance.num_profiles(), kInvalidIndex);
+  for (EventIndex e = 0; e < representative.size(); ++e) {
+    if (representative[e] == kInvalidIndex) continue;
+    EventIndex& profile_first = first[instance.EventProfile(e)];
+    if (profile_first == kInvalidIndex) profile_first = e;
+    representative[e] = profile_first;
+  }
+  return representative;
 }
 
 /// Loads the intervals lanes[0 .. width) into the block's lanes: D is
@@ -60,16 +78,20 @@ SES_HOT void LoadBlock(const SesInstance& instance, const size_t* lanes,
 
 /// Scores intervals [lo, hi) into the dense grid. The intervals with no
 /// warm-started event are gathered, adjacent or not, into blocks of
-/// kWidth that share one kernels::LuceGainBlock pass per event row; only
-/// the range's last block can be partial. An interval that holds a
-/// warm-started event is scored per pair on \p model, the only path
-/// exact for M != 0 (\p model is null when the warm start is empty).
-/// Returns the number of evaluations; sets \p termination and stops
-/// before the next block or row when the context says so.
+/// kWidth that share one kernels::LuceGainBlock pass per representative's
+/// row; only the range's last block can be partial. An interval that
+/// holds a warm-started event is scored per representative on \p model,
+/// the only path exact for M != 0 (\p model is null when the warm start
+/// is empty). Every other unassigned event copies its representative's
+/// cells: a gain depends on its event only through the row, so the copy
+/// is the gain bit for bit. Returns the number of evaluations; sets
+/// \p termination and stops before the next block or row when the
+/// context says so.
 ///
 /// SES_HOT: this is the per-shard fill of the O(|E|·|T|) generation
 /// pass — no per-cell allocation, locking, or IO.
 SES_HOT uint64_t ScoreRange(const SesInstance& instance,
+                            std::span<const EventIndex> representative,
                             AttendanceModel* model, IntervalBlock& block,
                             const SolveContext& context, size_t lo, size_t hi,
                             std::vector<double>& scores,
@@ -90,7 +112,12 @@ SES_HOT uint64_t ScoreRange(const SesInstance& instance,
       if (context.CheckStop(termination)) return evaluations;  // ses-lint: allow(hot-path) boundary poll, once per |E|-cell row
       double* SES_RESTRICT row = scores.data() + t * num_events;
       for (EventIndex e = 0; e < num_events; ++e) {
-        if (Assigned(model, e)) continue;
+        const EventIndex rep = representative[e];
+        if (rep == kInvalidIndex) continue;  // warm-started
+        if (rep != e) {
+          row[e] = row[rep];
+          continue;
+        }
         row[e] = model->MarginalGain(e, static_cast<IntervalIndex>(t));
         ++evaluations;
       }
@@ -103,7 +130,15 @@ SES_HOT uint64_t ScoreRange(const SesInstance& instance,
     double* SES_RESTRICT cells = scores.data();
     double gains[kWidth] = {};
     for (EventIndex e = 0; e < num_events; ++e) {
-      if (Assigned(model, e)) continue;
+      const EventIndex rep = representative[e];
+      if (rep == kInvalidIndex) continue;  // warm-started
+      if (rep != e) {
+        for (size_t lane = 0; lane < width; ++lane) {
+          cells[lanes[lane] * num_events + e] =
+              cells[lanes[lane] * num_events + rep];
+        }
+        continue;
+      }
       auto users = instance.EventUsers(e);
       auto values = instance.EventValues(e);
       kernels::LuceGainBlock(users.data(), values.data(), users.size(),
@@ -121,6 +156,7 @@ SES_HOT uint64_t ScoreRange(const SesInstance& instance,
 /// non-empty. Replaying the validated warm start puts the model in the
 /// exact schedule state the serial pass scores under.
 uint64_t ScoreShard(const SesInstance& instance, const SolverOptions& options,
+                    std::span<const EventIndex> representative,
                     const SolveContext& context, size_t lo, size_t hi,
                     std::vector<double>& scores, util::Status* termination) {
   IntervalBlock block(instance.num_users());
@@ -130,8 +166,8 @@ uint64_t ScoreShard(const SesInstance& instance, const SolverOptions& options,
     SES_CHECK(ApplyWarmStart(*model, options.warm_start).ok())
         << "warm start must be validated before score generation";
   }
-  return ScoreRange(instance, model ? &*model : nullptr, block, context, lo,
-                    hi, scores, termination);
+  return ScoreRange(instance, representative, model ? &*model : nullptr,
+                    block, context, lo, hi, scores, termination);
 }
 
 }  // namespace
@@ -145,6 +181,10 @@ ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
                num_intervals * static_cast<size_t>(instance.num_events()));
 
   ScoreGenResult result;
+  // The unassigned events are fixed for the whole fill, so every shard
+  // reads one representative table.
+  const std::vector<EventIndex> representative =
+      Representatives(instance, options.warm_start);
 
   // Resolve the shard budget: 1 = serial, 0 = every available lane.
   size_t max_shards;
@@ -158,9 +198,9 @@ ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
 
   if (max_shards == 1 || num_intervals <= 1) {
     // Serial reference path: one shard, no pool.
-    result.gain_evaluations = ScoreShard(instance, options, context, 0,
-                                         num_intervals, scores,
-                                         &result.termination);
+    result.gain_evaluations =
+        ScoreShard(instance, options, representative, context, 0,
+                   num_intervals, scores, &result.termination);
     return result;
   }
 
@@ -195,9 +235,10 @@ ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
         // Blocks and models keep per-interval scratch and are not
         // shareable across threads, so every shard builds its own.
         util::Status termination;
-        evaluations.fetch_add(ScoreShard(instance, options, context, lo, hi,
-                                         scores, &termination),
-                              std::memory_order_relaxed);
+        evaluations.fetch_add(
+            ScoreShard(instance, options, representative, context, lo, hi,
+                       scores, &termination),
+            std::memory_order_relaxed);
         if (!termination.ok()) {
           util::MutexLock lock(stop.mutex);
           if (stop.first_stop.ok()) stop.first_stop = std::move(termination);
@@ -245,7 +286,15 @@ InitialScores GetInitialScores(const SesInstance& instance,
   if (cache != nullptr) {
     scores.shared = cache->Get(instance);
     if (scores.shared != nullptr) {
-      scores.generated.gain_evaluations = scores.shared->size();
+      // What a fresh fill would count: one evaluation per candidate
+      // profile and interval.
+      const std::vector<EventIndex> representative =
+          Representatives(instance, {});
+      for (EventIndex e = 0; e < representative.size(); ++e) {
+        if (representative[e] == e) {
+          scores.generated.gain_evaluations += instance.num_intervals();
+        }
+      }
       return scores;
     }
   }

@@ -21,6 +21,11 @@
 /// a shard model that replays the warm start; a shard builds that model
 /// only when the warm start is non-empty.
 ///
+/// Twins (events with one profile, see core/instance.h) score alike, so
+/// each profile is scored once per interval: only the first unassigned
+/// event of a profile runs the kernel or MarginalGain, and its twins
+/// copy its cells.
+///
 /// Determinism contract: every cell bit-equals MarginalGain(e, t) on a
 /// fresh model holding the warm start, at every shard count, the serial
 /// path included. Each block lane folds D in the model's order and sums
@@ -53,10 +58,9 @@ namespace ses::core {
 /// Outcome of one generation pass.
 struct ScoreGenResult {
   /// Eq. 4 evaluations performed by the generation engines, which are
-  /// never the caller's own model: on a completed pass, the number of
-  /// unassigned (event, interval) pairs, at every shard count. Solvers
-  /// report model.gain_evaluations() + this, which equals the count of
-  /// one model scoring everything itself.
+  /// never the caller's own model: on a completed pass, (distinct
+  /// profiles among the unassigned events) x |T|, at every shard count.
+  /// Solvers report model.gain_evaluations() + this.
   uint64_t gain_evaluations = 0;
 
   /// OK on a completed pass; the stop status (kDeadlineExceeded /
@@ -124,8 +128,9 @@ struct InitialScores {
   /// This solve's own fill when no cache took it.
   std::vector<double> owned;
 
-  /// The fill's outcome. A borrowed grid reports an OK pass with
-  /// |E|·|T| evaluations, what a fresh fill with no warm start counts.
+  /// The fill's outcome. A borrowed grid reports an OK pass with the
+  /// evaluations a fresh fill with no warm start counts: distinct
+  /// candidate profiles x |T|.
   ScoreGenResult generated;
 
   /// The grid to read.

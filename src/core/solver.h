@@ -55,9 +55,12 @@ struct SolverOptions {
 
 /// Work counters reported by solvers for the paper's complexity analysis.
 struct SolverStats {
-  /// Eq. 4 evaluations (initial scores + updates + probes). A borrowed
-  /// session score grid (SolveContext::score_grid) counts its |E|·|T|
-  /// cells, as a fresh fill with no warm start does.
+  /// Eq. 4 evaluations performed (initial scores + updates + probes).
+  /// Twins (events with one profile, core/instance.h) share a gain, so
+  /// the score fill and the greedy update pass evaluate each profile
+  /// once per interval and copy the gain to the twins. A borrowed
+  /// session score grid (SolveContext::score_grid) counts what a fresh
+  /// fill with no warm start performs: distinct candidate profiles x |T|.
   uint64_t gain_evaluations = 0;
   /// Selections: GRD's popTopAssgn operations that placed an
   /// assignment, bestfit's placements, and the ranked entries TOP

@@ -105,10 +105,10 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t, std::size_t) noexcept {
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
-void operator delete[](void* p, std::align_val_t, std::size_t) noexcept {
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 

@@ -49,33 +49,41 @@ void ExpectSameResponse(const SolveResponse& actual,
   EXPECT_EQ(actual.stats.moves_tried, expected.stats.moves_tried);
 }
 
+// Also on twins (events sharing one interest row), where a fill scores
+// fewer profiles than events: a borrowed grid must report the fill's
+// evaluation count, not one per cell.
 TEST(SessionCacheTest, LoadSolveByIdMatchesSolveByReference) {
-  const core::SesInstance reference = test::MakeMediumInstance();
-  Scheduler scheduler(SchedulerOptions{.num_threads = 2});
-  for (const char* solver : {"grd", "lazy", "top", "bestfit", "rand"}) {
-    const bool reads_grid = std::string(solver) != "rand";
-    for (int64_t threads : {1, 0, 3}) {
-      SCOPED_TRACE(std::string(solver) + " threads=" +
-                   std::to_string(threads));
-      // A fresh session per combination, so its first request fills.
-      // Owning load: an identically-built copy moves into the scheduler.
-      ASSERT_TRUE(
-          scheduler.LoadInstance("meetup", test::MakeMediumInstance()).ok());
-      EXPECT_EQ(scheduler.LoadedInstances(),
-                std::vector<std::string>{"meetup"});
-      SolveRequest request = RequestFor(solver);
-      request.options.threads = threads;
-      const SolveResponse by_ref = scheduler.Solve(reference, request);
-      ASSERT_TRUE(by_ref.status.ok()) << by_ref.status.ToString();
+  for (const bool twins : {false, true}) {
+    test::RandomInstanceConfig config = test::MediumInstanceConfig();
+    config.twins = twins;
+    const core::SesInstance reference = test::MakeRandomInstance(config);
+    Scheduler scheduler(SchedulerOptions{.num_threads = 2});
+    for (const char* solver : {"grd", "lazy", "top", "bestfit", "rand"}) {
+      const bool reads_grid = std::string(solver) != "rand";
+      for (int64_t threads : {1, 0, 3}) {
+        SCOPED_TRACE(std::string(solver) + " threads=" +
+                     std::to_string(threads) + (twins ? " twins" : ""));
+        // A fresh session per combination, so its first request fills.
+        // Owning load: an identically-built copy moves into the scheduler.
+        ASSERT_TRUE(scheduler
+                        .LoadInstance("meetup", test::MakeRandomInstance(config))
+                        .ok());
+        EXPECT_EQ(scheduler.LoadedInstances(),
+                  std::vector<std::string>{"meetup"});
+        SolveRequest request = RequestFor(solver);
+        request.options.threads = threads;
+        const SolveResponse by_ref = scheduler.Solve(reference, request);
+        ASSERT_TRUE(by_ref.status.ok()) << by_ref.status.ToString();
 
-      const uint64_t reused = scheduler.Metrics().score_grid_reused;
-      ExpectSameResponse(scheduler.Solve("meetup", request), by_ref);
-      EXPECT_EQ(scheduler.Metrics().score_grid_reused, reused);
-      ExpectSameResponse(scheduler.Solve("meetup", request), by_ref);
-      ExpectSameResponse(scheduler.Submit("meetup", request).Get(), by_ref);
-      EXPECT_EQ(scheduler.Metrics().score_grid_reused,
-                reused + (reads_grid ? 2 : 0));
-      ASSERT_TRUE(scheduler.Drop("meetup").ok());
+        const uint64_t reused = scheduler.Metrics().score_grid_reused;
+        ExpectSameResponse(scheduler.Solve("meetup", request), by_ref);
+        EXPECT_EQ(scheduler.Metrics().score_grid_reused, reused);
+        ExpectSameResponse(scheduler.Solve("meetup", request), by_ref);
+        ExpectSameResponse(scheduler.Submit("meetup", request).Get(), by_ref);
+        EXPECT_EQ(scheduler.Metrics().score_grid_reused,
+                  reused + (reads_grid ? 2 : 0));
+        ASSERT_TRUE(scheduler.Drop("meetup").ok());
+      }
     }
   }
 }

@@ -1,5 +1,8 @@
 #include "core/attendance.h"
 
+#include <bit>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/objective.h"
@@ -178,6 +181,51 @@ TEST(AttendanceModelTest, GainEvaluationCounter) {
   model.MarginalGain(0, 0);
   model.MarginalGain(1, 0);
   EXPECT_EQ(model.gain_evaluations(), 2u);
+}
+
+// The update pass scores each profile once and copies the gain to its
+// twins: the row bit-equals a per-event MarginalGain sweep, and the
+// evaluation count grows by the distinct profiles among the events the
+// interval can still take. Intervals repeat, so a gain kept from an
+// earlier pass would show up stale.
+TEST(AttendanceModelTest, RescoreRowScoresEachProfileOnce) {
+  test::RandomInstanceConfig config;
+  config.num_events = 12;  // event e + 6 repeats event e's row
+  config.num_intervals = 3;
+  config.num_locations = 12;
+  config.theta = 20.0;
+  config.twins = true;
+  const SesInstance instance = test::MakeRandomInstance(config);
+  AttendanceModel model(instance);
+  std::vector<double> row(instance.num_events());
+  uint64_t copied = 0;
+  for (EventIndex placed = 0; placed < instance.num_events(); ++placed) {
+    const IntervalIndex t = placed % instance.num_intervals();
+    if (!model.CanAssign(placed, t)) continue;
+    model.Apply(placed, t);
+    std::vector<bool> seen(instance.num_profiles(), false);
+    uint64_t fits = 0;
+    uint64_t profiles = 0;
+    for (EventIndex e = 0; e < instance.num_events(); ++e) {
+      if (!model.CanAssign(e, t)) continue;
+      ++fits;
+      if (!seen[instance.EventProfile(e)]) ++profiles;
+      seen[instance.EventProfile(e)] = true;
+    }
+    const uint64_t before = model.gain_evaluations();
+    EXPECT_EQ(model.RescoreRow(t, row), fits) << "after placing " << placed;
+    EXPECT_EQ(model.gain_evaluations() - before, profiles)
+        << "after placing " << placed;
+    copied += fits - profiles;
+    for (EventIndex e = 0; e < instance.num_events(); ++e) {
+      const double expected =
+          model.CanAssign(e, t) ? model.MarginalGain(e, t) : kNoScore;
+      EXPECT_EQ(std::bit_cast<uint64_t>(row[e]),
+                std::bit_cast<uint64_t>(expected))
+          << "after placing " << placed << ", e=" << e;
+    }
+  }
+  EXPECT_GT(copied, 0u);
 }
 
 TEST(AttendanceModelTest, ZeroDenominatorUserContributesSigma) {

@@ -1,8 +1,11 @@
 #include "core/instance.h"
 
+#include <cmath>
 #include <memory>
 
 #include <gtest/gtest.h>
+
+#include "tests/test_util.h"
 
 namespace ses::core {
 namespace {
@@ -135,6 +138,82 @@ TEST(InstanceTest, CompetingEventsGroupedByInterval) {
   EXPECT_EQ(at1[1], 2u);
   EXPECT_FLOAT_EQ(instance->CompetingInterest(0, 0), 0.4f);
   EXPECT_FLOAT_EQ(instance->CompetingInterest(0, 3), 0.0f);
+}
+
+// --- Profiles: each distinct interest row is kept once ----------------------
+
+TEST(InstanceProfileTest, TwinsShareAProfile) {
+  test::RandomInstanceConfig config;
+  config.num_events = 9;
+  config.twins = true;
+  const SesInstance instance = test::MakeRandomInstance(config);
+  const uint32_t pairs = (config.num_events + 1) / 2;
+  size_t entries = 0;
+  size_t distinct_entries = 0;
+  for (EventIndex e = 0; e < instance.num_events(); ++e) {
+    entries += instance.EventUsers(e).size();
+    if (e < pairs) {
+      distinct_entries += instance.EventUsers(e).size();
+      continue;
+    }
+    EXPECT_EQ(instance.EventProfile(e), instance.EventProfile(e - pairs));
+    EXPECT_EQ(instance.EventUsers(e).data(),
+              instance.EventUsers(e - pairs).data());
+  }
+  // Events 0..pairs-1 and the competing rows are all distinct.
+  EXPECT_EQ(instance.num_profiles(), pairs + instance.num_competing());
+  for (EventIndex e = 1; e < pairs; ++e) {
+    EXPECT_NE(instance.EventProfile(e), instance.EventProfile(e - 1));
+  }
+  // Twin entries still count once per event.
+  EXPECT_EQ(instance.num_interest_entries(), entries);
+  EXPECT_GT(entries, distinct_entries);
+}
+
+TEST(InstanceProfileTest, RowsDifferingInOneUserOrOneBitAreDistinct) {
+  const float mu = 0.3f;
+  const float next = std::nextafter(mu, 1.0f);
+  auto builder = ValidBuilder();
+  builder.AddEvent(0, 1.0, {{0, 0.8f}, {2, mu}});
+  builder.AddEvent(0, 1.0, {{0, 0.8f}, {3, mu}});    // one user differs
+  builder.AddEvent(0, 1.0, {{0, 0.8f}, {2, next}});  // one float bit
+  builder.AddEvent(0, 1.0, {{0, 0.8f}});             // one entry fewer
+  builder.AddEvent(0, 1.0, {{0, 0.8f}, {2, mu}});    // a twin of event 0
+  builder.AddEvent(1, 1.0, {});
+  builder.AddEvent(1, 1.0, {});  // empty rows are twins too
+  auto instance = builder.Build();
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  EXPECT_EQ(instance->num_profiles(), 5u);
+  for (EventIndex e = 0; e < 4; ++e) {
+    for (EventIndex f = e + 1; f < 4; ++f) {
+      EXPECT_NE(instance->EventProfile(e), instance->EventProfile(f))
+          << e << " vs " << f;
+    }
+  }
+  EXPECT_EQ(instance->EventProfile(4), instance->EventProfile(0));
+  EXPECT_EQ(instance->EventProfile(5), instance->EventProfile(6));
+  EXPECT_EQ(instance->EventInterest(2, 2), next);
+  EXPECT_EQ(instance->EventInterest(4, 2), mu);
+  EXPECT_EQ(instance->num_interest_entries(), 9u);
+}
+
+TEST(InstanceProfileTest, CandidateAndCompetingRowsShareProfiles) {
+  auto builder = ValidBuilder();
+  builder.AddEvent(0, 1.0, {{1, 0.5f}, {3, 0.25f}});
+  builder.AddCompetingEvent(1, {{0, 0.5f}});
+  builder.AddCompetingEvent(0, {{1, 0.5f}, {3, 0.25f}});
+  builder.AddCompetingEvent(1, {{0, 0.5f}});
+  auto instance = builder.Build();
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  EXPECT_EQ(instance->num_profiles(), 2u);
+  EXPECT_EQ(instance->CompetingProfile(1), instance->EventProfile(0));
+  EXPECT_EQ(instance->CompetingProfile(0), instance->CompetingProfile(2));
+  EXPECT_NE(instance->CompetingProfile(0), instance->EventProfile(0));
+  EXPECT_EQ(instance->CompetingUsers(1).data(),
+            instance->EventUsers(0).data());
+  EXPECT_FLOAT_EQ(instance->CompetingInterest(1, 3), 0.25f);
+  // Competing entries are not candidate entries.
+  EXPECT_EQ(instance->num_interest_entries(), 2u);
 }
 
 }  // namespace

@@ -34,6 +34,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -531,10 +532,16 @@ SesInstance MakeInstanceWithSigma(const test::RandomInstanceConfig& config,
     }
     return row;
   };
+  // With config.twins, event e + ceil(|E| / 2) repeats event e's row.
+  const uint32_t pairs = (config.num_events + 1) / 2;
+  std::vector<std::vector<std::pair<UserIndex, float>>> rows;
   for (uint32_t e = 0; e < config.num_events; ++e) {
-    builder.AddEvent(
-        static_cast<LocationId>(rng.NextBounded(config.num_locations)),
-        rng.UniformDouble(config.xi_min, config.xi_max), random_row());
+    const auto location =
+        static_cast<LocationId>(rng.NextBounded(config.num_locations));
+    const double xi = rng.UniformDouble(config.xi_min, config.xi_max);
+    rows.push_back(config.twins && e >= pairs ? rows[e - pairs]
+                                              : random_row());
+    builder.AddEvent(location, xi, rows.back());
   }
   for (uint32_t t = 0; t < config.num_intervals; ++t) {
     const int count = util::PoissonSample(rng, config.competing_per_interval);
@@ -700,16 +707,20 @@ TEST(KernelDiffTest, ShardedScoreGenerationBitIdenticalAcrossThreads) {
 }
 
 /// A warm start for the grid pin: one feasible event at each interval
-/// \p pick selects, the lowest event index that fits there.
+/// \p pick selects, the lowest event index that fits there, or with
+/// \p from_last the highest.
 std::vector<Assignment> WarmStartAt(const SesInstance& instance,
                                     bool (*pick)(IntervalIndex t,
-                                                 IntervalIndex num)) {
+                                                 IntervalIndex num),
+                                    bool from_last) {
   AttendanceModel model(instance);
   std::vector<Assignment> warm;
   const IntervalIndex num = instance.num_intervals();
+  const EventIndex num_events = instance.num_events();
   for (IntervalIndex t = 0; t < num; ++t) {
     if (!pick(t, num)) continue;
-    for (EventIndex e = 0; e < instance.num_events(); ++e) {
+    for (EventIndex i = 0; i < num_events; ++i) {
+      const EventIndex e = from_last ? num_events - 1 - i : i;
       if (!model.CanAssign(e, t)) continue;
       model.Apply(e, t);
       warm.push_back({e, t});
@@ -721,60 +732,83 @@ std::vector<Assignment> WarmStartAt(const SesInstance& instance,
 
 // The grid every greedy solver reads, pinned against an independent
 // path: each unassigned cell bit-equals MarginalGain on a fresh model
-// holding the warm start, at every shard count. The |T| values and
-// warm starts give full blocks, partial blocks at shard tails, and
-// blocks gathered across warm-started intervals (which take the model
-// path, the only one exact for M != 0).
+// holding the warm start, at every shard count, and a completed fill
+// counts one evaluation per interval and distinct profile among the
+// unassigned events. The |T| values and warm starts give full blocks,
+// partial blocks at shard tails, and blocks gathered across
+// warm-started intervals (which take the model path, the only one
+// exact for M != 0). On the twin instances (event e + 6 repeats event
+// e's row) the lowest-index warm starts take representatives, so their
+// twins must be scored themselves, and the highest-index ones take
+// twins whose representatives stay unassigned.
 TEST(KernelDiffTest, ScoreGridMatchesPerPairSweep) {
   using Pick = bool (*)(IntervalIndex, IntervalIndex);
-  const std::pair<const char*, Pick> warm_cases[] = {
-      {"none", [](IntervalIndex, IntervalIndex) { return false; }},
-      {"one", [](IntervalIndex t, IntervalIndex n) { return t == n / 2; }},
+  struct WarmCase {
+    const char* name;
+    Pick pick;
+    bool from_last;
+  };
+  const WarmCase warm_cases[] = {
+      {"none", [](IntervalIndex, IntervalIndex) { return false; }, false},
+      {"one", [](IntervalIndex t, IntervalIndex n) { return t == n / 2; },
+       false},
       {"adjacent",
        [](IntervalIndex t, IntervalIndex n) {
          return t == (n - 1) / 2 || t == (n - 1) / 2 + 1;
-       }},
-      {"every-third",
-       [](IntervalIndex t, IntervalIndex) { return t % 3 == 0; }},
+       },
+       false},
+      {"every-third", [](IntervalIndex t, IntervalIndex) { return t % 3 == 0; },
+       false},
+      {"every-third-from-last",
+       [](IntervalIndex t, IntervalIndex) { return t % 3 == 0; }, true},
   };
   constexpr double kSentinel = -1234.5;
-  for (const SigmaKind kind :
-       {SigmaKind::kConst, SigmaKind::kDense, SigmaKind::kHashUniform}) {
-    for (const uint32_t num_intervals : {1u, 2u, 3u, 5u, 6u, 9u}) {
-      test::RandomInstanceConfig config;
-      config.num_users = 60;
-      config.num_events = 12;
-      config.num_intervals = num_intervals;
-      config.seed = 7 + num_intervals;
-      const SesInstance instance = MakeInstanceWithSigma(config, kind);
-      const size_t num_events = instance.num_events();
-      for (const auto& [warm_name, pick] : warm_cases) {
-        const std::vector<Assignment> warm = WarmStartAt(instance, pick);
-        AttendanceModel model(instance);
-        ASSERT_TRUE(ApplyWarmStart(model, warm).ok());
-        const uint64_t expected_evaluations =
-            (num_events - warm.size()) * num_intervals;
-        for (const int threads : {1, 2, 3, 0}) {
-          SolverOptions options;
-          options.threads = threads;
-          options.warm_start = warm;
-          std::vector<double> grid(num_events * num_intervals, kSentinel);
-          const ScoreGenResult result = GenerateAssignmentScores(
-              instance, options, SolveContext(), grid);
-          ASSERT_TRUE(result.termination.ok());
-          EXPECT_EQ(result.gain_evaluations, expected_evaluations)
-              << Name(kind) << " |T|=" << num_intervals << " warm "
-              << warm_name << " threads " << threads;
-          for (IntervalIndex t = 0; t < num_intervals; ++t) {
-            for (EventIndex e = 0; e < num_events; ++e) {
-              const double cell = grid[t * num_events + e];
-              const double expected = model.schedule().IsAssigned(e)
-                                          ? kSentinel
-                                          : model.MarginalGain(e, t);
-              EXPECT_TRUE(BitEq(cell, expected))
-                  << Name(kind) << " |T|=" << num_intervals << " warm "
-                  << warm_name << " threads " << threads << " e=" << e
-                  << " t=" << t;
+  for (const bool twins : {false, true}) {
+    for (const SigmaKind kind :
+         {SigmaKind::kConst, SigmaKind::kDense, SigmaKind::kHashUniform}) {
+      for (const uint32_t num_intervals : {1u, 2u, 3u, 5u, 6u, 9u}) {
+        test::RandomInstanceConfig config;
+        config.num_users = 60;
+        config.num_events = 12;
+        config.num_intervals = num_intervals;
+        config.seed = 7 + num_intervals;
+        config.twins = twins;
+        const SesInstance instance = MakeInstanceWithSigma(config, kind);
+        const size_t num_events = instance.num_events();
+        for (const WarmCase& warm_case : warm_cases) {
+          const std::vector<Assignment> warm =
+              WarmStartAt(instance, warm_case.pick, warm_case.from_last);
+          AttendanceModel model(instance);
+          ASSERT_TRUE(ApplyWarmStart(model, warm).ok());
+          std::vector<bool> scored(instance.num_profiles(), false);
+          uint64_t profiles = 0;
+          for (EventIndex e = 0; e < num_events; ++e) {
+            if (model.schedule().IsAssigned(e)) continue;
+            if (!scored[instance.EventProfile(e)]) ++profiles;
+            scored[instance.EventProfile(e)] = true;
+          }
+          EXPECT_EQ(profiles, twins ? 6u : num_events - warm.size());
+          for (const int threads : {1, 2, 3, 0}) {
+            SCOPED_TRACE(std::string(Name(kind)) + (twins ? " twins" : "") +
+                         " |T|=" + std::to_string(num_intervals) +
+                         " warm " + warm_case.name + " threads " +
+                         std::to_string(threads));
+            SolverOptions options;
+            options.threads = threads;
+            options.warm_start = warm;
+            std::vector<double> grid(num_events * num_intervals, kSentinel);
+            const ScoreGenResult result = GenerateAssignmentScores(
+                instance, options, SolveContext(), grid);
+            ASSERT_TRUE(result.termination.ok());
+            EXPECT_EQ(result.gain_evaluations, profiles * num_intervals);
+            for (IntervalIndex t = 0; t < num_intervals; ++t) {
+              for (EventIndex e = 0; e < num_events; ++e) {
+                const double cell = grid[t * num_events + e];
+                const double expected = model.schedule().IsAssigned(e)
+                                            ? kSentinel
+                                            : model.MarginalGain(e, t);
+                EXPECT_TRUE(BitEq(cell, expected)) << "e=" << e << " t=" << t;
+              }
             }
           }
         }

@@ -179,7 +179,9 @@ TEST(GreedySolverTest, StatsArepopulated) {
   GreedySolver grd;
   auto result = grd.Solve(instance, OptionsWithK(3));
   ASSERT_TRUE(result.ok());
-  // Initial generation = |E| * |T| evaluations at minimum.
+  // Initial generation = |E| * |T| evaluations at minimum: the fill
+  // scores each profile once per interval, and this fixture has no
+  // twins.
   EXPECT_GE(result->stats.gain_evaluations,
             static_cast<uint64_t>(instance.num_events()) *
                 instance.num_intervals());
@@ -272,7 +274,8 @@ TEST(TopKSolverTest, NeverUpdatesScores) {
   TopKSolver top;
   auto result = top.Solve(instance, OptionsWithK(3));
   ASSERT_TRUE(result.ok());
-  // TOP performs exactly the initial |E| x |T| evaluations.
+  // TOP performs exactly the fill's evaluations, one per profile and
+  // interval: |E| x |T| here, since this fixture has no twins.
   EXPECT_EQ(result->stats.gain_evaluations,
             static_cast<uint64_t>(instance.num_events()) *
                 instance.num_intervals());

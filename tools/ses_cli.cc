@@ -28,13 +28,16 @@
 ///       batch) first, so the dump shows live values.
 ///
 ///   info --instance=DIR | --data=DIR
-///       Prints shape statistics for an instance or a dataset.
+///       Prints shape statistics for an instance or a dataset; for an
+///       instance, also how many distinct interest rows (profiles) its
+///       candidate and competing rows hold.
 ///
 ///   lint [ses_lint flags and paths...]
 ///       Runs tools/ses_lint.py against this checkout (the repo root is
 ///       baked in at build time) with any extra arguments passed
 ///       through — `ses_cli lint --list-rules`, `ses_cli lint src`, etc.
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -385,18 +388,34 @@ int CmdInfo(int argc, const char* const* argv) {
   if (!instance_dir.empty()) {
     auto instance = core::LoadInstance(instance_dir);
     if (!instance.ok()) return Fail(instance.status());
+    // Distinct profiles among the candidate rows, then the competing.
+    std::vector<bool> seen(instance->num_profiles(), false);
+    uint32_t event_profiles = 0;
+    for (core::EventIndex e = 0; e < instance->num_events(); ++e) {
+      event_profiles += !seen[instance->EventProfile(e)];
+      seen[instance->EventProfile(e)] = true;
+    }
+    std::fill(seen.begin(), seen.end(), false);
     size_t competing_entries = 0;
+    uint32_t competing_profiles = 0;
     for (core::CompetingIndex c = 0; c < instance->num_competing(); ++c) {
       competing_entries += instance->CompetingUsers(c).size();
+      competing_profiles += !seen[instance->CompetingProfile(c)];
+      seen[instance->CompetingProfile(c)] = true;
     }
     std::printf(
         "|U|=%u |E|=%u |T|=%u |C|=%u theta=%.2f\n"
         "candidate interest entries: %zu\n"
-        "competing interest entries: %zu\n",
+        "competing interest entries: %zu\n"
+        "candidate rows: %u -> %u profiles\n"
+        "competing rows: %u -> %u profiles\n"
+        "profiles: %u\n",
         instance->num_users(), instance->num_events(),
         instance->num_intervals(), instance->num_competing(),
         instance->theta(), instance->num_interest_entries(),
-        competing_entries);
+        competing_entries, instance->num_events(), event_profiles,
+        instance->num_competing(), competing_profiles,
+        instance->num_profiles());
     return 0;
   }
   return Fail(
