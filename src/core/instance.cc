@@ -14,7 +14,7 @@ namespace {
 /// NaN fails the comparison, so it is rejected along with negatives.
 bool IsFiniteNonNegative(double x) { return x >= 0.0 && std::isfinite(x); }
 
-using Row = std::vector<std::pair<UserIndex, float>>;
+using Row = InstanceBuilder::Row;
 
 /// One (user, mu) entry as 64 bits: the user and the float's bits.
 uint64_t EntryBits(const std::pair<UserIndex, float>& entry) {
@@ -138,69 +138,64 @@ InstanceBuilder& InstanceBuilder::SetSigma(
   return *this;
 }
 
-EventIndex InstanceBuilder::AddEvent(
-    LocationId location, double required_resources,
-    std::vector<std::pair<UserIndex, float>> interests) {
+uint32_t InstanceBuilder::AddProfile(Row interests) {
+  rows_.push_back({std::move(interests)});
+  return static_cast<uint32_t>(rows_.size() - 1);
+}
+
+EventIndex InstanceBuilder::AddEventWithProfile(LocationId location,
+                                                double required_resources,
+                                                uint32_t profile) {
   events_.push_back({location, required_resources});
-  event_rows_.push_back({std::move(interests)});
+  event_rows_.push_back(profile);
   return static_cast<EventIndex>(events_.size() - 1);
 }
 
-CompetingIndex InstanceBuilder::AddCompetingEvent(
-    IntervalIndex interval,
-    std::vector<std::pair<UserIndex, float>> interests) {
+CompetingIndex InstanceBuilder::AddCompetingEventWithProfile(
+    IntervalIndex interval, uint32_t profile) {
   competing_.push_back({interval});
-  competing_rows_.push_back({std::move(interests)});
+  competing_rows_.push_back(profile);
   return static_cast<CompetingIndex>(competing_.size() - 1);
 }
 
-util::Status InstanceBuilder::ValidateRow(
-    const std::vector<std::pair<UserIndex, float>>& row, const char* what,
-    size_t index) const {
+util::Status InstanceBuilder::ValidateRow(const Row& row, size_t index) const {
   for (size_t i = 0; i < row.size(); ++i) {
     const auto& [user, value] = row[i];
     if (user >= num_users_) {
       return util::Status::OutOfRange(util::StrFormat(
-          "%s %zu: user %u out of range (|U|=%u)", what, index, user,
+          "profile %zu: user %u out of range (|U|=%u)", index, user,
           num_users_));
     }
     if (!(value > 0.0f) || value > 1.0f) {
-      return util::Status::InvalidArgument(util::StrFormat(
-          "%s %zu: interest %f outside (0,1]", what, index,
-          static_cast<double>(value)));
+      return util::Status::InvalidArgument(
+          util::StrFormat("profile %zu: interest %f outside (0,1]", index,
+                          static_cast<double>(value)));
     }
     if (i > 0 && row[i - 1].first >= user) {
       return util::Status::FailedPrecondition(util::StrFormat(
-          "%s %zu: interest row not sorted/unique by user", what, index));
+          "profile %zu: interest row not sorted/unique by user", index));
     }
   }
   return util::Status::Ok();
 }
 
 void InstanceBuilder::InternRows(SesInstance* instance) {
-  const size_t num_events = event_rows_.size();
-  const size_t num_rows = num_events + competing_rows_.size();
-  auto row = [&](size_t i) -> PendingRow& {
-    return i < num_events ? event_rows_[i] : competing_rows_[i - num_events];
-  };
-
-  // Pass 1: number the profiles in order of first appearance. The table
-  // is open-addressed over profile ids and at most half full.
-  std::vector<uint32_t> profile(num_rows);
-  std::vector<size_t> first_row;  // per profile: its first pending row
-  first_row.reserve(num_rows);
+  // Pass 1: number the profiles in order of first use, candidate events
+  // first. The table is open-addressed over profile ids and at most half
+  // full; a pending row that repeats a profile is freed once compared.
   constexpr uint32_t kEmpty = ~uint32_t{0};
-  std::vector<uint32_t> table(std::bit_ceil(2 * num_rows + 1), kEmpty);
+  std::vector<uint32_t> profile(rows_.size(), kEmpty);  // per pending row
+  std::vector<uint32_t> first_row;  // per profile: its first pending row
+  first_row.reserve(rows_.size());
+  std::vector<uint32_t> table(std::bit_ceil(2 * rows_.size() + 1), kEmpty);
   const size_t mask = table.size() - 1;
   size_t distinct_entries = 0;
-  for (size_t i = 0; i < num_rows; ++i) {
-    const PendingRow& pending = row(i);
-    if (i < num_events) {
-      instance->num_interest_entries_ += pending.entries.size();
-    }
+  auto intern = [&](uint32_t r) {
+    if (profile[r] != kEmpty) return profile[r];
+    PendingRow& pending = rows_[r];
     size_t slot = pending.hash & mask;
     for (; table[slot] != kEmpty; slot = (slot + 1) & mask) {
-      const PendingRow& first = row(first_row[table[slot]]);
+      const PendingRow& first = rows_[first_row[table[slot]]];
       if (first.hash == pending.hash &&
           SameRow(first.entries, pending.entries)) {
         break;
@@ -208,25 +203,33 @@ void InstanceBuilder::InternRows(SesInstance* instance) {
     }
     if (table[slot] == kEmpty) {
       table[slot] = static_cast<uint32_t>(first_row.size());
-      first_row.push_back(i);
+      first_row.push_back(r);
       distinct_entries += pending.entries.size();
+    } else {
+      Row().swap(pending.entries);
     }
-    profile[i] = table[slot];
+    return profile[r] = table[slot];
+  };
+  instance->event_profile_.resize(event_rows_.size());
+  for (size_t e = 0; e < event_rows_.size(); ++e) {
+    const uint32_t p = intern(event_rows_[e]);
+    instance->event_profile_[e] = p;
+    instance->num_interest_entries_ += rows_[first_row[p]].entries.size();
+  }
+  instance->competing_profile_.resize(competing_rows_.size());
+  for (size_t c = 0; c < competing_rows_.size(); ++c) {
+    instance->competing_profile_[c] = intern(competing_rows_[c]);
   }
 
-  // Pass 2: copy each profile's first row into one exact reservation and
-  // free every pending row once passed; a twin always follows the row it
-  // repeats.
+  // Pass 2: copy each profile's row into one exact reservation, freeing
+  // it once copied.
   InterestRows& rows = instance->profiles_;
   rows.Reserve(first_row.size(), distinct_entries);
-  for (size_t i = 0; i < num_rows; ++i) {
-    const Row entries = std::move(row(i).entries);
-    if (profile[i] == rows.num_rows()) rows.AddRow(entries);
+  for (const uint32_t r : first_row) {
+    rows.AddRow(rows_[r].entries);
+    Row().swap(rows_[r].entries);
   }
-  instance->event_profile_.assign(profile.begin(),
-                                  profile.begin() + num_events);
-  instance->competing_profile_.assign(profile.begin() + num_events,
-                                      profile.end());
+  rows_.clear();
 }
 
 util::Result<SesInstance> InstanceBuilder::Build() {
@@ -244,15 +247,22 @@ util::Result<SesInstance> InstanceBuilder::Build() {
   if (sigma_ == nullptr) {
     return util::Status::InvalidArgument("sigma provider not set");
   }
+  for (size_t r = 0; r < rows_.size(); ++r) {
+    SES_RETURN_IF_ERROR(ValidateRow(rows_[r].entries, r));
+    // Hashed while validation has the row in cache.
+    rows_[r].hash = HashRow(rows_[r].entries);
+  }
   for (size_t e = 0; e < events_.size(); ++e) {
     if (!IsFiniteNonNegative(events_[e].required_resources)) {
       return util::Status::InvalidArgument(util::StrFormat(
           "event %zu: required resources %g must be finite and non-negative",
           e, events_[e].required_resources));
     }
-    SES_RETURN_IF_ERROR(ValidateRow(event_rows_[e].entries, "event", e));
-    // Hashed while validation has the row in cache.
-    event_rows_[e].hash = HashRow(event_rows_[e].entries);
+    if (event_rows_[e] >= rows_.size()) {
+      return util::Status::OutOfRange(util::StrFormat(
+          "event %zu: profile %u out of range (%zu added)", e,
+          event_rows_[e], rows_.size()));
+    }
   }
   for (size_t c = 0; c < competing_.size(); ++c) {
     if (competing_[c].interval >= num_intervals_) {
@@ -260,9 +270,11 @@ util::Result<SesInstance> InstanceBuilder::Build() {
           "competing event %zu: interval %u out of range", c,
           competing_[c].interval));
     }
-    SES_RETURN_IF_ERROR(
-        ValidateRow(competing_rows_[c].entries, "competing event", c));
-    competing_rows_[c].hash = HashRow(competing_rows_[c].entries);
+    if (competing_rows_[c] >= rows_.size()) {
+      return util::Status::OutOfRange(util::StrFormat(
+          "competing event %zu: profile %u out of range (%zu added)", c,
+          competing_rows_[c], rows_.size()));
+    }
   }
 
   SesInstance instance;

@@ -16,10 +16,12 @@
 /// Meetup generator gives every event of one organizer group the same
 /// row, so most events have twins. A marginal gain depends on its event
 /// only through the row, so twins score alike and the score fill and
-/// AttendanceModel::RescoreRow score each profile once.
+/// AttendanceModel::RescoreRow score each profile once, and
+/// SaveInstance writes each profile once.
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/sigma.h"
@@ -103,7 +105,8 @@ class SesInstance {
 
   /// Profile (distinct interest row) of candidate event \p e. Twins
   /// share one; so do a candidate and a competing event with the same
-  /// row. Ids are dense in [0, num_profiles()).
+  /// row. Ids are dense in [0, num_profiles()) and numbered in order of
+  /// first use: candidate events in order, then competing events.
   uint32_t EventProfile(EventIndex e) const;
 
   /// Profile of competing event \p c.
@@ -114,12 +117,20 @@ class SesInstance {
     return static_cast<uint32_t>(profiles_.num_rows());
   }
 
+  /// Sparse interest row of profile \p p.
+  std::span<const UserIndex> ProfileUsers(uint32_t p) const {
+    return profiles_.RowUsers(p);
+  }
+  std::span<const float> ProfileValues(uint32_t p) const {
+    return profiles_.RowValues(p);
+  }
+
   /// Sparse interest row of candidate event \p e.
   std::span<const UserIndex> EventUsers(EventIndex e) const {
-    return profiles_.RowUsers(EventProfile(e));
+    return ProfileUsers(EventProfile(e));
   }
   std::span<const float> EventValues(EventIndex e) const {
-    return profiles_.RowValues(EventProfile(e));
+    return ProfileValues(EventProfile(e));
   }
 
   /// mu(user, candidate event); 0 when the user is uninterested.
@@ -129,10 +140,10 @@ class SesInstance {
 
   /// Sparse interest row of competing event \p c.
   std::span<const UserIndex> CompetingUsers(CompetingIndex c) const {
-    return profiles_.RowUsers(CompetingProfile(c));
+    return ProfileUsers(CompetingProfile(c));
   }
   std::span<const float> CompetingValues(CompetingIndex c) const {
-    return profiles_.RowValues(CompetingProfile(c));
+    return ProfileValues(CompetingProfile(c));
   }
 
   /// mu(user, competing event); 0 when the user is uninterested.
@@ -166,22 +177,48 @@ class SesInstance {
 };
 
 /// Step-by-step construction and validation of a SesInstance.
+///
+/// Interest rows are added either with their event (AddEvent,
+/// AddCompetingEvent) or once through AddProfile and then named by id
+/// (AddEventWithProfile, AddCompetingEventWithProfile), so a caller that
+/// knows its twins hands each distinct row over only once.
 class InstanceBuilder {
  public:
+  using Row = std::vector<std::pair<UserIndex, float>>;
+
   InstanceBuilder& SetNumUsers(uint32_t n);
   InstanceBuilder& SetNumIntervals(uint32_t n);
   InstanceBuilder& SetTheta(double theta);
   InstanceBuilder& SetSigma(std::shared_ptr<const SigmaProvider> sigma);
 
-  /// Adds a candidate event. \p interests: sorted by user, mu in (0, 1].
-  /// Returns its EventIndex.
-  EventIndex AddEvent(LocationId location, double required_resources,
-                      std::vector<std::pair<UserIndex, float>> interests);
+  /// Adds an interest row: sorted by user, mu in (0, 1]. Returns its
+  /// id, numbered from 0 in the order of the calls; Build keeps only
+  /// the rows that events name, each distinct row once.
+  uint32_t AddProfile(Row interests);
 
-  /// Adds a competing event pre-scheduled at \p interval.
-  CompetingIndex AddCompetingEvent(
-      IntervalIndex interval,
-      std::vector<std::pair<UserIndex, float>> interests);
+  /// Adds a candidate event whose row is \p profile, an id AddProfile
+  /// returns by the time Build runs. Returns its EventIndex.
+  EventIndex AddEventWithProfile(LocationId location,
+                                 double required_resources,
+                                 uint32_t profile);
+
+  /// Adds a competing event pre-scheduled at \p interval whose row is
+  /// \p profile.
+  CompetingIndex AddCompetingEventWithProfile(IntervalIndex interval,
+                                              uint32_t profile);
+
+  /// Adds a candidate event with its own row.
+  EventIndex AddEvent(LocationId location, double required_resources,
+                      Row interests) {
+    return AddEventWithProfile(location, required_resources,
+                               AddProfile(std::move(interests)));
+  }
+
+  /// Adds a competing event with its own row.
+  CompetingIndex AddCompetingEvent(IntervalIndex interval, Row interests) {
+    return AddCompetingEventWithProfile(interval,
+                                        AddProfile(std::move(interests)));
+  }
 
   /// Validates and produces the instance, keeping each distinct
   /// interest row once: rows are hashed, and rows with equal hashes are
@@ -191,28 +228,27 @@ class InstanceBuilder {
 
  private:
   struct PendingRow {
-    std::vector<std::pair<UserIndex, float>> entries;
+    Row entries;
     /// Hash of the entries' users and float bits, set once validated.
     uint64_t hash = 0;
   };
 
-  /// Interns every pending row, candidate events first: sets each
-  /// event's profile and copies each distinct row into \p instance's
-  /// CSR in order of first appearance, freeing the pending rows.
+  /// Interns the pending rows that events name, candidate events first:
+  /// sets each event's profile and copies each distinct row into
+  /// \p instance's CSR in order of first use, freeing the pending rows.
   void InternRows(SesInstance* instance);
 
-  [[nodiscard]] util::Status ValidateRow(
-      const std::vector<std::pair<UserIndex, float>>& row,
-      const char* what, size_t index) const;
+  [[nodiscard]] util::Status ValidateRow(const Row& row, size_t index) const;
 
   uint32_t num_users_ = 0;
   uint32_t num_intervals_ = 0;
   double theta_ = 0.0;
   std::shared_ptr<const SigmaProvider> sigma_;
+  std::vector<PendingRow> rows_;
   std::vector<CandidateEventInfo> events_;
-  std::vector<PendingRow> event_rows_;
+  std::vector<uint32_t> event_rows_;
   std::vector<CompetingEventInfo> competing_;
-  std::vector<PendingRow> competing_rows_;
+  std::vector<uint32_t> competing_rows_;
 };
 
 }  // namespace ses::core

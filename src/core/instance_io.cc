@@ -24,14 +24,12 @@ constexpr int kDoubleDigits = 17;
 /// Exclusive bound of a value that is narrowed to uint32_t.
 constexpr uint64_t kUint32Bound = uint64_t{1} << 32;
 
-using InterestRow = std::vector<std::pair<UserIndex, float>>;
-
 /// One instance CSV being read: checks the header line, splits each
 /// data row into as many fields as the header has, and parses fields
 /// with std::from_chars. Every error names "<path>:<line>".
 class CsvInput {
  public:
-  static constexpr size_t kMaxFields = 3;
+  static constexpr size_t kMaxFields = 4;
 
   CsvInput(const std::string& dir, std::string_view file,
            std::string_view header)
@@ -128,7 +126,7 @@ class CsvInput {
     return Status(code, reader_.Where() + ": " + message);
   }
 
- private:
+  /// An Error about field \p i: "<column> '<text>' <message>".
   Status FieldError(StatusCode code, size_t i,
                     const std::string& message) const {
     std::string_view column = header_;
@@ -140,6 +138,7 @@ class CsvInput {
                            "' " + message);
   }
 
+ private:
   Status FieldCountError() const {
     return Error(StatusCode::kParseError,
                  "expected " + std::to_string(num_fields_) + " fields");
@@ -221,41 +220,60 @@ Status ReadMeta(const std::string& dir, Meta* meta) {
   return Status::Ok();
 }
 
-/// Reads "<row id>,user_id,mu" triplets, in any order, into \p rows.
-Status ReadInterests(const std::string& dir, std::string_view file,
-                     std::string_view header, uint32_t num_users,
-                     std::vector<InterestRow>* rows) {
-  CsvInput in(dir, file, header);
-  SES_RETURN_IF_ERROR(in.ReadHeader());
-  Status status;
-  while (in.Next(&status)) {
-    uint32_t row = 0;
-    uint32_t user = 0;
-    double mu = 0.0;
-    SES_RETURN_IF_ERROR(in.Index(0, rows->size(), &row));
-    SES_RETURN_IF_ERROR(in.Index(1, num_users, &user));
-    SES_RETURN_IF_ERROR(in.Parse(2, &mu));
-    (*rows)[row].emplace_back(user, static_cast<float>(mu));
-  }
-  return status;
+/// Parses field \p i of \p in as a profile id under the first-use rule:
+/// an id already named, or \p num_profiles, which names one more.
+Status ReadProfileId(const CsvInput& in, size_t i, uint32_t* num_profiles,
+                     uint32_t* profile) {
+  SES_RETURN_IF_ERROR(in.Index(i, uint64_t{*num_profiles} + 1, profile));
+  if (*profile == *num_profiles) ++*num_profiles;
+  return Status::Ok();
 }
 
-/// Writes one "<row id>,user_id,mu" line per entry of rows [0, num_rows);
-/// \p row_of(r) returns the (users, values) spans of row r.
-template <typename RowOf>
-Status WriteInterests(const std::string& path, std::string_view header,
-                      uint32_t num_rows, RowOf row_of) {
-  BufferedWriter out(path);
-  out.Append(header).Append('\n');
-  for (uint32_t r = 0; r < num_rows; ++r) {
-    const auto [users, values] = row_of(r);
-    for (size_t i = 0; i < users.size(); ++i) {
-      out.AppendUint(r).Append(',').AppendUint(users[i]).Append(',');
-      out.AppendDouble(static_cast<double>(values[i]), kFloatDigits)
-          .Append('\n');
+/// Reads profiles.csv's rows, checking each entry as it parses it, and
+/// hands each of the \p num_profiles rows to \p builder once, in id
+/// order; a profile without rows is an empty row. \p in has read its
+/// header.
+Status ReadProfiles(CsvInput& in, uint32_t num_users, uint32_t num_profiles,
+                    InstanceBuilder* builder) {
+  InstanceBuilder::Row row;  // the current profile's; keeps its capacity
+  uint32_t current = 0;
+  auto finish_until = [&](uint32_t profile) {
+    for (; current < profile; ++current) {
+      builder->AddProfile(row);  // an exact-size copy
+      row.clear();
     }
+  };
+  Status status;
+  while (in.Next(&status)) {
+    uint32_t profile = 0;
+    uint32_t user = 0;
+    double mu = 0.0;
+    SES_RETURN_IF_ERROR(in.Index(0, num_profiles, &profile));
+    if (profile < current) {
+      return in.FieldError(StatusCode::kParseError, 0,
+                           "is out of order, after profile " +
+                               std::to_string(current));
+    }
+    finish_until(profile);
+    SES_RETURN_IF_ERROR(in.Index(1, num_users, &user));
+    if (!row.empty() && user <= row.back().first) {
+      return in.FieldError(StatusCode::kParseError, 1,
+                           "is not above the previous user " +
+                               std::to_string(row.back().first) +
+                               " of profile " + std::to_string(profile));
+    }
+    SES_RETURN_IF_ERROR(in.Parse(2, &mu));
+    // Range-checked before narrowing: a double beyond float's range does
+    // not convert.
+    if (!(mu > 0.0) || mu > 1.0 || static_cast<float>(mu) == 0.0f) {
+      return in.FieldError(StatusCode::kParseError, 2,
+                           "is outside (0, 1] as a float");
+    }
+    row.emplace_back(user, static_cast<float>(mu));
   }
-  return out.Close();
+  SES_RETURN_IF_ERROR(status);
+  finish_until(num_profiles);
+  return Status::Ok();
 }
 
 }  // namespace
@@ -287,94 +305,88 @@ Status SaveInstance(const SesInstance& instance, const SigmaSpec& sigma_spec,
   }
   {
     BufferedWriter out(dir + "/events.csv");
-    out.Append("event_id,location,required_resources\n");
+    out.Append("event_id,location,required_resources,profile\n");
     for (EventIndex e = 0; e < instance.num_events(); ++e) {
       out.AppendUint(e).Append(',').AppendUint(instance.event(e).location);
       out.Append(',')
           .AppendDouble(instance.event(e).required_resources, kDoubleDigits)
+          .Append(',')
+          .AppendUint(instance.EventProfile(e))
           .Append('\n');
     }
     SES_RETURN_IF_ERROR(out.Close());
   }
-  SES_RETURN_IF_ERROR(WriteInterests(
-      dir + "/event_interests.csv", "event_id,user_id,mu",
-      instance.num_events(), [&instance](EventIndex e) {
-        return std::pair(instance.EventUsers(e), instance.EventValues(e));
-      }));
   {
     BufferedWriter out(dir + "/competing.csv");
-    out.Append("competing_id,interval\n");
+    out.Append("competing_id,interval,profile\n");
     for (CompetingIndex c = 0; c < instance.num_competing(); ++c) {
       out.AppendUint(c).Append(',').AppendUint(instance.competing(c).interval);
-      out.Append('\n');
+      out.Append(',').AppendUint(instance.CompetingProfile(c)).Append('\n');
     }
     SES_RETURN_IF_ERROR(out.Close());
   }
-  return WriteInterests(
-      dir + "/competing_interests.csv", "competing_id,user_id,mu",
-      instance.num_competing(), [&instance](CompetingIndex c) {
-        return std::pair(instance.CompetingUsers(c),
-                         instance.CompetingValues(c));
-      });
+  BufferedWriter out(dir + "/profiles.csv");
+  out.Append("profile_id,user_id,mu\n");
+  for (uint32_t p = 0; p < instance.num_profiles(); ++p) {
+    const auto users = instance.ProfileUsers(p);
+    const auto values = instance.ProfileValues(p);
+    for (size_t i = 0; i < users.size(); ++i) {
+      out.AppendUint(p).Append(',').AppendUint(users[i]).Append(',');
+      out.AppendDouble(static_cast<double>(values[i]), kFloatDigits)
+          .Append('\n');
+    }
+  }
+  return out.Close();
 }
 
 Result<SesInstance> LoadInstance(const std::string& dir) {
+  // Opened first, so that a directory in the layout before profiles.csv
+  // fails naming it; its rows are read last, once the profile column
+  // has numbered the profiles.
+  CsvInput profiles(dir, "profiles.csv", "profile_id,user_id,mu");
+  SES_RETURN_IF_ERROR(profiles.ReadHeader());
   Meta meta;
   SES_RETURN_IF_ERROR(ReadMeta(dir, &meta));
-
-  struct EventRow {
-    LocationId location = 0;
-    double resources = 0.0;
-  };
-  std::vector<EventRow> events;
-  {
-    CsvInput in(dir, "events.csv", "event_id,location,required_resources");
-    SES_RETURN_IF_ERROR(in.ReadHeader());
-    Status status;
-    while (in.Next(&status)) {
-      EventRow event;
-      SES_RETURN_IF_ERROR(in.ExpectId(events.size()));
-      SES_RETURN_IF_ERROR(in.Index(1, kUint32Bound, &event.location));
-      SES_RETURN_IF_ERROR(in.Parse(2, &event.resources));
-      events.push_back(event);
-    }
-    SES_RETURN_IF_ERROR(status);
-  }
-  std::vector<InterestRow> event_rows(events.size());
-  SES_RETURN_IF_ERROR(ReadInterests(dir, "event_interests.csv",
-                                    "event_id,user_id,mu", meta.users,
-                                    &event_rows));
-
-  std::vector<IntervalIndex> competing;
-  {
-    CsvInput in(dir, "competing.csv", "competing_id,interval");
-    SES_RETURN_IF_ERROR(in.ReadHeader());
-    Status status;
-    while (in.Next(&status)) {
-      IntervalIndex interval = 0;
-      SES_RETURN_IF_ERROR(in.ExpectId(competing.size()));
-      SES_RETURN_IF_ERROR(in.Index(1, meta.intervals, &interval));
-      competing.push_back(interval);
-    }
-    SES_RETURN_IF_ERROR(status);
-  }
-  std::vector<InterestRow> competing_rows(competing.size());
-  SES_RETURN_IF_ERROR(ReadInterests(dir, "competing_interests.csv",
-                                    "competing_id,user_id,mu", meta.users,
-                                    &competing_rows));
-
   InstanceBuilder builder;
   builder.SetNumUsers(meta.users)
       .SetNumIntervals(meta.intervals)
       .SetTheta(meta.theta)
       .SetSigma(meta.sigma.Instantiate());
-  for (size_t e = 0; e < events.size(); ++e) {
-    builder.AddEvent(events[e].location, events[e].resources,
-                     std::move(event_rows[e]));
+
+  uint32_t num_profiles = 0;
+  {
+    CsvInput in(dir, "events.csv",
+                "event_id,location,required_resources,profile");
+    SES_RETURN_IF_ERROR(in.ReadHeader());
+    Status status;
+    for (EventIndex e = 0; in.Next(&status); ++e) {
+      LocationId location = 0;
+      double resources = 0.0;
+      uint32_t profile = 0;
+      SES_RETURN_IF_ERROR(in.ExpectId(e));
+      SES_RETURN_IF_ERROR(in.Index(1, kUint32Bound, &location));
+      SES_RETURN_IF_ERROR(in.Parse(2, &resources));
+      SES_RETURN_IF_ERROR(ReadProfileId(in, 3, &num_profiles, &profile));
+      builder.AddEventWithProfile(location, resources, profile);
+    }
+    SES_RETURN_IF_ERROR(status);
   }
-  for (size_t c = 0; c < competing.size(); ++c) {
-    builder.AddCompetingEvent(competing[c], std::move(competing_rows[c]));
+  {
+    CsvInput in(dir, "competing.csv", "competing_id,interval,profile");
+    SES_RETURN_IF_ERROR(in.ReadHeader());
+    Status status;
+    for (CompetingIndex c = 0; in.Next(&status); ++c) {
+      IntervalIndex interval = 0;
+      uint32_t profile = 0;
+      SES_RETURN_IF_ERROR(in.ExpectId(c));
+      SES_RETURN_IF_ERROR(in.Index(1, meta.intervals, &interval));
+      SES_RETURN_IF_ERROR(ReadProfileId(in, 2, &num_profiles, &profile));
+      builder.AddCompetingEventWithProfile(interval, profile);
+    }
+    SES_RETURN_IF_ERROR(status);
   }
+  SES_RETURN_IF_ERROR(
+      ReadProfiles(profiles, meta.users, num_profiles, &builder));
   return builder.Build();
 }
 

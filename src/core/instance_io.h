@@ -7,12 +7,18 @@
 /// standard tooling, and re-solved elsewhere.
 ///
 /// Layout (all files written by SaveInstance):
-///   meta.csv                key,value rows: users, intervals, theta,
-///                           sigma kind + parameter
-///   events.csv              event_id,location,required_resources
-///   event_interests.csv     event_id,user_id,mu  (sparse triplets)
-///   competing.csv           competing_id,interval
-///   competing_interests.csv competing_id,user_id,mu
+///   meta.csv       key,value rows: users, intervals, theta, sigma kind +
+///                  parameter
+///   events.csv     event_id,location,required_resources,profile
+///   competing.csv  competing_id,interval,profile
+///   profiles.csv   profile_id,user_id,mu  (sparse triplets)
+///
+/// Each distinct interest row, a *profile*, is written once, numbered as
+/// SesInstance numbers them; events and competing events name theirs in
+/// the profile column. A directory in the earlier layout, which wrote
+/// one row per event into event_interests.csv and
+/// competing_interests.csv, fails to load naming the missing
+/// profiles.csv.
 ///
 /// Sigma providers serialize by kind: "const" (value) and "hash" (seed).
 /// Dense matrices are not persisted — instances built from explicit
@@ -31,9 +37,18 @@
 ///     tolerated;
 ///   - meta.csv keys may come in any order, unknown keys are ignored;
 ///   - events.csv and competing.csv rows are in id order (the id column
-///     equals the row position); triplet rows may come in any order.
+///     equals the row position);
+///   - profiles are numbered in order of first use: each events.csv row,
+///     then each competing.csv row, names a profile that an earlier row
+///     named or the next one, so a profile column is in [0, profiles
+///     named so far];
+///   - profiles.csv rows are grouped by profile in ascending profile_id,
+///     each profile's rows in strictly ascending user_id, with mu in
+///     (0, 1] and nonzero once rounded to float; a profile without rows
+///     is empty.
 /// Malformed input fails with a ParseError (OutOfRange for an id or
-/// count out of range) whose message starts "<path>:<line>:".
+/// count out of range) whose message starts "<path>:<line>:"; a file
+/// that cannot be opened fails with an IoError naming its path.
 
 #include <string>
 
@@ -65,7 +80,8 @@ struct SigmaSpec {
                           const std::string& dir);
 
 /// Reads an instance previously written by SaveInstance in one streaming
-/// pass per file, with no allocation per row.
+/// pass per file, handing each profile's row to InstanceBuilder once,
+/// with no allocation per line.
 [[nodiscard]] util::Result<SesInstance> LoadInstance(const std::string& dir);
 
 }  // namespace ses::core

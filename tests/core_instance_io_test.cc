@@ -149,22 +149,23 @@ TEST_F(InstanceIoTest, OutOfRangeTripletFails) {
   const SesInstance original = test::MakeRandomInstance(config);
   SigmaSpec spec;
   ASSERT_TRUE(SaveInstance(original, spec, dir_.string()).ok());
-  // Append an interest row for a non-existent event id.
+  // Replace the profiles with one row for a profile nothing names.
   std::vector<util::CsvRow> rows{{"99", "0", "0.5"}};
-  ASSERT_TRUE(util::WriteCsvFile((dir_ / "event_interests.csv").string(),
-                                 {"event_id", "user_id", "mu"}, rows)
+  ASSERT_TRUE(util::WriteCsvFile((dir_ / "profiles.csv").string(),
+                                 {"profile_id", "user_id", "mu"}, rows)
                   .ok());
   auto loaded = LoadInstance(dir_.string());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kOutOfRange);
 }
 
-constexpr const char* kInstanceFiles[] = {
-    "meta.csv", "events.csv", "event_interests.csv", "competing.csv",
-    "competing_interests.csv"};
+constexpr const char* kInstanceFiles[] = {"meta.csv", "events.csv",
+                                          "competing.csv", "profiles.csv"};
 
+/// The bytes of \p path; a file that cannot be opened fails the test.
 std::string ReadFile(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << path;
   std::ostringstream bytes;
   bytes << in.rdbuf();
   return bytes.str();
@@ -245,9 +246,77 @@ TEST_F(InstanceIoTest, SaveLoadSaveIsByteIdentical) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectBitIdentical(original, *loaded);
   ASSERT_TRUE(SaveInstance(*loaded, HashSpec(42), second.string()).ok());
+  std::vector<std::string> written;
+  for (const auto& entry : std::filesystem::directory_iterator(first)) {
+    written.push_back(entry.path().filename().string());
+  }
+  std::sort(written.begin(), written.end());
+  std::vector<std::string> expected(std::begin(kInstanceFiles),
+                                    std::end(kInstanceFiles));
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(written, expected);
   for (const char* file : kInstanceFiles) {
     EXPECT_EQ(ReadFile(first / file), ReadFile(second / file)) << file;
   }
+}
+
+/// Twins, plus an empty candidate row and an empty competing row, which
+/// are twins of each other: the profiles come back as they were saved.
+TEST_F(InstanceIoTest, TwinHeavyRoundTripKeepsProfiles) {
+  test::RandomInstanceConfig config;
+  config.seed = 31;
+  config.num_events = 12;
+  config.twins = true;
+  const SesInstance twins = test::MakeRandomInstance(config);
+  InstanceBuilder builder;
+  builder.SetNumUsers(twins.num_users())
+      .SetNumIntervals(twins.num_intervals())
+      .SetTheta(twins.theta())
+      .SetSigma(HashSpec(config.seed).Instantiate());
+  auto row_of = [](std::span<const UserIndex> users,
+                   std::span<const float> values) {
+    InstanceBuilder::Row row;
+    for (size_t i = 0; i < users.size(); ++i) {
+      row.emplace_back(users[i], values[i]);
+    }
+    return row;
+  };
+  for (EventIndex e = 0; e < twins.num_events(); ++e) {
+    builder.AddEvent(twins.event(e).location,
+                     twins.event(e).required_resources,
+                     row_of(twins.EventUsers(e), twins.EventValues(e)));
+  }
+  builder.AddEvent(0, 1.0, {});
+  for (CompetingIndex c = 0; c < twins.num_competing(); ++c) {
+    builder.AddCompetingEvent(
+        twins.competing(c).interval,
+        row_of(twins.CompetingUsers(c), twins.CompetingValues(c)));
+  }
+  builder.AddCompetingEvent(0, {});
+  auto original = builder.Build();
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  // Candidate pairs, the empty row, then the (distinct) competing rows.
+  EXPECT_EQ(original->num_profiles(),
+            (config.num_events + 1) / 2 + 1 + twins.num_competing());
+
+  ASSERT_TRUE(SaveInstance(*original, HashSpec(config.seed), dir_.string())
+                  .ok());
+  auto loaded = LoadInstance(dir_.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectBitIdentical(*original, *loaded);
+  EXPECT_EQ(loaded->num_profiles(), original->num_profiles());
+  for (EventIndex e = 0; e < original->num_events(); ++e) {
+    EXPECT_EQ(loaded->EventProfile(e), original->EventProfile(e)) << e;
+  }
+  for (CompetingIndex c = 0; c < original->num_competing(); ++c) {
+    EXPECT_EQ(loaded->CompetingProfile(c), original->CompetingProfile(c))
+        << c;
+  }
+  EXPECT_EQ(loaded->num_interest_entries(), original->num_interest_entries());
+  const EventIndex empty = original->num_events() - 1;
+  EXPECT_EQ(loaded->CompetingProfile(original->num_competing() - 1),
+            loaded->EventProfile(empty));
+  EXPECT_TRUE(loaded->EventUsers(empty).empty());
 }
 
 TEST_F(InstanceIoTest, LargeRoundTripStraddlesTheReadBuffer) {
@@ -255,7 +324,7 @@ TEST_F(InstanceIoTest, LargeRoundTripStraddlesTheReadBuffer) {
   ASSERT_TRUE(SaveInstance(original, HashSpec(5), dir_.string()).ok());
   // The reader fills 1 MiB at a time: the line holding the buffer's last
   // byte must continue past it.
-  const std::string bytes = ReadFile(dir_ / "event_interests.csv");
+  const std::string bytes = ReadFile(dir_ / "profiles.csv");
   const size_t boundary = util::LineReader::kBufferBytes;
   ASSERT_GT(bytes.size(), boundary);
   ASSERT_NE(bytes[boundary - 1], '\n');
@@ -269,7 +338,8 @@ TEST_F(InstanceIoTest, LoadMakesNoAllocationPerRow) {
     GTEST_SKIP() << "build with -DSES_ALLOC_GUARD=ON to count allocations";
   }
   const SesInstance& original = LargeInstance();
-  // The event triplets alone reach 200k; competing rows add ~80k.
+  // The event triplets alone reach 200k; competing rows add ~80k. No row
+  // has a twin, so each is its own profile.
   const size_t triplets = original.num_interest_entries();
   ASSERT_GE(triplets, 200000u);
   ASSERT_TRUE(SaveInstance(original, HashSpec(5), dir_.string()).ok());
@@ -319,17 +389,18 @@ TEST_F(InstanceIoTest, AcceptsCrlfBlankLinesAndMissingFinalNewline) {
 }
 
 /// A tiny valid instance, written file by file so each malformed case
-/// below can replace exactly one file.
+/// below can replace exactly one file. Events name profiles 0 and 1, the
+/// competing event names profile 2.
 const std::map<std::string, std::string>& ValidFiles() {
   static const std::map<std::string, std::string> files{
       {"meta.csv",
        "key,value\nusers,3\nintervals,2\ntheta,4\nsigma_kind,const\n"
        "sigma_value,0.25\nsigma_seed,0\n"},
-      {"events.csv", "event_id,location,required_resources\n0,0,1\n1,1,2\n"},
-      {"event_interests.csv",
-       "event_id,user_id,mu\n1,1,0.25\n0,0,0.5\n0,2,0.75\n"},
-      {"competing.csv", "competing_id,interval\n0,1\n"},
-      {"competing_interests.csv", "competing_id,user_id,mu\n0,1,0.4\n"},
+      {"events.csv",
+       "event_id,location,required_resources,profile\n0,0,1,0\n1,1,2,1\n"},
+      {"competing.csv", "competing_id,interval,profile\n0,1,2\n"},
+      {"profiles.csv",
+       "profile_id,user_id,mu\n0,0,0.5\n0,2,0.75\n1,1,0.25\n2,1,0.4\n"},
   };
   return files;
 }
@@ -342,6 +413,45 @@ TEST_F(InstanceIoTest, HandWrittenInstanceLoads) {
   EXPECT_EQ(loaded->EventUsers(0).size(), 2u);
   EXPECT_EQ(loaded->CompetingAt(1).size(), 1u);
   EXPECT_DOUBLE_EQ(loaded->sigma().At(0, 0), 0.25);
+}
+
+TEST_F(InstanceIoTest, ProfileWithoutRowsIsEmptyAndEmptyRowsAreTwins) {
+  for (const auto& [file, bytes] : ValidFiles()) WriteFile(dir_ / file, bytes);
+  // Profile 1 has no rows; profile 2 follows it.
+  WriteFile(dir_ / "profiles.csv",
+            "profile_id,user_id,mu\n0,0,0.5\n0,2,0.75\n2,1,0.4\n");
+  auto loaded = LoadInstance(dir_.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->num_profiles(), 3u);
+  EXPECT_TRUE(loaded->EventUsers(1).empty());
+  ASSERT_EQ(loaded->CompetingUsers(0).size(), 1u);
+  EXPECT_EQ(loaded->CompetingUsers(0)[0], 1u);
+
+  // Profiles 1 and 2 both have no rows: one empty profile.
+  WriteFile(dir_ / "profiles.csv", "profile_id,user_id,mu\n0,0,0.5\n");
+  loaded = LoadInstance(dir_.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->num_profiles(), 2u);
+  EXPECT_EQ(loaded->CompetingProfile(0), loaded->EventProfile(1));
+  EXPECT_TRUE(loaded->CompetingUsers(0).empty());
+}
+
+TEST_F(InstanceIoTest, EarlierLayoutFailsNamingProfilesCsv) {
+  // One row per event in two interest files, and no profile column.
+  const std::map<std::string, std::string> earlier{
+      {"meta.csv", ValidFiles().at("meta.csv")},
+      {"events.csv", "event_id,location,required_resources\n0,0,1\n1,1,2\n"},
+      {"event_interests.csv",
+       "event_id,user_id,mu\n1,1,0.25\n0,0,0.5\n0,2,0.75\n"},
+      {"competing.csv", "competing_id,interval\n0,1\n"},
+      {"competing_interests.csv", "competing_id,user_id,mu\n0,1,0.4\n"},
+  };
+  for (const auto& [file, bytes] : earlier) WriteFile(dir_ / file, bytes);
+  auto loaded = LoadInstance(dir_.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kIoError);
+  EXPECT_NE(loaded.status().message().find("profiles.csv"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 struct MalformedCase {
@@ -368,62 +478,108 @@ TEST_P(MalformedInputTest, FailsWithTypedErrorNamingFileAndLine) {
 }
 
 using util::StatusCode;
-constexpr const char* kEventsHeader = "event_id,location,required_resources\n";
+constexpr const char* kEventsHeader =
+    "event_id,location,required_resources,profile\n";
 
+// Profile ids are bounded by the profiles named before their line, so an
+// id of 4294967295 is rejected before anything is sized from it.
 INSTANTIATE_TEST_SUITE_P(
     Table, MalformedInputTest,
     ::testing::Values(
         MalformedCase{"TruncatedRow", "events.csv",
-                      "event_id,location,required_resources\n0,0,1\n1,1\n",
+                      "event_id,location,required_resources,profile\n"
+                      "0,0,1,0\n1,1\n",
                       StatusCode::kParseError, "events.csv:3"},
-        MalformedCase{"ExtraField", "event_interests.csv",
-                      "event_id,user_id,mu\n0,0,0.5,9\n",
-                      StatusCode::kParseError, "event_interests.csv:2"},
+        MalformedCase{"ExtraField", "profiles.csv",
+                      "profile_id,user_id,mu\n0,0,0.5,9\n",
+                      StatusCode::kParseError, "profiles.csv:2"},
         MalformedCase{"EmptyField", "events.csv",
-                      "event_id,location,required_resources\n0,,1\n",
+                      "event_id,location,required_resources,profile\n"
+                      "0,,1,0\n",
                       StatusCode::kParseError, "events.csv:2"},
         MalformedCase{"NonNumericField", "competing.csv",
-                      "competing_id,interval\n0,abc\n",
+                      "competing_id,interval,profile\n0,abc,2\n",
                       StatusCode::kParseError, "competing.csv:2"},
-        MalformedCase{"TrailingGarbage", "event_interests.csv",
-                      "event_id,user_id,mu\n0,0,0.5x\n",
-                      StatusCode::kParseError, "event_interests.csv:2"},
+        MalformedCase{"TrailingGarbage", "profiles.csv",
+                      "profile_id,user_id,mu\n0,0,0.5x\n",
+                      StatusCode::kParseError, "profiles.csv:2"},
         MalformedCase{"HeaderOnlyMeta", "meta.csv", "key,value\n",
                       StatusCode::kParseError, "meta.csv:1"},
-        MalformedCase{"OutOfRangeTripletId", "event_interests.csv",
-                      "event_id,user_id,mu\n0,0,0.5\n99,0,0.5\n",
-                      StatusCode::kOutOfRange, "event_interests.csv:3"},
-        MalformedCase{"NegativeTripletId", "competing_interests.csv",
-                      "competing_id,user_id,mu\n-1,0,0.5\n",
-                      StatusCode::kOutOfRange, "competing_interests.csv:2"},
-        MalformedCase{"UserBeyondUsers", "event_interests.csv",
-                      "event_id,user_id,mu\n0,3,0.5\n",
-                      StatusCode::kOutOfRange, "event_interests.csv:2"},
+        MalformedCase{"OutOfRangeTripletId", "profiles.csv",
+                      "profile_id,user_id,mu\n0,0,0.5\n3,0,0.5\n",
+                      StatusCode::kOutOfRange, "profiles.csv:3"},
+        MalformedCase{"ProfileIdWrapsUint32", "profiles.csv",
+                      "profile_id,user_id,mu\n4294967295,0,0.5\n",
+                      StatusCode::kOutOfRange, "profiles.csv:2"},
+        MalformedCase{"NegativeTripletId", "profiles.csv",
+                      "profile_id,user_id,mu\n-1,0,0.5\n",
+                      StatusCode::kOutOfRange, "profiles.csv:2"},
+        MalformedCase{"ProfilesOutOfOrder", "profiles.csv",
+                      "profile_id,user_id,mu\n1,1,0.25\n0,0,0.5\n",
+                      StatusCode::kParseError, "profiles.csv:3"},
+        MalformedCase{"EventProfileSkipsOne", "events.csv",
+                      "event_id,location,required_resources,profile\n"
+                      "0,0,1,1\n1,1,2,0\n",
+                      StatusCode::kOutOfRange, "events.csv:2"},
+        MalformedCase{"EventProfileWrapsUint32", "events.csv",
+                      "event_id,location,required_resources,profile\n"
+                      "0,0,1,0\n1,1,2,4294967295\n",
+                      StatusCode::kOutOfRange, "events.csv:3"},
+        MalformedCase{"CompetingProfileWrapsUint32", "competing.csv",
+                      "competing_id,interval,profile\n0,1,4294967295\n",
+                      StatusCode::kOutOfRange, "competing.csv:2"},
+        MalformedCase{"UserBeyondUsers", "profiles.csv",
+                      "profile_id,user_id,mu\n0,3,0.5\n",
+                      StatusCode::kOutOfRange, "profiles.csv:2"},
+        MalformedCase{"UsersNotAscending", "profiles.csv",
+                      "profile_id,user_id,mu\n0,2,0.75\n0,0,0.5\n",
+                      StatusCode::kParseError, "profiles.csv:3"},
+        MalformedCase{"UserRepeated", "profiles.csv",
+                      "profile_id,user_id,mu\n0,0,0.5\n0,0,0.75\n",
+                      StatusCode::kParseError, "profiles.csv:3"},
+        MalformedCase{"MuAboveOne", "profiles.csv",
+                      "profile_id,user_id,mu\n0,0,1.5\n",
+                      StatusCode::kParseError, "profiles.csv:2"},
+        MalformedCase{"MuZero", "profiles.csv",
+                      "profile_id,user_id,mu\n0,0,0.5\n1,1,0\n",
+                      StatusCode::kParseError, "profiles.csv:3"},
+        MalformedCase{"MuNan", "profiles.csv",
+                      "profile_id,user_id,mu\n0,0,nan\n",
+                      StatusCode::kParseError, "profiles.csv:2"},
+        MalformedCase{"MuRoundsToFloatZero", "profiles.csv",
+                      "profile_id,user_id,mu\n0,0,1e-50\n",
+                      StatusCode::kParseError, "profiles.csv:2"},
+        MalformedCase{"MuBeyondFloatRange", "profiles.csv",
+                      "profile_id,user_id,mu\n0,0,1e300\n",
+                      StatusCode::kParseError, "profiles.csv:2"},
         MalformedCase{"UsersWrapUint32", "meta.csv",
                       "key,value\nusers,4294967297\nintervals,2\ntheta,4\n"
                       "sigma_kind,hash\nsigma_value,0.5\nsigma_seed,1\n",
                       StatusCode::kOutOfRange, "meta.csv:2"},
         MalformedCase{"LocationWrapsUint32", "events.csv",
-                      "event_id,location,required_resources\n0,4294967296,1\n",
+                      "event_id,location,required_resources,profile\n"
+                      "0,4294967296,1,0\n",
                       StatusCode::kOutOfRange, "events.csv:2"},
         MalformedCase{"IntervalBeyondIntervals", "competing.csv",
-                      "competing_id,interval\n0,2\n", StatusCode::kOutOfRange,
-                      "competing.csv:2"},
+                      "competing_id,interval,profile\n0,2,2\n",
+                      StatusCode::kOutOfRange, "competing.csv:2"},
         MalformedCase{"EventIdOutOfOrder", "events.csv",
-                      "event_id,location,required_resources\n0,0,1\n2,1,2\n",
+                      "event_id,location,required_resources,profile\n"
+                      "0,0,1,0\n2,1,2,1\n",
                       StatusCode::kParseError, "events.csv:3"},
         MalformedCase{"CompetingIdNotRowPosition", "competing.csv",
-                      "competing_id,interval\n1,1\n", StatusCode::kParseError,
-                      "competing.csv:2"},
+                      "competing_id,interval,profile\n1,1,2\n",
+                      StatusCode::kParseError, "competing.csv:2"},
         MalformedCase{"LeadingPlus", "events.csv",
-                      "event_id,location,required_resources\n0,+1,1\n",
+                      "event_id,location,required_resources,profile\n"
+                      "0,+1,1,0\n",
                       StatusCode::kParseError, "events.csv:2"},
-        MalformedCase{"SurroundingWhitespace", "event_interests.csv",
-                      "event_id,user_id,mu\n0, 1,0.5\n",
-                      StatusCode::kParseError, "event_interests.csv:2"},
+        MalformedCase{"SurroundingWhitespace", "profiles.csv",
+                      "profile_id,user_id,mu\n0, 1,0.5\n",
+                      StatusCode::kParseError, "profiles.csv:2"},
         MalformedCase{"WrongHeader", "competing.csv",
-                      "interval,competing_id\n0,1\n", StatusCode::kParseError,
-                      "competing.csv:1"},
+                      "interval,competing_id,profile\n0,1,2\n",
+                      StatusCode::kParseError, "competing.csv:1"},
         MalformedCase{"UnknownSigmaKind", "meta.csv",
                       "key,value\nusers,3\nintervals,2\ntheta,4\n"
                       "sigma_kind,dense\nsigma_value,0.5\nsigma_seed,1\n",
@@ -458,7 +614,7 @@ TEST_F(InstanceIoTest, NonFiniteThetaAndResourcesAreRejected) {
 
     WriteFile(dir_ / "meta.csv", ValidFiles().at("meta.csv"));
     WriteFile(dir_ / "events.csv", std::string(kEventsHeader) + "0,0," +
-                                       value + "\n1,1,2\n");
+                                       value + ",0\n1,1,2,1\n");
     loaded = LoadInstance(dir_.string());
     ASSERT_FALSE(loaded.ok()) << "resources " << value;
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);

@@ -216,5 +216,52 @@ TEST(InstanceProfileTest, CandidateAndCompetingRowsShareProfiles) {
   EXPECT_EQ(instance->num_interest_entries(), 2u);
 }
 
+TEST(InstanceProfileTest, EventsNamingOneAddedProfileAreTwins) {
+  auto builder = ValidBuilder();
+  const uint32_t shared = builder.AddProfile({{1, 0.5f}, {3, 0.25f}});
+  const uint32_t unused = builder.AddProfile({{2, 0.5f}});
+  const uint32_t other = builder.AddProfile({{0, 0.75f}});
+  builder.AddEventWithProfile(0, 1.0, other);
+  builder.AddEventWithProfile(1, 1.0, shared);
+  builder.AddCompetingEventWithProfile(0, shared);
+  builder.AddEventWithProfile(2, 1.0, shared);
+  builder.AddEvent(3, 1.0, {{1, 0.5f}, {3, 0.25f}});  // same row, own id
+  auto instance = builder.Build();
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  // Numbered in order of first use; the row no event names is dropped.
+  EXPECT_NE(unused, shared);
+  EXPECT_EQ(instance->num_profiles(), 2u);
+  EXPECT_EQ(instance->EventProfile(0), 0u);
+  EXPECT_EQ(instance->EventProfile(1), 1u);
+  EXPECT_EQ(instance->EventProfile(2), 1u);
+  EXPECT_EQ(instance->EventProfile(3), 1u);
+  EXPECT_EQ(instance->CompetingProfile(0), 1u);
+  EXPECT_FLOAT_EQ(instance->EventInterest(2, 3), 0.25f);
+  EXPECT_EQ(instance->num_interest_entries(), 7u);
+}
+
+TEST(InstanceProfileTest, UnknownProfileIdFailsBuild) {
+  auto event = ValidBuilder();
+  event.AddProfile({{0, 0.5f}});
+  event.AddEventWithProfile(0, 1.0, 1);
+  EXPECT_EQ(event.Build().status().code(), util::StatusCode::kOutOfRange);
+
+  auto competing = ValidBuilder();
+  competing.AddCompetingEventWithProfile(0, 0);
+  EXPECT_EQ(competing.Build().status().code(), util::StatusCode::kOutOfRange);
+}
+
+TEST(InstanceProfileTest, AddEventWithBracesIsAnEmptyRow) {
+  auto builder = ValidBuilder();
+  builder.AddProfile({{0, 0.5f}});
+  builder.AddEvent(0, 1.0, {});
+  builder.AddCompetingEvent(1, {});
+  auto instance = builder.Build();
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  EXPECT_EQ(instance->num_profiles(), 1u);
+  EXPECT_TRUE(instance->EventUsers(0).empty());
+  EXPECT_EQ(instance->CompetingProfile(0), instance->EventProfile(0));
+}
+
 }  // namespace
 }  // namespace ses::core
