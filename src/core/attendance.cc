@@ -2,20 +2,19 @@
 
 #include "core/kernels.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace ses::core {
 
-AttendanceModel::AttendanceModel(const SesInstance& instance)
-    : instance_(&instance),
-      schedule_(instance),
+AttendanceModel::AttendanceModel(Schedule start)
+    : instance_(&start.instance()),
+      schedule_(std::move(start)),
       // The constructor down-payment for the hot-path contract: every
       // SoA span (D, M, ratio, sigma, touched) is sized to |U| here, so
       // steady-state LoadInterval/TouchLoaded kernels only ever store
       // through pre-sized spans — no growth, no allocation (re-proven
       // at runtime by tests/core_hot_path_alloc_test.cc).
-      soa_(instance.num_users()),
-      profile_gains_(instance.num_profiles()) {}
+      soa_(instance_->num_users()),
+      profile_gains_(instance_->num_profiles()) {}
 
 void AttendanceModel::LoadInterval(IntervalIndex t) {
   if (loaded_ == t) return;
@@ -94,45 +93,21 @@ uint64_t AttendanceModel::RescoreRow(IntervalIndex t,
   return rescored;
 }
 
-void AttendanceModel::Apply(EventIndex e, IntervalIndex t) {
+double AttendanceModel::Apply(EventIndex e, IntervalIndex t) {
   const double gain = MarginalGain(e, t);
   --gain_evaluations_;  // internal bookkeeping, not a solver evaluation
   SES_CHECK(schedule_.Assign(e, t).ok())
       << "Apply requires a valid assignment";
   TouchLoaded(e, +1.0);
-  total_utility_ += gain;
+  return gain;
 }
 
 void AttendanceModel::Unapply(EventIndex e) {
   const IntervalIndex t = schedule_.IntervalOf(e);
   SES_CHECK_NE(t, kInvalidIndex) << "Unapply requires an assigned event";
   LoadInterval(t);
-
-  // Loss mirrors the gain formula: contribution of the interval with e
-  // minus the contribution without it. D and M already include e, so
-  // the kernel subtracts x back out per user (kernels::LuceLoss).
-  auto users = instance_->EventUsers(e);
-  auto values = instance_->EventValues(e);
-  const double loss = kernels::LuceLoss(
-      users.data(), values.data(), users.size(), soa_.denom.data(),
-      soa_.sched_mass.data(), soa_.ratio.data(), soa_.sigma.data());
-
   SES_CHECK(schedule_.Unassign(e).ok());
   TouchLoaded(e, -1.0);
-  total_utility_ -= loss;
-}
-
-util::Status ApplyWarmStart(AttendanceModel& model,
-                            std::span<const Assignment> warm_start) {
-  for (const Assignment& a : warm_start) {
-    if (!model.CanAssign(a.event, a.interval)) {
-      return util::Status::InvalidArgument(util::StrFormat(
-          "warm-start assignment of event %u to interval %u is infeasible",
-          a.event, a.interval));
-    }
-    model.Apply(a.event, a.interval);
-  }
-  return util::Status::Ok();
 }
 
 }  // namespace ses::core

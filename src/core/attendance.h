@@ -53,7 +53,6 @@
 #include "core/schedule.h"
 #include "core/types.h"
 #include "util/hot_annotations.h"
-#include "util/status.h"
 
 namespace ses::core {
 
@@ -61,10 +60,17 @@ namespace ses::core {
 /// and a strict-maximum scan never selects it.
 inline constexpr double kNoScore = -std::numeric_limits<double>::infinity();
 
-/// Incremental schedule + utility tracker.
+/// Incremental Eq. 4 engine over an evolving schedule.
 class AttendanceModel {
  public:
-  explicit AttendanceModel(const SesInstance& instance);
+  /// A model of the empty schedule.
+  explicit AttendanceModel(const SesInstance& instance)
+      : AttendanceModel(Schedule(instance)) {}
+
+  /// A model that starts from \p start (a replayed warm start, say).
+  /// Its events fold into an interval's scratch when the interval is
+  /// loaded, so nothing is scored here.
+  explicit AttendanceModel(Schedule start);
 
   /// The evolving schedule.
   const Schedule& schedule() const { return schedule_; }
@@ -95,15 +101,13 @@ class AttendanceModel {
   /// Returns the number of cells rescored, twins included.
   SES_HOT uint64_t RescoreRow(IntervalIndex t, std::span<double> row);
 
-  /// Assigns e to t (must be valid) and updates the tracked utility by
-  /// the exact gain.
-  void Apply(EventIndex e, IntervalIndex t);
+  /// Assigns e to t (must be valid) and returns its gain, the
+  /// MarginalGain(e, t) before the assignment. The evaluation is
+  /// bookkeeping and is not counted in gain_evaluations().
+  double Apply(EventIndex e, IntervalIndex t);
 
-  /// Removes assigned event \p e, updating the tracked utility.
+  /// Removes assigned event \p e.
   void Unapply(EventIndex e);
-
-  /// Utility tracked incrementally across Apply/Unapply calls.
-  double total_utility() const { return total_utility_; }
 
   /// Number of Eq. 4 evaluations performed so far (for complexity
   /// accounting in the experiments).
@@ -138,17 +142,8 @@ class AttendanceModel {
   std::vector<ProfileGain> profile_gains_;
   uint64_t rescore_calls_ = 0;
 
-  double total_utility_ = 0.0;
   uint64_t gain_evaluations_ = 0;
 };
-
-/// Applies a warm start to a freshly constructed model. Returns
-/// InvalidArgument (instead of aborting) when an assignment is not
-/// applicable — the typed-error counterpart of the api::Scheduler
-/// validation path for solvers invoked directly through Solver::Solve.
-/// Warm-start Apply calls do not count as gain evaluations.
-[[nodiscard]] util::Status ApplyWarmStart(AttendanceModel& model,
-                            std::span<const Assignment> warm_start);
 
 }  // namespace ses::core
 

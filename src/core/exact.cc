@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "core/attendance.h"
-#include "core/objective.h"
-#include "util/timer.h"
 
 namespace ses::core {
 
@@ -12,8 +10,8 @@ namespace {
 
 /// DFS state shared across the recursion.
 struct SearchContext {
-  explicit SearchContext(const SesInstance& inst)
-      : instance(&inst), model(inst) {}
+  explicit SearchContext(Schedule start)
+      : instance(&start.instance()), model(start), best(std::move(start)) {}
 
   const SesInstance* instance;
   AttendanceModel model;
@@ -31,8 +29,10 @@ struct SearchContext {
   /// >= e. Stored flattened; see SuffixBound().
   std::vector<std::vector<double>> suffix_top;
 
+  /// The incumbent and the utility its search path added to the warm
+  /// start; the warm start itself until a complete schedule is found.
   double best_utility = -1.0;
-  std::vector<Assignment> best_assignments;
+  Schedule best;
 };
 
 /// Sum of the \p need largest event upper bounds among events >= from.
@@ -45,7 +45,10 @@ double SuffixBound(const SearchContext& ctx, EventIndex from, size_t need) {
   return sums[idx];
 }
 
-void Dfs(SearchContext& ctx, EventIndex next_event, size_t chosen) {
+/// \p utility is the sum of the gains Apply returned along the path: the
+/// utility the path's placements add to the warm start.
+void Dfs(SearchContext& ctx, EventIndex next_event, size_t chosen,
+         double utility) {
   if (ctx.budget_exhausted || !ctx.termination.ok()) return;
   if (++ctx.nodes > ctx.max_nodes) {
     ctx.budget_exhausted = true;
@@ -61,10 +64,9 @@ void Dfs(SearchContext& ctx, EventIndex next_event, size_t chosen) {
   ctx.context->CountWork(1);
 
   if (chosen == ctx.k) {
-    const double utility = ctx.model.total_utility();
     if (utility > ctx.best_utility) {
       ctx.best_utility = utility;
-      ctx.best_assignments = ctx.model.schedule().Assignments();
+      ctx.best = ctx.model.schedule();
     }
     return;
   }
@@ -79,42 +81,39 @@ void Dfs(SearchContext& ctx, EventIndex next_event, size_t chosen) {
 
   // Bound check.
   const double bound =
-      ctx.model.total_utility() + SuffixBound(ctx, next_event, remaining_needed);
+      utility + SuffixBound(ctx, next_event, remaining_needed);
   if (bound <= ctx.best_utility + 1e-12) return;
 
   // A committed (warm-start) event is neither moved nor dropped.
   if (ctx.model.schedule().IsAssigned(next_event)) {
-    Dfs(ctx, next_event + 1, chosen);
+    Dfs(ctx, next_event + 1, chosen, utility);
     return;
   }
 
   // Branch 1..|T|: place next_event at each feasible interval.
   for (IntervalIndex t = 0; t < ctx.instance->num_intervals(); ++t) {
     if (!ctx.model.CanAssign(next_event, t)) continue;
-    ctx.model.Apply(next_event, t);
-    Dfs(ctx, next_event + 1, chosen + 1);
+    const double gain = ctx.model.Apply(next_event, t);
+    Dfs(ctx, next_event + 1, chosen + 1, utility + gain);
     ctx.model.Unapply(next_event);
     if (ctx.budget_exhausted || !ctx.termination.ok()) return;
   }
 
   // Branch 0: skip next_event entirely.
-  Dfs(ctx, next_event + 1, chosen);
+  Dfs(ctx, next_event + 1, chosen, utility);
 }
 
 }  // namespace
 
-util::Result<SolverResult> ExactSolver::DoSolve(const SesInstance& instance,
+util::Result<SolveOutcome> ExactSolver::DoSolve(const SesInstance& instance,
                                                 const SolverOptions& options,
-                                                const SolveContext& context) {
-  util::WallTimer timer;
-
-  SearchContext ctx(instance);
-  ctx.context = &context;
+                                                const SolveContext& context,
+                                                Schedule start) {
   // The search places only the k - |warm start| assignments still open;
   // a run stopped before its first complete schedule returns the
   // committed part, like the constructive solvers.
-  SES_RETURN_IF_ERROR(ApplyWarmStart(ctx.model, options.warm_start));
-  ctx.best_assignments = ctx.model.schedule().Assignments();
+  SearchContext ctx(std::move(start));
+  ctx.context = &context;
   ctx.k = static_cast<size_t>(options.k) - options.warm_start.size();
   ctx.max_nodes = options.max_nodes;
 
@@ -160,7 +159,7 @@ util::Result<SolverResult> ExactSolver::DoSolve(const SesInstance& instance,
     }
   }
 
-  if (ctx.termination.ok()) Dfs(ctx, 0, 0);
+  if (ctx.termination.ok()) Dfs(ctx, 0, 0, 0.0);
 
   if (ctx.termination.ok()) {
     if (ctx.budget_exhausted) {
@@ -175,22 +174,10 @@ util::Result<SolverResult> ExactSolver::DoSolve(const SesInstance& instance,
   }
   // On early termination the incumbent (possibly empty) is the best
   // feasible schedule certified so far — return it rather than erroring.
-
-  SolverResult result;
-  result.assignments = std::move(ctx.best_assignments);
-  // Recompute the utility through the reference objective.
-  Schedule schedule(instance);
-  for (const Assignment& a : result.assignments) {
-    SES_CHECK(schedule.Assign(a.event, a.interval).ok());
-  }
-  result.utility = TotalUtility(instance, schedule);
-  result.wall_seconds = timer.ElapsedSeconds();
-  result.stats.nodes = ctx.nodes;
-  result.stats.gain_evaluations =
-      ctx.model.gain_evaluations() + probe_evaluations;
-  result.solver = std::string(name());
-  result.termination = std::move(ctx.termination);
-  return result;
+  SolverStats stats;
+  stats.nodes = ctx.nodes;
+  stats.gain_evaluations = ctx.model.gain_evaluations() + probe_evaluations;
+  return SolveOutcome{std::move(ctx.best), stats, std::move(ctx.termination)};
 }
 
 }  // namespace ses::core

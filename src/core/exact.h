@@ -31,9 +31,9 @@ class ExactSolver final : public Solver {
   std::string_view name() const override { return "exact"; }
 
  protected:
-  [[nodiscard]] util::Result<SolverResult> DoSolve(const SesInstance& instance,
-                                     const SolverOptions& options,
-                                     const SolveContext& context) override;
+  [[nodiscard]] util::Result<SolveOutcome> DoSolve(
+      const SesInstance& instance, const SolverOptions& options,
+      const SolveContext& context, Schedule start) override;
 };
 
 }  // namespace ses::core

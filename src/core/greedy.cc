@@ -5,19 +5,14 @@
 #include <vector>
 
 #include "core/attendance.h"
-#include "core/objective.h"
 #include "core/score_gen.h"
-#include "util/timer.h"
 
 namespace ses::core {
 
-util::Result<SolverResult> GreedySolver::DoSolve(
+util::Result<SolveOutcome> GreedySolver::DoSolve(
     const SesInstance& instance, const SolverOptions& options,
-    const SolveContext& context) {
-  util::WallTimer timer;
-
-  AttendanceModel model(instance);
-  SES_RETURN_IF_ERROR(ApplyWarmStart(model, options.warm_start));
+    const SolveContext& context, Schedule start) {
+  AttendanceModel model(std::move(start));
   SolverStats stats;
 
   // Algorithm 1, lines 2-4. The grid is bit-identical at every
@@ -69,15 +64,7 @@ util::Result<SolverResult> GreedySolver::DoSolve(
   // equal to one model scoring everything.
   stats.gain_evaluations =
       model.gain_evaluations() + initial.generated.gain_evaluations;
-
-  SolverResult result;
-  result.assignments = model.schedule().Assignments();
-  result.utility = TotalUtility(instance, model.schedule());
-  result.wall_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
-  result.solver = std::string(name());
-  result.termination = std::move(termination);
-  return result;
+  return SolveOutcome{model.schedule(), stats, std::move(termination)};
 }
 
 }  // namespace ses::core

@@ -43,9 +43,9 @@ class GreedySolver final : public Solver {
   std::string_view name() const override { return name_; }
 
  protected:
-  [[nodiscard]] util::Result<SolverResult> DoSolve(
+  [[nodiscard]] util::Result<SolveOutcome> DoSolve(
       const SesInstance& instance, const SolverOptions& options,
-      const SolveContext& context) override;
+      const SolveContext& context, Schedule start) override;
 
  private:
   std::string name_;

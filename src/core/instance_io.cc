@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "util/csv.h"
+#include "util/string_util.h"
 
 namespace ses::core {
 
@@ -276,6 +277,33 @@ Status ReadProfiles(CsvInput& in, uint32_t num_users, uint32_t num_profiles,
   return Status::Ok();
 }
 
+/// Checks that \p spec describes the instance's provider, which cannot
+/// be introspected: the two must agree at every interval for the first,
+/// middle and last user. Checking every user would cost about a third
+/// of a paper-scale save.
+Status CheckSigmaSpec(const SesInstance& instance, const SigmaSpec& spec) {
+  if (spec.kind == SigmaSpec::Kind::kConst &&
+      !(spec.const_value >= 0.0 && spec.const_value <= 1.0)) {
+    return Status::InvalidArgument(util::StrFormat(
+        "sigma_spec const value %.17g is outside [0, 1]", spec.const_value));
+  }
+  const std::shared_ptr<const SigmaProvider> described = spec.Instantiate();
+  const UserIndex users = instance.num_users();  // at least one
+  for (const UserIndex u : {UserIndex{0}, users / 2, users - 1}) {
+    for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+      const double want = instance.sigma().At(u, t);
+      const double got = described->At(u, t);
+      if (got != want) {
+        return Status::InvalidArgument(util::StrFormat(
+            "sigma_spec does not describe the instance's sigma: at user "
+            "%u, interval %u it gives %.17g, the instance %.17g",
+            u, t, got, want));
+      }
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 std::shared_ptr<const SigmaProvider> SigmaSpec::Instantiate() const {
@@ -290,6 +318,7 @@ std::shared_ptr<const SigmaProvider> SigmaSpec::Instantiate() const {
 
 Status SaveInstance(const SesInstance& instance, const SigmaSpec& sigma_spec,
                     const std::string& dir) {
+  SES_RETURN_IF_ERROR(CheckSigmaSpec(instance, sigma_spec));
   {
     BufferedWriter out(dir + "/meta.csv");
     out.Append("key,value\nusers,").AppendUint(instance.num_users());

@@ -21,8 +21,9 @@
 /// profiles.csv.
 ///
 /// Sigma providers serialize by kind: "const" (value) and "hash" (seed).
-/// Dense matrices are not persisted — instances built from explicit
-/// matrices fail to save with Unimplemented.
+/// Dense matrices are not persisted: SaveInstance checks its spec
+/// against the instance's provider, so an instance built from an
+/// explicit matrix fails to save with InvalidArgument.
 ///
 /// Accepted grammar (LoadInstance), a subset of CSV that SaveInstance
 /// always produces:
@@ -73,8 +74,12 @@ struct SigmaSpec {
 /// Writes \p instance under directory \p dir (which must exist), one
 /// buffered stream per file; mu is written with 9 significant digits and
 /// every double with 17, so a load reproduces the instance bit for bit.
-/// \p sigma_spec must describe the provider the instance was built with —
-/// the provider object itself cannot be introspected.
+/// \p sigma_spec must describe the provider the instance was built with.
+/// The provider itself cannot be introspected, so SaveInstance samples
+/// it before writing anything: at every interval, for the first, middle
+/// and last user, the spec's sigma must equal the instance's. Otherwise
+/// (a dense provider, a wrong seed or a wrong constant) it fails with
+/// InvalidArgument naming the first user and interval that differ.
 [[nodiscard]] util::Status SaveInstance(const SesInstance& instance,
                           const SigmaSpec& sigma_spec,
                           const std::string& dir);

@@ -11,7 +11,7 @@ namespace ses::core::kernels {
 // virtual dispatch, so the compiler vectorizes instead of assuming
 // aliasing. The one moved operation is the old Luce term M / D: the
 // mass kernels compute it once per change of D and M, with the same
-// expression on the same doubles, and the gain and loss kernels read it.
+// expression on the same doubles, and the gain kernel reads it.
 
 void FillSigmaConst(float value, std::span<float> out) {
   std::fill(out.begin(), out.end(), value);
@@ -136,26 +136,6 @@ void LuceGainBlock(const UserIndex* SES_RESTRICT users,
     }
   }
   for (size_t lane = 0; lane < kWidth; ++lane) out[lane] = gain[lane];
-}
-
-double LuceLoss(const UserIndex* SES_RESTRICT users,
-                const float* SES_RESTRICT values, size_t n,
-                const double* SES_RESTRICT denom,
-                const double* SES_RESTRICT sched_mass,
-                const double* SES_RESTRICT ratio,
-                const float* SES_RESTRICT sigma) {
-  double loss = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const UserIndex u = users[i];
-    const double x = static_cast<double>(values[i]);
-    const double d_without = denom[u] - x;
-    const double m_without = sched_mass[u] - x;
-    const double term_without =
-        d_without > 1e-12 ? (m_without > 0.0 ? m_without / d_without : 0.0)
-                          : 0.0;
-    loss += static_cast<double>(sigma[u]) * (ratio[u] - term_without);
-  }
-  return loss;
 }
 
 }  // namespace ses::core::kernels

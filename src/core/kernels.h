@@ -63,7 +63,7 @@ namespace ses::core {
 /// compounds.
 ///
 /// `ratio` carries the old Luce term D > 0 ? M / D : 0 per user, so the
-/// gain and loss kernels divide once per term instead of twice. The
+/// gain kernel divides once per term instead of twice. The
 /// kernels that change M (AccumulateMass on a scheduled row, TouchMass)
 /// rewrite it with exactly that expression right after the change;
 /// ClearTouched zeroes it. Competing rows change D while M is still 0,
@@ -217,16 +217,6 @@ SES_HOT void LuceGainBlock(const UserIndex* SES_RESTRICT users,
                            const double* SES_RESTRICT denom,
                            const float* SES_RESTRICT sigma,
                            double* SES_RESTRICT out);
-
-/// Removal mirror of LuceGain for an event already folded into D and M:
-/// sum of sigma[u] * (ratio[u] - (M - x) / (D - x)), with the emptied
-/// denominator guarded at 1e-12 exactly as the scalar code did.
-SES_HOT double LuceLoss(const UserIndex* SES_RESTRICT users,
-                        const float* SES_RESTRICT values, size_t n,
-                        const double* SES_RESTRICT denom,
-                        const double* SES_RESTRICT sched_mass,
-                        const double* SES_RESTRICT ratio,
-                        const float* SES_RESTRICT sigma);
 
 }  // namespace kernels
 }  // namespace ses::core

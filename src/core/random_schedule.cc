@@ -1,20 +1,14 @@
 #include "core/random_schedule.h"
 
-#include "core/objective.h"
 #include "core/schedule.h"
 #include "util/random.h"
-#include "util/timer.h"
 
 namespace ses::core {
 
-util::Result<SolverResult> RandomSolver::DoSolve(
+util::Result<SolveOutcome> RandomSolver::DoSolve(
     const SesInstance& instance, const SolverOptions& options,
-    const SolveContext& context) {
-  util::WallTimer timer;
+    const SolveContext& context, Schedule schedule) {
   util::Rng rng(options.seed);
-
-  Schedule schedule(instance);
-  SES_RETURN_IF_ERROR(ApplyWarmStart(schedule, options.warm_start));
   SolverStats stats;
   util::Status termination;
   // Both loops below are tight (no gain evaluations), so the context is
@@ -64,14 +58,7 @@ util::Result<SolverResult> RandomSolver::DoSolve(
     }
   }
 
-  SolverResult result;
-  result.assignments = schedule.Assignments();
-  result.utility = TotalUtility(instance, schedule);
-  result.wall_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
-  result.solver = std::string(name());
-  result.termination = std::move(termination);
-  return result;
+  return SolveOutcome{std::move(schedule), stats, std::move(termination)};
 }
 
 }  // namespace ses::core

@@ -68,13 +68,11 @@ class Schedule {
   size_t size_ = 0;
 };
 
-/// Applies a warm start to an empty schedule. Returns InvalidArgument —
-/// the same typed rejection the api::Scheduler validation path produces —
-/// when an assignment cannot be applied, e.g. a warm start handed
-/// directly to Solver::Solve that slips past the tolerance-based
-/// validator but fails the schedule's strict feasibility check. Solvers
-/// call this instead of SES_CHECKing so a bad warm start is a typed
-/// error, never a process abort.
+/// Applies a warm start to an empty schedule, in order, with the strict
+/// feasibility checks of Assign. Returns InvalidArgument naming the
+/// first assignment that cannot be applied. The one warm-start check:
+/// ValidateSolverOptions runs it, and Solver::Solve replays the warm
+/// start with it into the schedule every solver starts from.
 [[nodiscard]] util::Status ApplyWarmStart(Schedule& schedule,
                             std::span<const Assignment> warm_start);
 

@@ -153,8 +153,8 @@ SES_HOT uint64_t ScoreRange(const SesInstance& instance,
 }
 
 /// One shard: its own block, plus its own model when the warm start is
-/// non-empty. Replaying the validated warm start puts the model in the
-/// exact schedule state the serial pass scores under.
+/// non-empty. A model started from the replayed, validated warm start
+/// is in the exact schedule state the serial pass scores under.
 uint64_t ScoreShard(const SesInstance& instance, const SolverOptions& options,
                     std::span<const EventIndex> representative,
                     const SolveContext& context, size_t lo, size_t hi,
@@ -162,9 +162,10 @@ uint64_t ScoreShard(const SesInstance& instance, const SolverOptions& options,
   IntervalBlock block(instance.num_users());
   std::optional<AttendanceModel> model;
   if (!options.warm_start.empty()) {
-    model.emplace(instance);
-    SES_CHECK(ApplyWarmStart(*model, options.warm_start).ok())
+    Schedule warm(instance);
+    SES_CHECK(ApplyWarmStart(warm, options.warm_start).ok())
         << "warm start must be validated before score generation";
+    model.emplace(std::move(warm));
   }
   return ScoreRange(instance, representative, model ? &*model : nullptr,
                     block, context, lo, hi, scores, termination);

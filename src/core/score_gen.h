@@ -79,9 +79,9 @@ struct ScoreGenResult {
 ///
 /// options.threads selects the shard count (see SolverOptions); shards
 /// run on options.pool when set, else on a transient local pool. The
-/// warm start must already be validated (the caller applied it to its
-/// own model) — shard models replay it and treat failure as a
-/// programming error.
+/// warm start must already be validated (ValidateSolverOptions; Solver::
+/// Solve has replayed it) — each shard model starts from its own replay
+/// and treats failure as a programming error.
 ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
                                         const SolverOptions& options,
                                         const SolveContext& context,

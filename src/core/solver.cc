@@ -1,7 +1,8 @@
 #include "core/solver.h"
 
-#include "core/validate.h"
+#include "core/objective.h"
 #include "util/string_util.h"
+#include "util/timer.h"
 
 namespace ses::core {
 
@@ -9,7 +10,20 @@ util::Result<SolverResult> Solver::Solve(const SesInstance& instance,
                                          const SolverOptions& options,
                                          const SolveContext& context) {
   SES_RETURN_IF_ERROR(ValidateSolverOptions(instance, options));
-  return DoSolve(instance, options, context);
+  util::WallTimer timer;
+  Schedule start(instance);
+  SES_RETURN_IF_ERROR(ApplyWarmStart(start, options.warm_start));
+  SES_ASSIGN_OR_RETURN(SolveOutcome outcome,
+                       DoSolve(instance, options, context, std::move(start)));
+
+  SolverResult result;
+  result.assignments = outcome.schedule.Assignments();
+  result.utility = TotalUtility(instance, outcome.schedule);
+  result.wall_seconds = timer.ElapsedSeconds();
+  result.stats = outcome.stats;
+  result.solver = std::string(name());
+  result.termination = std::move(outcome.termination);
+  return result;
 }
 
 util::Status ValidateSolverOptions(const SesInstance& instance,
@@ -35,8 +49,8 @@ util::Status ValidateSolverOptions(const SesInstance& instance,
           "warm start holds %zu assignments but k is only %lld",
           options.warm_start.size(), static_cast<long long>(options.k)));
     }
-    SES_RETURN_IF_ERROR(
-        ValidateAssignments(instance, options.warm_start));
+    Schedule replay(instance);
+    SES_RETURN_IF_ERROR(ApplyWarmStart(replay, options.warm_start));
   }
   return util::Status::Ok();
 }

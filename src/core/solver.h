@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/instance.h"
+#include "core/schedule.h"
 #include "core/solve_context.h"
 #include "core/types.h"
 #include "util/status.h"
@@ -80,8 +81,8 @@ struct SolverResult {
   /// than k entries when no more valid assignments existed — or when the
   /// run stopped early (see `termination`).
   std::vector<Assignment> assignments;
-  /// Total utility Omega of the schedule, recomputed with the reference
-  /// objective (not the solver's internal tracker).
+  /// Total utility Omega (Eq. 3) of the schedule, from the reference
+  /// objective (core/objective.h).
   double utility = 0.0;
   /// Wall-clock seconds spent inside Solve().
   double wall_seconds = 0.0;
@@ -95,13 +96,26 @@ struct SolverResult {
   util::Status termination;
 };
 
+/// What an implementation hands back to Solver::Solve.
+struct SolveOutcome {
+  /// The schedule built, warm start included.
+  Schedule schedule;
+  /// Work counters.
+  SolverStats stats;
+  /// OK, or the SolveContext's stop status (SolverResult::termination).
+  util::Status termination;
+};
+
 /// Abstract solver.
 ///
-/// Callers use the non-virtual Solve(), which validates options and then
-/// dispatches to the implementation. Passing a SolveContext bounds the
-/// run: every solver polls it at iteration boundaries and, on expiry or
-/// cancellation, returns the best feasible schedule found so far with
-/// SolverResult::termination set (the Result itself stays OK).
+/// Callers use the non-virtual Solve(), the one solve frame: it
+/// validates options, starts the clock, replays the warm start into a
+/// Schedule, dispatches to DoSolve, and assembles SolverResult from the
+/// outcome, pricing its schedule with TotalUtility (core/objective.h).
+/// Passing a SolveContext bounds the run: every solver polls it at
+/// iteration boundaries and, on expiry or cancellation, returns the best
+/// feasible schedule found so far with SolverResult::termination set
+/// (the Result itself stays OK).
 class Solver {
  public:
   virtual ~Solver() = default;
@@ -116,14 +130,16 @@ class Solver {
       const SolveContext& context = SolveContext());
 
  protected:
-  /// Implementation hook; options are already validated.
-  [[nodiscard]] virtual util::Result<SolverResult> DoSolve(
+  /// Implementation hook; options are already validated, and \p start
+  /// holds options.warm_start. The outcome's schedule extends it.
+  [[nodiscard]] virtual util::Result<SolveOutcome> DoSolve(
       const SesInstance& instance, const SolverOptions& options,
-      const SolveContext& context) = 0;
+      const SolveContext& context, Schedule start) = 0;
 };
 
 /// Shared helper: validates options against the instance (k positive and
-/// not above |E|).
+/// not above |E|, threads >= 0, and a warm start of at most k
+/// assignments that ApplyWarmStart replays onto an empty schedule).
 [[nodiscard]] util::Status ValidateSolverOptions(const SesInstance& instance,
                                    const SolverOptions& options);
 

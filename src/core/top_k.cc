@@ -2,21 +2,16 @@
 
 #include <algorithm>
 
-#include "core/objective.h"
 #include "core/schedule.h"
 #include "core/score_gen.h"
-#include "util/timer.h"
 
 namespace ses::core {
 
-util::Result<SolverResult> TopKSolver::DoSolve(const SesInstance& instance,
+util::Result<SolveOutcome> TopKSolver::DoSolve(const SesInstance& instance,
                                                const SolverOptions& options,
-                                               const SolveContext& context) {
-  util::WallTimer timer;
-
+                                               const SolveContext& context,
+                                               Schedule schedule) {
   // TOP prices nothing after generation, so a plain schedule suffices.
-  Schedule schedule(instance);
-  SES_RETURN_IF_ERROR(ApplyWarmStart(schedule, options.warm_start));
   SolverStats stats;
 
   // The initial scores come from the grid the whole greedy family shares
@@ -66,15 +61,7 @@ util::Result<SolverResult> TopKSolver::DoSolve(const SesInstance& instance,
 
   // Generation is TOP's only Eq. 4 work.
   stats.gain_evaluations = initial.generated.gain_evaluations;
-
-  SolverResult result;
-  result.assignments = schedule.Assignments();
-  result.utility = TotalUtility(instance, schedule);
-  result.wall_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
-  result.solver = std::string(name());
-  result.termination = std::move(termination);
-  return result;
+  return SolveOutcome{std::move(schedule), stats, std::move(termination)};
 }
 
 }  // namespace ses::core

@@ -19,9 +19,9 @@ class TopKSolver final : public Solver {
   std::string_view name() const override { return "top"; }
 
  protected:
-  [[nodiscard]] util::Result<SolverResult> DoSolve(const SesInstance& instance,
-                                     const SolverOptions& options,
-                                     const SolveContext& context) override;
+  [[nodiscard]] util::Result<SolveOutcome> DoSolve(
+      const SesInstance& instance, const SolverOptions& options,
+      const SolveContext& context, Schedule start) override;
 };
 
 }  // namespace ses::core

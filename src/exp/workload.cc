@@ -45,6 +45,13 @@ std::vector<std::pair<core::UserIndex, float>> ToInterestRow(
 WorkloadFactory::WorkloadFactory(const ebsn::EbsnDataset& dataset)
     : dataset_(&dataset), interest_(dataset) {}
 
+core::SigmaSpec WorkloadSigma(uint64_t seed) {
+  core::SigmaSpec spec;
+  spec.kind = core::SigmaSpec::Kind::kHash;
+  spec.seed = seed ^ 0x5161a5ea11ULL;
+  return spec;
+}
+
 util::Result<core::SesInstance> WorkloadFactory::Build(
     const PaperWorkloadConfig& config) const {
   // |E| >= k must fit a uint32_t, and the 3k/2 and 2k defaults must not
@@ -98,8 +105,7 @@ util::Result<core::SesInstance> WorkloadFactory::Build(
   builder.SetNumUsers(static_cast<uint32_t>(dataset_->users().size()))
       .SetNumIntervals(static_cast<uint32_t>(num_intervals))
       .SetTheta(config.theta)
-      .SetSigma(std::make_shared<core::HashUniformSigma>(config.seed ^
-                                                         0x5161a5ea11ULL));
+      .SetSigma(WorkloadSigma(config.seed).Instantiate());
 
   // Candidate events: a uniform catalog sample without replacement.
   const std::vector<uint32_t> candidate_ids = util::SampleWithoutReplacement(

@@ -18,6 +18,7 @@
 #include <cstdint>
 
 #include "core/instance.h"
+#include "core/instance_io.h"
 #include "ebsn/dataset.h"
 #include "ebsn/interest.h"
 #include "util/status.h"
@@ -59,6 +60,11 @@ struct PaperWorkloadConfig {
     return num_candidate_events > 0 ? num_candidate_events : 2 * k;
   }
 };
+
+/// The sigma of the instances WorkloadFactory::Build makes with workload
+/// seed \p seed, as the spec SaveInstance takes: the Uniform hash sigma
+/// seeded with seed ^ 0x5161a5ea11.
+core::SigmaSpec WorkloadSigma(uint64_t seed);
 
 /// Builds SES instances over a fixed EBSN dataset. Construction
 /// pre-builds the Jaccard inverted index once; Build() is then cheap

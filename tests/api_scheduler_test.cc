@@ -62,6 +62,32 @@ TEST(SchedulerValidateTest, RejectsBadWarmStart) {
   EXPECT_FALSE(scheduler.Validate(instance, request).ok());
 }
 
+// Two events that together exceed theta by 5e-10, which
+// ValidateAssignments' 1e-9 slack lets through: Validate replays the
+// warm start strictly, so the request is refused before admission.
+TEST(SchedulerValidateTest, RejectsNearThetaWarmStartBeforeAdmission) {
+  core::InstanceBuilder builder;
+  builder.SetNumUsers(4).SetNumIntervals(2).SetTheta(1.0).SetSigma(
+      std::make_shared<core::HashUniformSigma>(1));
+  builder.AddEvent(/*location=*/0, /*required_resources=*/0.5 + 2.5e-10,
+                   {{0u, 0.5f}});
+  builder.AddEvent(/*location=*/1, /*required_resources=*/0.5 + 2.5e-10,
+                   {{1u, 0.5f}});
+  auto instance = builder.Build();
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  SolveRequest request = RequestFor("grd", 2);
+  request.options.warm_start = {{0, 0}, {1, 0}};
+
+  Scheduler scheduler(SchedulerOptions{.num_threads = 1});
+  EXPECT_EQ(scheduler.Validate(*instance, request).code(),
+            util::StatusCode::kInvalidArgument);
+  PendingSolve pending = scheduler.Submit(*instance, request);
+  EXPECT_EQ(pending.Get().status.code(), util::StatusCode::kInvalidArgument);
+  const SchedulerMetrics metrics = scheduler.Metrics();
+  EXPECT_EQ(metrics.admitted, 0u);
+  EXPECT_EQ(metrics.validation_failed, 1u);
+}
+
 TEST(SchedulerSolveTest, UnknownSolverResponseCarriesError) {
   const core::SesInstance instance = MediumInstance();
   Scheduler scheduler(SchedulerOptions{.num_threads = 1});

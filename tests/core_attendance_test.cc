@@ -1,6 +1,7 @@
 #include "core/attendance.h"
 
 #include <bit>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,21 +63,23 @@ TEST_P(AttendancePropertyTest, MarginalGainMatchesReferenceScore) {
   }
 }
 
-TEST_P(AttendancePropertyTest, TrackedUtilityMatchesReference) {
+TEST_P(AttendancePropertyTest, ApplyGainsSumToTotalUtility) {
   const SesInstance instance = MakeInstance();
   AttendanceModel model(instance);
   util::Rng rng(GetParam() * 17 + 3);
 
+  double gains = 0.0;
   for (int step = 0; step < 6; ++step) {
     const EventIndex e =
         static_cast<EventIndex>(rng.NextBounded(instance.num_events()));
     const IntervalIndex t = static_cast<IntervalIndex>(
         rng.NextBounded(instance.num_intervals()));
     if (!model.CanAssign(e, t)) continue;
-    model.Apply(e, t);
-    ASSERT_NEAR(model.total_utility(),
-                TotalUtility(instance, model.schedule()), 1e-6);
+    gains += model.Apply(e, t);
+    ASSERT_NEAR(gains, TotalUtility(instance, model.schedule()), 1e-6);
   }
+  // Apply's own evaluation is bookkeeping, not a counted one.
+  EXPECT_EQ(model.gain_evaluations(), 0u);
 }
 
 TEST_P(AttendancePropertyTest, GainsAreNonNegative) {
@@ -116,7 +119,7 @@ TEST_P(AttendancePropertyTest, GainsShrinkAsIntervalFills) {
   }
 }
 
-TEST_P(AttendancePropertyTest, UnapplyRestoresUtility) {
+TEST_P(AttendancePropertyTest, UnapplyRestoresTheGain) {
   const SesInstance instance = MakeInstance();
   AttendanceModel model(instance);
   util::Rng rng(GetParam() * 13 + 7);
@@ -129,44 +132,42 @@ TEST_P(AttendancePropertyTest, UnapplyRestoresUtility) {
         rng.NextBounded(instance.num_intervals()));
     if (model.CanAssign(e, t)) model.Apply(e, t);
   }
-  const double baseline = model.total_utility();
   const auto assignments = model.schedule().Assignments();
   if (assignments.empty()) return;
 
-  // Apply + unapply a new event: utility must return to baseline.
+  // Apply + Unapply a new event: the pair scores its gain again.
   for (EventIndex e = 0; e < instance.num_events(); ++e) {
     if (model.schedule().IsAssigned(e)) continue;
     for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
       if (!model.CanAssign(e, t)) continue;
-      model.Apply(e, t);
+      const double gain = model.Apply(e, t);
       model.Unapply(e);
-      ASSERT_NEAR(model.total_utility(), baseline, 1e-6);
-      ASSERT_NEAR(model.total_utility(),
-                  TotalUtility(instance, model.schedule()), 1e-6);
+      ASSERT_NEAR(model.MarginalGain(e, t), gain, 1e-12 * (1.0 + gain))
+          << "event " << e << " interval " << t;
+      ASSERT_EQ(model.schedule().Assignments(), assignments);
     }
   }
 }
 
-TEST_P(AttendancePropertyTest, UnapplyAcrossIntervalsIsConsistent) {
+TEST_P(AttendancePropertyTest, UnapplyAcrossIntervalsRestoresGains) {
   const SesInstance instance = MakeInstance();
   AttendanceModel model(instance);
-  // Assign events to different intervals, then remove them all; utility
-  // must return to zero.
-  size_t applied = 0;
+  // Assign events to different intervals, then remove them all: each
+  // was alone at its interval, so its gain there comes back.
+  std::vector<std::pair<Assignment, double>> placed;
   for (EventIndex e = 0;
-       e < instance.num_events() && applied < instance.num_intervals();
+       e < instance.num_events() && placed.size() < instance.num_intervals();
        ++e) {
-    const IntervalIndex t = static_cast<IntervalIndex>(applied);
-    if (model.CanAssign(e, t)) {
-      model.Apply(e, t);
-      ++applied;
-    }
+    const auto t = static_cast<IntervalIndex>(placed.size());
+    if (model.CanAssign(e, t)) placed.push_back({{e, t}, model.Apply(e, t)});
   }
-  for (const Assignment& a : model.schedule().Assignments()) {
-    model.Unapply(a.event);
-  }
-  EXPECT_NEAR(model.total_utility(), 0.0, 1e-7);
+  for (const auto& [a, gain] : placed) model.Unapply(a.event);
   EXPECT_EQ(model.schedule().size(), 0u);
+  for (const auto& [a, gain] : placed) {
+    EXPECT_NEAR(model.MarginalGain(a.event, a.interval), gain,
+                1e-12 * (1.0 + gain))
+        << "event " << a.event;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AttendancePropertyTest,

@@ -181,8 +181,7 @@ uint64_t CountProfiles(const SesInstance& instance, Counted counted) {
 
 ScanResult EventMajorScan(const SesInstance& instance,
                           const SolverOptions& options) {
-  AttendanceModel model(instance);
-  SES_CHECK(ApplyWarmStart(model, options.warm_start).ok());
+  AttendanceModel model(test::Replay(instance, options.warm_start));
   ScanResult scan;
   scan.evaluations =
       CountProfiles(instance,

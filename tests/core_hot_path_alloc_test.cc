@@ -178,9 +178,6 @@ TEST(HotPathAllocTest, KernelSweepIsAllocationFree) {
     sink += kernels::LuceGain(users.data(), values.data(), users.size(),
                               soa.denom.data(), soa.sched_mass.data(),
                               soa.ratio.data(), soa.sigma.data());
-    sink += kernels::LuceLoss(users.data(), values.data(), users.size(),
-                              soa.denom.data(), soa.sched_mass.data(),
-                              soa.ratio.data(), soa.sigma.data());
     soa.num_touched = kernels::TouchMass(
         users.data(), values.data(), users.size(), -1.0, soa.denom.data(),
         soa.sched_mass.data(), soa.ratio.data(), soa.touched.data(),

@@ -34,6 +34,14 @@ class InstanceIoTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
+/// The spec of test::MakeRandomInstance's sigma for \p seed.
+SigmaSpec HashSpec(uint64_t seed) {
+  SigmaSpec spec;
+  spec.kind = SigmaSpec::Kind::kHash;
+  spec.seed = seed;
+  return spec;
+}
+
 TEST_F(InstanceIoTest, RoundTripPreservesStructure) {
   test::RandomInstanceConfig config;
   config.seed = 77;
@@ -132,8 +140,8 @@ TEST_F(InstanceIoTest, LoadFromEmptyDirFails) {
 TEST_F(InstanceIoTest, CorruptMetaFails) {
   test::RandomInstanceConfig config;
   const SesInstance original = test::MakeRandomInstance(config);
-  SigmaSpec spec;
-  ASSERT_TRUE(SaveInstance(original, spec, dir_.string()).ok());
+  ASSERT_TRUE(
+      SaveInstance(original, HashSpec(config.seed), dir_.string()).ok());
   // Truncate meta.csv to just its header.
   ASSERT_TRUE(
       util::WriteCsvFile((dir_ / "meta.csv").string(), {"key", "value"}, {})
@@ -147,8 +155,8 @@ TEST_F(InstanceIoTest, OutOfRangeTripletFails) {
   test::RandomInstanceConfig config;
   config.num_events = 3;
   const SesInstance original = test::MakeRandomInstance(config);
-  SigmaSpec spec;
-  ASSERT_TRUE(SaveInstance(original, spec, dir_.string()).ok());
+  ASSERT_TRUE(
+      SaveInstance(original, HashSpec(config.seed), dir_.string()).ok());
   // Replace the profiles with one row for a profile nothing names.
   std::vector<util::CsvRow> rows{{"99", "0", "0.5"}};
   ASSERT_TRUE(util::WriteCsvFile((dir_ / "profiles.csv").string(),
@@ -226,13 +234,6 @@ const SesInstance& LargeInstance() {
     return test::MakeRandomInstance(config);
   }();
   return instance;
-}
-
-SigmaSpec HashSpec(uint64_t seed) {
-  SigmaSpec spec;
-  spec.kind = SigmaSpec::Kind::kHash;
-  spec.seed = seed;
-  return spec;
 }
 
 TEST_F(InstanceIoTest, SaveLoadSaveIsByteIdentical) {
@@ -635,6 +636,84 @@ TEST(InstanceBuilderTest, RejectsNonFiniteValues) {
     EXPECT_EQ(resources.Build().status().code(),
               StatusCode::kInvalidArgument);
   }
+}
+
+// SaveInstance checks its spec against the instance's sigma, at every
+// interval for the first, middle and last user, before it writes a file.
+TEST_F(InstanceIoTest, SaveRejectsASpecThatDoesNotDescribeSigma) {
+  InstanceBuilder builder;
+  builder.SetNumUsers(2).SetNumIntervals(2).SetTheta(4.0).SetSigma(
+      std::make_shared<DenseSigma>(
+          std::vector<std::vector<float>>{{0.25f, 0.75f}, {0.25f, 0.25f}}));
+  builder.AddEvent(0, 1.0, {{0, 0.5f}, {1, 0.5f}});
+  auto dense = builder.Build();
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  SigmaSpec quarter;
+  quarter.kind = SigmaSpec::Kind::kConst;
+  quarter.const_value = 0.25;
+
+  const util::Status hashed = SaveInstance(*dense, HashSpec(1), dir_.string());
+  EXPECT_EQ(hashed.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(hashed.message().find("user 0, interval 0"), std::string::npos)
+      << hashed.ToString();
+  // The constant fits user 0 everywhere and user 1 at interval 1 only.
+  const util::Status constant = SaveInstance(*dense, quarter, dir_.string());
+  EXPECT_EQ(constant.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(constant.message().find("user 1, interval 0"), std::string::npos)
+      << constant.ToString();
+  EXPECT_TRUE(std::filesystem::is_empty(dir_));
+}
+
+TEST_F(InstanceIoTest, SaveRejectsAWrongSeedOrConstant) {
+  test::RandomInstanceConfig config;
+  config.seed = 77;
+  const SesInstance hashed = test::MakeRandomInstance(config);
+  EXPECT_EQ(SaveInstance(hashed, HashSpec(78), dir_.string()).code(),
+            util::StatusCode::kInvalidArgument);
+
+  InstanceBuilder builder;
+  builder.SetNumUsers(3).SetNumIntervals(2).SetTheta(4.0).SetSigma(
+      std::make_shared<ConstSigma>(0.25));
+  builder.AddEvent(0, 1.0, {{0, 0.5f}});
+  auto constant = builder.Build();
+  ASSERT_TRUE(constant.ok());
+  SigmaSpec spec;
+  spec.kind = SigmaSpec::Kind::kConst;
+  for (const double wrong : {0.5, 1.5, -0.25}) {
+    spec.const_value = wrong;
+    EXPECT_EQ(SaveInstance(*constant, spec, dir_.string()).code(),
+              util::StatusCode::kInvalidArgument)
+        << wrong;
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir_));
+}
+
+TEST_F(InstanceIoTest, SaveWithAMatchingSpecRoundTripsSigma) {
+  auto expect_round_trip = [this](const SesInstance& original,
+                                  const SigmaSpec& spec) {
+    ASSERT_TRUE(SaveInstance(original, spec, dir_.string()).ok());
+    auto loaded = LoadInstance(dir_.string());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    for (UserIndex u = 0; u < original.num_users(); ++u) {
+      for (IntervalIndex t = 0; t < original.num_intervals(); ++t) {
+        EXPECT_EQ(loaded->sigma().At(u, t), original.sigma().At(u, t));
+      }
+    }
+  };
+  test::RandomInstanceConfig config;
+  config.seed = 77;
+  expect_round_trip(test::MakeRandomInstance(config), HashSpec(config.seed));
+
+  InstanceBuilder builder;
+  builder.SetNumUsers(3).SetNumIntervals(2).SetTheta(4.0).SetSigma(
+      std::make_shared<ConstSigma>(0.25));
+  builder.AddEvent(0, 1.0, {{0, 0.5f}});
+  auto constant = builder.Build();
+  ASSERT_TRUE(constant.ok());
+  SigmaSpec quarter;
+  quarter.kind = SigmaSpec::Kind::kConst;
+  quarter.const_value = 0.25;
+  expect_round_trip(*constant, quarter);
 }
 
 TEST(SigmaSpecTest, InstantiateMatchesKind) {

@@ -128,28 +128,6 @@ double LuceGain(const std::vector<UserIndex>& users,
   return gain;
 }
 
-double LuceLoss(const std::vector<UserIndex>& users,
-                const std::vector<float>& values,
-                const std::vector<double>& denom,
-                const std::vector<double>& sched_mass,
-                const std::vector<float>& sigma) {
-  double loss = 0.0;
-  for (size_t i = 0; i < users.size(); ++i) {
-    const UserIndex u = users[i];
-    const double x = static_cast<double>(values[i]);
-    const double d = denom[u];
-    const double m = sched_mass[u];
-    const double term_with = d > 0.0 ? m / d : 0.0;
-    const double d_without = d - x;
-    const double m_without = m - x;
-    const double term_without =
-        d_without > 1e-12 ? (m_without > 0.0 ? m_without / d_without : 0.0)
-                          : 0.0;
-    loss += static_cast<double>(sigma[u]) * (term_with - term_without);
-  }
-  return loss;
-}
-
 // The touched-list recording rule carries the kernels' dedup-mask
 // semantics: record a user at most once per load (the SoA `touched`
 // array is a strict-|U| buffer, so duplicate recording — possible when
@@ -301,33 +279,6 @@ TEST(KernelDiffTest, LuceGainBlockBitIdenticalToReference) {
             << "seed " << seed << " width " << width << " lane " << lane;
       }
     }
-  }
-}
-
-TEST(KernelDiffTest, LuceLossBitIdenticalToReference) {
-  for (uint64_t seed = 0; seed < 25; ++seed) {
-    util::Rng rng(seed);
-    const uint32_t num_users = 1 + rng.NextBounded(200);
-    std::vector<double> denom, sched;
-    std::vector<float> sigma;
-    RandomState(rng, num_users, denom, sched, sigma);
-    const SparseRow row =
-        RandomRow(rng, num_users, rng.UniformDouble(0.1, 1.0));
-    // Fold the row in first so the loss has real mass to remove, as in
-    // Unapply (exercises the d_without guard via full cancellation on
-    // users whose only mass is this row).
-    for (size_t i = 0; i < row.users.size(); ++i) {
-      denom[row.users[i]] += static_cast<double>(row.values[i]);
-      sched[row.users[i]] += static_cast<double>(row.values[i]);
-    }
-
-    const std::vector<double> ratio = Ratios(denom, sched);
-    const double kernel = kernels::LuceLoss(
-        row.users.data(), row.values.data(), row.users.size(), denom.data(),
-        sched.data(), ratio.data(), sigma.data());
-    const double reference =
-        ref::LuceLoss(row.users, row.values, denom, sched, sigma);
-    EXPECT_TRUE(BitEq(kernel, reference)) << "seed " << seed;
   }
 }
 
@@ -778,8 +729,7 @@ TEST(KernelDiffTest, ScoreGridMatchesPerPairSweep) {
         for (const WarmCase& warm_case : warm_cases) {
           const std::vector<Assignment> warm =
               WarmStartAt(instance, warm_case.pick, warm_case.from_last);
-          AttendanceModel model(instance);
-          ASSERT_TRUE(ApplyWarmStart(model, warm).ok());
+          AttendanceModel model(test::Replay(instance, warm));
           std::vector<bool> scored(instance.num_profiles(), false);
           uint64_t profiles = 0;
           for (EventIndex e = 0; e < num_events; ++e) {

@@ -196,8 +196,7 @@ TEST(GreedySolverTest, StatsArepopulated) {
 /// the lowest interval, then the lowest event.
 std::vector<Assignment> FreshGreedy(const SesInstance& instance,
                                     const SolverOptions& options) {
-  AttendanceModel model(instance);
-  SES_CHECK(ApplyWarmStart(model, options.warm_start).ok());
+  AttendanceModel model(test::Replay(instance, options.warm_start));
   while (model.schedule().size() < static_cast<size_t>(options.k)) {
     double best = kNoScore;
     Assignment top;

@@ -177,12 +177,11 @@ TEST(WarmStartValidationTest, RejectsInfeasibleWarmStart) {
   EXPECT_FALSE(grd.Solve(instance, options).ok());
 }
 
-// A warm start whose resource total exceeds theta by less than the
-// validator's 1e-9 tolerance passes ValidateSolverOptions but fails the
-// schedule's strict feasibility check. Handed directly to Solver::Solve
-// (bypassing api::Scheduler), every constructive solver used to abort
-// the process on an SES_CHECK; it must instead surface a typed
-// InvalidArgument.
+// A warm start whose resource total exceeds theta by less than
+// ValidateAssignments' 1e-9 tolerance fails the schedule's strict
+// feasibility check. ValidateSolverOptions replays it with that check,
+// so every solver, handed it directly through Solver::Solve, returns a
+// typed InvalidArgument rather than aborting.
 TEST(WarmStartValidationTest, NearThetaWarmStartReturnsInvalidArgument) {
   InstanceBuilder builder;
   builder.SetNumUsers(4).SetNumIntervals(2).SetTheta(1.0).SetSigma(
@@ -199,8 +198,10 @@ TEST(WarmStartValidationTest, NearThetaWarmStartReturnsInvalidArgument) {
   SolverOptions options;
   options.k = 2;
   options.warm_start = {{0, 0}, {1, 0}};
-  // The validator accepts this warm start (within tolerance)...
+  // ValidateAssignments accepts this warm start (within tolerance)...
   ASSERT_TRUE(ValidateAssignments(*instance, options.warm_start).ok());
+  EXPECT_EQ(ValidateSolverOptions(*instance, options).code(),
+            util::StatusCode::kInvalidArgument);
 
   for (const char* name :
        {"grd", "lazy", "bestfit", "top", "rand", "exact"}) {

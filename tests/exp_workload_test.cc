@@ -1,7 +1,11 @@
 #include "exp/workload.h"
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <limits>
 #include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -70,6 +74,26 @@ TEST(WorkloadFactoryTest, BuildsInstanceWithPaperShape) {
     EXPECT_GE(instance->event(e).required_resources, 1.0);
     EXPECT_LE(instance->event(e).required_resources, 20.0 / 3.0);
   }
+}
+
+// build-instance saves what Build makes with WorkloadSigma's spec;
+// SaveInstance checks that the two agree.
+TEST(WorkloadFactoryTest, WorkloadSigmaDescribesBuiltSigma) {
+  WorkloadFactory factory(TestDataset());
+  const PaperWorkloadConfig config = SmallConfig();
+  auto instance = factory.Build(config);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("ses_workload_sigma_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  EXPECT_TRUE(
+      core::SaveInstance(*instance, WorkloadSigma(config.seed), dir.string())
+          .ok());
+  EXPECT_EQ(core::SaveInstance(*instance, WorkloadSigma(config.seed + 1),
+                               dir.string())
+                .code(),
+            util::StatusCode::kInvalidArgument);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(WorkloadFactoryTest, CompetingCountsNearConfiguredMean) {

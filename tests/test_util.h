@@ -5,10 +5,12 @@
 /// Shared helpers for building small SES instances in tests.
 
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "core/instance.h"
+#include "core/schedule.h"
 #include "core/sigma.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -115,6 +117,15 @@ inline core::SesInstance MakeAllTiedInstance(uint32_t pairs,
 /// Builds the medium preset directly.
 inline core::SesInstance MakeMediumInstance(uint64_t seed = 42) {
   return MakeRandomInstance(MediumInstanceConfig(seed));
+}
+
+/// The schedule \p assignments replay to, in order; aborts when one
+/// does not apply.
+inline core::Schedule Replay(const core::SesInstance& instance,
+                             std::span<const core::Assignment> assignments) {
+  core::Schedule schedule(instance);
+  SES_CHECK(core::ApplyWarmStart(schedule, assignments).ok());
+  return schedule;
 }
 
 }  // namespace ses::test

@@ -159,11 +159,10 @@ int CmdBuildInstance(int argc, const char* const* argv) {
   auto instance = factory.Build(config);
   if (!instance.ok()) return Fail(instance.status());
 
-  core::SigmaSpec spec;
-  spec.kind = core::SigmaSpec::Kind::kHash;
-  spec.seed = static_cast<uint64_t>(seed) ^ 0x5161a5ea11ULL;
   std::filesystem::create_directories(out);
-  if (auto status = core::SaveInstance(*instance, spec, out); !status.ok()) {
+  if (auto status = core::SaveInstance(
+          *instance, exp::WorkloadSigma(config.seed), out);
+      !status.ok()) {
     return Fail(status);
   }
   std::printf("wrote instance to %s: |U|=%u |E|=%u |T|=%u |C|=%u\n",
