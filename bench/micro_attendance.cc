@@ -226,7 +226,7 @@ struct KernelFixture {
                              core::kernels::HashSigma(11, u, 1)));
       soa.denom[u] = 0.5 + 2.0 * core::kernels::HashSigma(13, u, 2);
       soa.sched_mass[u] = (u % 3 == 0) ? 0.0 : soa.denom[u] * 0.4;
-      // The carried old term, as AccumulateMass/TouchMass write it.
+      // The carried old term, as TouchMass writes it.
       soa.ratio[u] = soa.denom[u] > 0.0 ? soa.sched_mass[u] / soa.denom[u]
                                         : 0.0;
       for (size_t lane = 0; lane < core::IntervalBlock::kWidth; ++lane) {
@@ -284,27 +284,6 @@ void BM_KernelFillSigmaHash(benchmark::State& state) {
                           kKernelUsers);
 }
 BENCHMARK(BM_KernelFillSigmaHash);
-
-void BM_KernelAccumulateClear(benchmark::State& state) {
-  // One LoadInterval-shaped cycle on pristine scratch: clear the
-  // previously touched users, then scatter-add one dense row.
-  core::IntervalSoA soa(kKernelUsers);
-  KernelFixture& f = Fixture();
-  for (auto _ : state) {
-    core::kernels::ClearTouched(soa.touched.data(), soa.num_touched,
-                                soa.denom.data(), soa.sched_mass.data(),
-                                soa.ratio.data(), soa.in_touched.data());
-    soa.num_touched = 0;
-    soa.num_touched = core::kernels::AccumulateMass(
-        f.users.data(), f.values.data(), f.users.size(), soa.denom.data(),
-        nullptr, nullptr, soa.touched.data(), soa.in_touched.data(),
-        soa.num_touched);
-    benchmark::DoNotOptimize(soa.denom.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          kKernelUsers);
-}
-BENCHMARK(BM_KernelAccumulateClear);
 
 }  // namespace
 

@@ -6,14 +6,14 @@
 /// feeding a util::ThreadPool.
 ///
 /// util::ThreadPool deliberately stays a plain FIFO executor — its
-/// ParallelFor re-entrancy contract is easiest to reason about that way
-/// — so request ordering lives one layer up, here. Each admitted job is
-/// parked in one of three priority lanes and a generic "run the best
-/// queued job" task is pushed to the pool; when a worker picks that task
-/// up it drains whichever job is most urgent *at that moment*, so a
-/// High-priority request admitted behind a wall of Batch work still runs
-/// as soon as any worker frees up. Within a lane jobs run in admission
-/// (FIFO) order.
+/// ParallelForShards re-entrancy contract is easiest to reason about
+/// that way — so request ordering lives one layer up, here. Each
+/// admitted job is parked in one of three priority lanes and a generic
+/// "run the best queued job" task is pushed to the pool; when a worker
+/// picks that task up it drains whichever job is most urgent *at that
+/// moment*, so a High-priority request admitted behind a wall of Batch
+/// work still runs as soon as any worker frees up. Within a lane jobs
+/// run in admission (FIFO) order.
 ///
 /// Admission control is a fail-fast bound on the number of admitted but
 /// not-yet-started jobs: TryDispatch refuses (returns false, runs

@@ -163,7 +163,7 @@ SolveResponse Scheduler::RunRequest(const core::SesInstance& instance,
   context.score_grid = grid;
 
   // Intra-solver score-generation shards run on the scheduler's own pool:
-  // ThreadPool::ParallelFor is worker-re-entrant, so a solver that was
+  // ThreadPool::ParallelForShards is worker-re-entrant, so a solver that was
   // itself fanned out by Submit/SolveBatch shares the pool with its
   // shards instead of spawning a transient one per request. The options
   // copy (warm_start included) only happens when a pool is actually

@@ -1,5 +1,7 @@
 #include "core/attendance.h"
 
+#include <algorithm>
+
 #include "core/kernels.h"
 #include "util/logging.h"
 
@@ -8,8 +10,7 @@ namespace ses::core {
 AttendanceModel::AttendanceModel(Schedule start)
     : instance_(&start.instance()),
       schedule_(std::move(start)),
-      // The constructor down-payment for the hot-path contract: every
-      // SoA span (D, M, ratio, sigma, touched) is sized to |U| here, so
+      // Every SoA span (D, M, ratio, sigma) is sized to |U| here, so
       // steady-state LoadInterval/TouchLoaded kernels only ever store
       // through pre-sized spans — no growth, no allocation (re-proven
       // at runtime by tests/core_hot_path_alloc_test.cc).
@@ -18,22 +19,18 @@ AttendanceModel::AttendanceModel(Schedule start)
 
 void AttendanceModel::LoadInterval(IntervalIndex t) {
   if (loaded_ == t) return;
-  // Reset only the entries touched by the previously loaded interval.
-  kernels::ClearTouched(soa_.touched.data(), soa_.num_touched,
-                        soa_.denom.data(), soa_.sched_mass.data(),
-                        soa_.ratio.data(), soa_.in_touched.data());
-  soa_.num_touched = 0;
   loaded_ = t;
+  // A dense reset: one interval's competing rows alone cover most
+  // users, so clearing all |U| costs about what tracking them would.
+  std::fill(soa_.denom.begin(), soa_.denom.end(), 0.0);
+  std::fill(soa_.sched_mass.begin(), soa_.sched_mass.end(), 0.0);
+  std::fill(soa_.ratio.begin(), soa_.ratio.end(), 0.0);
 
   for (CompetingIndex c : instance_->CompetingAt(t)) {
     auto users = instance_->CompetingUsers(c);
     auto values = instance_->CompetingValues(c);
-    // Competing mass is never removed, so M and the ratio stay
-    // untouched (null).
-    soa_.num_touched = kernels::AccumulateMass(
-        users.data(), values.data(), users.size(), soa_.denom.data(),
-        nullptr, nullptr, soa_.touched.data(), soa_.in_touched.data(),
-        soa_.num_touched);
+    kernels::AddMass(users.data(), values.data(), users.size(), 1,
+                     soa_.denom.data());
   }
   // One virtual bulk fill per interval load, amortized over the |U|-entry
   // row it produces — the sanctioned exception to the no-virtual-dispatch
@@ -41,23 +38,15 @@ void AttendanceModel::LoadInterval(IntervalIndex t) {
   // what the rule exists to stop).
   instance_->sigma().FillInterval(t, soa_.sigma);  // ses-lint: allow(hot-path) one virtual bulk fill amortized over |U| entries
 
-  for (EventIndex p : schedule_.EventsAt(t)) {
-    auto users = instance_->EventUsers(p);
-    auto values = instance_->EventValues(p);
-    soa_.num_touched = kernels::AccumulateMass(
-        users.data(), values.data(), users.size(), soa_.denom.data(),
-        soa_.sched_mass.data(), soa_.ratio.data(), soa_.touched.data(),
-        soa_.in_touched.data(), soa_.num_touched);
-  }
+  for (EventIndex p : schedule_.EventsAt(t)) TouchLoaded(p, +1.0);
 }
 
 void AttendanceModel::TouchLoaded(EventIndex e, double sign) {
   auto users = instance_->EventUsers(e);
   auto values = instance_->EventValues(e);
-  soa_.num_touched = kernels::TouchMass(
-      users.data(), values.data(), users.size(), sign, soa_.denom.data(),
-      soa_.sched_mass.data(), soa_.ratio.data(), soa_.touched.data(),
-      soa_.in_touched.data(), soa_.num_touched);
+  kernels::TouchMass(users.data(), values.data(), users.size(), sign,
+                     soa_.denom.data(), soa_.sched_mass.data(),
+                     soa_.ratio.data());
 }
 
 double AttendanceModel::MarginalGain(EventIndex e, IntervalIndex t) {

@@ -26,22 +26,24 @@
 ///
 /// The engine keeps its dense per-user scratch for a single "loaded"
 /// interval at a time as a structure-of-arrays bundle (core::IntervalSoA:
-/// D, M, sigma row, touched list — contiguous 64-byte-aligned spans),
-/// and every inner loop over that scratch is a batched span kernel from
-/// core/kernels.h rather than an open-coded scalar loop. GRD's access
-/// pattern (one interval per update pass once score generation has
-/// filled the grid) makes this the right trade: marginal gains cost
-/// O(nnz(row)) with pure array reads, through restrict-qualified
-/// pointers the compiler can vectorize. The old term D > 0 ? M / D : 0
-/// is the same for every event scored at the loaded interval, so it is
-/// carried per user in the bundle (IntervalSoA::ratio), rewritten only
-/// where D or M change, and each gain term costs one division.
+/// D, M, the carried ratio and the sigma row — contiguous 64-byte-aligned
+/// spans), and every inner loop over that scratch is a batched span
+/// kernel from core/kernels.h rather than an open-coded scalar loop.
+/// GRD's access pattern (one interval per update pass once score
+/// generation has filled the grid) makes this the right trade: marginal
+/// gains cost O(nnz(row)) with pure array reads, through
+/// restrict-qualified pointers the compiler can vectorize. The old term
+/// D > 0 ? M / D : 0 is the same for every event scored at the loaded
+/// interval, so it is carried per user in the bundle
+/// (IntervalSoA::ratio), rewritten only where D or M change, and each
+/// gain term costs one division.
 ///
-/// Loading an interval rebuilds that scratch from the instance: the
-/// competing-event mass, the provider's sigma row and the scheduled
-/// events, in that order. An update pass (RescoreRow) scores a whole
-/// interval row under one load, and each profile in it once: twins
-/// (core/instance.h) have one row and so one gain.
+/// Loading an interval zeroes that scratch over all |U| users and
+/// rebuilds it from the instance: the competing-event mass, the
+/// provider's sigma row and the scheduled events, in that order. An
+/// update pass (RescoreRow) scores a whole interval row under one load,
+/// and each profile in it once: twins (core/instance.h) have one row and
+/// so one gain.
 
 #include <cstdint>
 #include <limits>
@@ -115,9 +117,10 @@ class AttendanceModel {
 
  private:
   /// Rebuilds the SoA scratch (denominators, scheduled mass, old-term
-  /// ratio, sigma row) for interval \p t unless already loaded, via the
-  /// scatter kernels in core/kernels.h. Allocation-free: every SoA span
-  /// is sized to its instance-dimension bound at construction.
+  /// ratio, sigma row) for interval \p t unless already loaded: zeroes
+  /// D, M and the ratio, folds the competing rows (kernels::AddMass),
+  /// fills sigma, and adds the scheduled rows (TouchLoaded). Allocation-
+  /// free: every SoA span is sized to |U| at construction.
   SES_HOT void LoadInterval(IntervalIndex t);
 
   /// Adds (sign=+1) or removes (sign=-1) event \p e's interest row from
@@ -128,9 +131,9 @@ class AttendanceModel {
   Schedule schedule_;
 
   IntervalIndex loaded_ = kInvalidIndex;
-  /// D / M / ratio / sigma scratch + touched list for the loaded
-  /// interval, as contiguous aligned spans (see core/kernels.h for the
-  /// layout and the bit-identity contract of the kernels that walk it).
+  /// D / M / ratio / sigma scratch for the loaded interval, as
+  /// contiguous aligned spans (see core/kernels.h for the layout and the
+  /// bit-identity contract of the kernels that walk it).
   IntervalSoA soa_;
 
   /// RescoreRow's per-profile scratch, one entry per profile, sized at

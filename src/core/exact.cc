@@ -25,8 +25,9 @@ struct SearchContext {
 
   /// upper_bound[e] = max over t of the empty-schedule score of (e, t).
   std::vector<double> event_upper_bound;
-  /// suffix_top_[e][j]: sum of the j largest upper bounds among events
-  /// >= e. Stored flattened; see SuffixBound().
+  /// suffix_top[e][j]: sum of the j largest upper bounds among events
+  /// >= e, one row per e with j up to min(k, |E| - e); read through
+  /// SuffixBound().
   std::vector<std::vector<double>> suffix_top;
 
   /// The incumbent and the utility its search path added to the warm

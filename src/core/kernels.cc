@@ -9,8 +9,8 @@ namespace ses::core::kernels {
 // any "obvious" algebraic cleanup here is a test failure. What changed
 // is the calling convention: restrict-qualified raw pointers and no
 // virtual dispatch, so the compiler vectorizes instead of assuming
-// aliasing. The one moved operation is the old Luce term M / D: the
-// mass kernels compute it once per change of D and M, with the same
+// aliasing. The one moved operation is the old Luce term M / D:
+// TouchMass computes it once per change of D and M, with the same
 // expression on the same doubles, and the gain kernel reads it.
 
 void FillSigmaConst(float value, std::span<float> out) {
@@ -30,66 +30,22 @@ void CopySigmaRow(std::span<const float> row, std::span<float> out) {
   std::copy(row.begin(), row.begin() + out.size(), out.begin());
 }
 
-void ClearTouched(const UserIndex* SES_RESTRICT touched, size_t n,
-                  double* SES_RESTRICT denom,
-                  double* SES_RESTRICT sched_mass,
-                  double* SES_RESTRICT ratio,
-                  uint8_t* SES_RESTRICT in_touched) {
+void AddMass(const UserIndex* SES_RESTRICT users,
+             const float* SES_RESTRICT values, size_t n, size_t stride,
+             double* SES_RESTRICT denom) {
   for (size_t i = 0; i < n; ++i) {
-    const UserIndex u = touched[i];
-    denom[u] = 0.0;
-    sched_mass[u] = 0.0;
-    ratio[u] = 0.0;
-    in_touched[u] = 0;
+    denom[static_cast<size_t>(users[i]) * stride] +=
+        static_cast<double>(values[i]);
   }
 }
 
-size_t AccumulateMass(const UserIndex* SES_RESTRICT users,
-                      const float* SES_RESTRICT values, size_t n,
-                      double* SES_RESTRICT denom,
-                      double* SES_RESTRICT sched_mass,
-                      double* SES_RESTRICT ratio,
-                      UserIndex* SES_RESTRICT touched,
-                      uint8_t* SES_RESTRICT in_touched,
-                      size_t num_touched) {
-  if (sched_mass == nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      const UserIndex u = users[i];
-      if (denom[u] == 0.0 && in_touched[u] == 0) {
-        in_touched[u] = 1;
-        touched[num_touched++] = u;
-      }
-      denom[u] += static_cast<double>(values[i]);
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      const UserIndex u = users[i];
-      if (denom[u] == 0.0 && in_touched[u] == 0) {
-        in_touched[u] = 1;
-        touched[num_touched++] = u;
-      }
-      denom[u] += static_cast<double>(values[i]);
-      sched_mass[u] += static_cast<double>(values[i]);
-      ratio[u] = denom[u] > 0.0 ? sched_mass[u] / denom[u] : 0.0;
-    }
-  }
-  return num_touched;
-}
-
-size_t TouchMass(const UserIndex* SES_RESTRICT users,
-                 const float* SES_RESTRICT values, size_t n, double sign,
-                 double* SES_RESTRICT denom,
-                 double* SES_RESTRICT sched_mass,
-                 double* SES_RESTRICT ratio,
-                 UserIndex* SES_RESTRICT touched,
-                 uint8_t* SES_RESTRICT in_touched, size_t num_touched) {
+void TouchMass(const UserIndex* SES_RESTRICT users,
+               const float* SES_RESTRICT values, size_t n, double sign,
+               double* SES_RESTRICT denom, double* SES_RESTRICT sched_mass,
+               double* SES_RESTRICT ratio) {
   for (size_t i = 0; i < n; ++i) {
     const UserIndex u = users[i];
     const double mu = sign * static_cast<double>(values[i]);
-    if (denom[u] == 0.0 && mu > 0.0 && in_touched[u] == 0) {
-      in_touched[u] = 1;
-      touched[num_touched++] = u;
-    }
     denom[u] += mu;
     sched_mass[u] += mu;
     // Guard against negative residue from floating-point cancellation.
@@ -97,7 +53,6 @@ size_t TouchMass(const UserIndex* SES_RESTRICT users,
     if (sched_mass[u] < 0.0) sched_mass[u] = 0.0;
     ratio[u] = denom[u] > 0.0 ? sched_mass[u] / denom[u] : 0.0;
   }
-  return num_touched;
 }
 
 double LuceGain(const UserIndex* SES_RESTRICT users,

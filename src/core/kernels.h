@@ -3,16 +3,12 @@
 
 /// \file
 /// Structure-of-arrays interval state + the batched span kernels of the
-/// O(|E|·|T|) score loop (Algorithm 1 lines 2–4).
-///
-/// The attendance engine's per-user scratch used to live in three
-/// independently allocated vectors walked by scalar loops spread across
-/// attendance.cc. This header centralizes both halves of that design:
+/// O(|E|·|T|) score loop (Algorithm 1 lines 2–4):
 ///
 ///   - IntervalSoA: one bundle of contiguous, 64-byte-aligned spans per
 ///     loaded interval — denominators D, scheduled mass M, the old Luce
-///     term M / D, the sigma row, and the touched-user list. Dense,
-///     index-addressed, built once per AttendanceModel::LoadInterval.
+///     term M / D and the sigma row. Dense, index-addressed, rebuilt by
+///     every AttendanceModel::LoadInterval.
 ///   - IntervalBlock: D and the sigma rows of 4 intervals with no
 ///     scheduled event, lane-interleaved per user, so score generation
 ///     gets an event's gain at all 4 from one pass over its row
@@ -52,9 +48,8 @@ tolerances that -ffast-math breaks. Build without -ffast-math."
 namespace ses::core {
 
 /// Structure-of-arrays per-user state for one loaded interval. All
-/// spans are |U| long, contiguous, and util::kKernelAlignment-aligned;
-/// `touched` lists the users with non-zero mass (first `num_touched`
-/// entries), pre-sized to |U| so steady-state loads never allocate.
+/// spans are |U| long, contiguous, and util::kKernelAlignment-aligned,
+/// so steady-state loads never allocate.
 ///
 /// D and M are doubles: the incremental engine accumulates interest
 /// mass across Apply/Unapply, where float rounding would compound, and
@@ -63,34 +58,22 @@ namespace ses::core {
 /// compounds.
 ///
 /// `ratio` carries the old Luce term D > 0 ? M / D : 0 per user, so the
-/// gain kernel divides once per term instead of twice. The
-/// kernels that change M (AccumulateMass on a scheduled row, TouchMass)
-/// rewrite it with exactly that expression right after the change;
-/// ClearTouched zeroes it. Competing rows change D while M is still 0,
-/// so their users keep ratio 0, which is what the expression gives for
-/// M = 0.
+/// gain kernel divides once per term instead of twice. A load zeroes it
+/// with D and M, and TouchMass, the one kernel that changes M, rewrites
+/// it with exactly that expression right after the change. Competing
+/// rows (AddMass) change D while M is still 0, so their users keep
+/// ratio 0, which is what the expression gives for M = 0.
 struct IntervalSoA {
   explicit IntervalSoA(size_t num_users)
       : denom(num_users, 0.0),
         sched_mass(num_users, 0.0),
         ratio(num_users, 0.0),
-        sigma(num_users, 0.0f),
-        touched(num_users, 0),
-        in_touched(num_users, 0) {}
+        sigma(num_users, 0.0f) {}
 
   util::AlignedVector<double> denom;       ///< D = C + M per user
   util::AlignedVector<double> sched_mass;  ///< M per user
   util::AlignedVector<double> ratio;       ///< D > 0 ? M / D : 0 per user
   util::AlignedVector<float> sigma;        ///< sigma(u, t) scratch row
-  util::AlignedVector<UserIndex> touched;  ///< users with non-zero scratch
-  /// Byte mask deduplicating `touched`: in_touched[u] != 0 iff u is in
-  /// the valid prefix. Apply/Unapply churn can clamp a user's mass back
-  /// to exactly zero and later re-touch it; the mask keeps such users
-  /// from being recorded twice, which is what makes the fixed |U|
-  /// bound on `touched` strict (the pre-SoA growable vector simply
-  /// accepted duplicates and reallocated past its reserve).
-  util::AlignedVector<uint8_t> in_touched;
-  size_t num_touched = 0;  ///< valid prefix of `touched`
 };
 
 /// Per-user state for kWidth intervals scored in one pass over each
@@ -154,45 +137,24 @@ SES_HOT void FillSigmaHash(uint64_t seed, IntervalIndex t,
 /// out = row[0 .. out.size()) (DenseSigma's bulk row).
 SES_HOT void CopySigmaRow(std::span<const float> row, std::span<float> out);
 
-/// Zeroes D, M, the ratio and the dedup mask at the `n` touched
-/// indices (interval unload).
-SES_HOT void ClearTouched(const UserIndex* SES_RESTRICT touched, size_t n,
-                          double* SES_RESTRICT denom,
-                          double* SES_RESTRICT sched_mass,
-                          double* SES_RESTRICT ratio,
-                          uint8_t* SES_RESTRICT in_touched);
+/// Scatter-adds one competing row: denom[users[i] * stride] +=
+/// values[i], in row order. Stride 1 folds into IntervalSoA::denom;
+/// stride IntervalBlock::kWidth folds into one lane of a block.
+/// Competing mass is never removed and is folded before any scheduled
+/// row, so M and the ratio are not written.
+SES_HOT void AddMass(const UserIndex* SES_RESTRICT users,
+                     const float* SES_RESTRICT values, size_t n,
+                     size_t stride, double* SES_RESTRICT denom);
 
-/// Scatter-adds one sparse interest row: denom[u] += values[i], and
-/// for scheduled-event rows (sched_mass and ratio non-null) M likewise,
-/// then ratio[u] = D > 0 ? M / D : 0. Competing rows pass null for both:
-/// their mass is not removable, and they are folded before any
-/// scheduled row, while M and the ratio are still 0.
-/// First-touched users (denom exactly 0 pre-add, not yet in the mask)
-/// are appended to `touched` at `num_touched`; returns the new count.
-/// `touched` must have capacity |U| — the mask makes that bound
-/// strict; the kernel stores, never grows.
-SES_HOT size_t AccumulateMass(const UserIndex* SES_RESTRICT users,
-                              const float* SES_RESTRICT values, size_t n,
-                              double* SES_RESTRICT denom,
-                              double* SES_RESTRICT sched_mass,
-                              double* SES_RESTRICT ratio,
-                              UserIndex* SES_RESTRICT touched,
-                              uint8_t* SES_RESTRICT in_touched,
-                              size_t num_touched);
-
-/// Signed variant for Apply/Unapply: adds sign * values[i] to D and M,
-/// clamping tiny negative cancellation residue to zero, then rewrites
-/// ratio[u] = D > 0 ? M / D : 0 from the clamped values. Appends
-/// first-touched users exactly like AccumulateMass. Returns the new
-/// touched count.
-SES_HOT size_t TouchMass(const UserIndex* SES_RESTRICT users,
-                         const float* SES_RESTRICT values, size_t n,
-                         double sign, double* SES_RESTRICT denom,
-                         double* SES_RESTRICT sched_mass,
-                         double* SES_RESTRICT ratio,
-                         UserIndex* SES_RESTRICT touched,
-                         uint8_t* SES_RESTRICT in_touched,
-                         size_t num_touched);
+/// Adds sign * values[i] to D and M (+1 to schedule an event's row, -1
+/// to remove it), clamping tiny negative cancellation residue to zero,
+/// then rewrites ratio[u] = D > 0 ? M / D : 0 from the clamped values.
+/// The only kernel that writes M or the ratio.
+SES_HOT void TouchMass(const UserIndex* SES_RESTRICT users,
+                       const float* SES_RESTRICT values, size_t n,
+                       double sign, double* SES_RESTRICT denom,
+                       double* SES_RESTRICT sched_mass,
+                       double* SES_RESTRICT ratio);
 
 /// Eq. 4 (the Luce-choice gain): sum over the event's sparse interest
 /// row of sigma[u] * ((M + x) / (D + x) - ratio[u]), where ratio[u] is

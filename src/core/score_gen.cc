@@ -50,23 +50,20 @@ std::vector<EventIndex> Representatives(
 }
 
 /// Loads the intervals lanes[0 .. width) into the block's lanes: D is
-/// the competing mass, folded in CompetingAt order with the same
-/// `+= double(value)` as AccumulateMass's competing branch, and sigma is
-/// the provider's row, interleaved. Unused lanes keep D = 0, sigma = 0.
+/// the competing mass, folded in CompetingAt order by kernels::AddMass
+/// as LoadInterval folds it, and sigma is the provider's row,
+/// interleaved. Unused lanes keep D = 0, sigma = 0.
 SES_HOT void LoadBlock(const SesInstance& instance, const size_t* lanes,
                        size_t width, IntervalBlock& block) {
   std::fill(block.denom.begin(), block.denom.end(), 0.0);
   std::fill(block.sigma.begin(), block.sigma.end(), 0.0f);
   for (size_t lane = 0; lane < width; ++lane) {
     const auto t = static_cast<IntervalIndex>(lanes[lane]);
-    double* SES_RESTRICT denom = block.denom.data() + lane;
     for (CompetingIndex c : instance.CompetingAt(t)) {
       auto users = instance.CompetingUsers(c);
       auto values = instance.CompetingValues(c);
-      for (size_t i = 0; i < users.size(); ++i) {
-        denom[static_cast<size_t>(users[i]) * kWidth] +=
-            static_cast<double>(values[i]);
-      }
+      kernels::AddMass(users.data(), values.data(), users.size(), kWidth,
+                       block.denom.data() + lane);
     }
     instance.sigma().FillInterval(t, block.row);  // ses-lint: allow(hot-path) one virtual bulk fill amortized over |U| entries
     float* SES_RESTRICT sigma = block.sigma.data() + lane;

@@ -47,9 +47,9 @@ struct SolverOptions {
 
   /// Borrowed pool for score-generation shards; not owned, may be null.
   /// api::Scheduler fills this in with its own pool for requests that
-  /// ask for threads != 1 (ThreadPool::ParallelFor is safe to call from
-  /// a pool worker, so fan-out solvers and intra-solver shards share one
-  /// pool). When null and threads != 1, solvers spin up a transient pool
+  /// ask for threads != 1 (ThreadPool::ParallelForShards is safe to call
+  /// from a pool worker, so fan-out solvers and intra-solver shards share
+  /// one pool). When null and threads != 1, solvers spin up a transient pool
   /// for the generation pass.
   util::ThreadPool* pool = nullptr;
 };

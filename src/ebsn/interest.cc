@@ -10,7 +10,7 @@ namespace ses::ebsn {
 namespace {
 
 /// Per-thread scatter scratch for EventInterests: intersection counts per
-/// user plus the list of touched users. Keyed by thread rather than by
+/// user plus the list of users with a non-zero count. Keyed by thread rather than by
 /// model so a shared const InterestModel is safe to query from many
 /// threads at once. The counts invariant — zero everywhere outside a
 /// call (reset-as-we-go below) — lets models over different datasets
@@ -18,7 +18,7 @@ namespace {
 /// thread has seen.
 struct ScatterScratch {
   std::vector<uint16_t> overlap_counts;
-  std::vector<EbsnUserId> touched;
+  std::vector<EbsnUserId> overlapping;
 };
 
 ScatterScratch& LocalScratch(size_t num_users) {
@@ -45,19 +45,19 @@ InterestModel::InterestModel(const EbsnDataset& dataset)
 std::vector<UserInterest> InterestModel::EventInterests(
     const std::vector<TagId>& event_tags, float min_interest) const {
   ScatterScratch& scratch = LocalScratch(dataset_->users().size());
-  scratch.touched.clear();
+  scratch.overlapping.clear();
   for (TagId tag : event_tags) {
     SES_CHECK_LT(tag, tag_users_.size());
     for (EbsnUserId u : tag_users_[tag]) {
-      if (scratch.overlap_counts[u] == 0) scratch.touched.push_back(u);
+      if (scratch.overlap_counts[u] == 0) scratch.overlapping.push_back(u);
       ++scratch.overlap_counts[u];
     }
   }
   std::vector<UserInterest> out;
-  out.reserve(scratch.touched.size());
+  out.reserve(scratch.overlapping.size());
   const auto& users = dataset_->users();
   const float event_size = static_cast<float>(event_tags.size());
-  for (EbsnUserId u : scratch.touched) {
+  for (EbsnUserId u : scratch.overlapping) {
     const float overlap = static_cast<float>(scratch.overlap_counts[u]);
     scratch.overlap_counts[u] = 0;  // reset scratch as we go
     const float union_size =

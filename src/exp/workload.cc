@@ -90,6 +90,23 @@ util::Result<core::SesInstance> WorkloadFactory::Build(
     return util::Status::InvalidArgument(
         "competing_mean + competing_spread must be below 2^63");
   }
+  // Locations are drawn from [0, num_locations) as 32-bit ids, and xi
+  // from [xi_min, xi_max]; the Rng aborts on an empty range.
+  if (config.num_locations <= 0 ||
+      config.num_locations > std::numeric_limits<uint32_t>::max()) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "num_locations must be in [1, %u], got %lld",
+        std::numeric_limits<uint32_t>::max(),
+        static_cast<long long>(config.num_locations)));
+  }
+  if (!std::isfinite(config.xi_min) || !std::isfinite(config.xi_max) ||
+      config.xi_min < 0.0 || config.xi_max < 0.0) {
+    return util::Status::InvalidArgument(
+        "xi_min and xi_max must be finite and >= 0");
+  }
+  if (config.xi_min > config.xi_max) {
+    return util::Status::InvalidArgument("xi_min must not exceed xi_max");
+  }
   const size_t catalog_size = dataset_->events().size();
   if (catalog_size == 0) {
     return util::Status::FailedPrecondition("dataset has no events");

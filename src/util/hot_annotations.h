@@ -8,11 +8,9 @@
 /// can transitively reach — is free of
 ///
 ///   (a) heap allocation (`new`, `make_unique`/`make_shared`,
-///       `push_back`/`emplace`/`resize`, string construction), with an
-///       amortized-capacity escape: growth calls whose receiver has a
-///       matching `reserve` earlier in the same body, or in another
-///       member of the same class (the constructor down-payment
-///       pattern), are allowed;
+///       `push_back`/`emplace`/`insert`/`append`/`resize`/`reserve`,
+///       string construction): hot scratch is sized by its owner,
+///       outside the hot path;
 ///   (b) mutex acquisition (scoped locks, manual `Lock()`, calls into
 ///       `SES_ACQUIRE`-declared functions) and condition-variable
 ///       waits;

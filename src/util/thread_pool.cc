@@ -11,7 +11,7 @@ namespace ses::util {
 
 namespace {
 
-/// State of one ParallelFor call, shared between the caller and its
+/// State of one ParallelForShards call, shared between the caller and its
 /// helper tasks. Shards are claimed through an atomic cursor rather than
 /// pre-assigned to tasks, so progress never depends on any helper being
 /// scheduled: whoever shows up first (usually the caller) takes the next
@@ -118,14 +118,6 @@ void ThreadPool::WorkerLoop() {
       if (in_flight_ == 0) all_done_.NotifyAll();
     }
   }
-}
-
-void ThreadPool::ParallelFor(size_t begin, size_t end,
-                             const std::function<void(size_t)>& fn) {
-  ParallelForShards(begin, end, /*max_shards=*/0,
-                    [&fn](size_t lo, size_t hi) {
-                      for (size_t i = lo; i < hi; ++i) fn(i);
-                    });
 }
 
 void ThreadPool::ParallelForShards(

@@ -2,14 +2,15 @@
 #define SES_UTIL_THREAD_POOL_H_
 
 /// \file
-/// Fixed-size worker pool with a blocking ParallelFor, used to parallelize
-/// initial assignment-score generation on multi-core machines. On a single
-/// core machine the pool degrades gracefully to near-serial execution.
+/// Fixed-size worker pool with a blocking ParallelForShards, used to
+/// parallelize initial assignment-score generation and experiment sweeps
+/// on multi-core machines. On a single core machine the pool degrades
+/// gracefully to near-serial execution.
 ///
-/// ParallelFor is re-entrant: it may be called from inside a pool task.
-/// Each call tracks its own shards on a per-call completion latch (never
-/// the pool-wide in-flight count), and the calling thread claims and
-/// executes shards alongside the workers. A call issued from a saturated
+/// ParallelForShards is re-entrant: it may be called from inside a pool
+/// task. Each call tracks its own shards on a per-call completion latch
+/// (never the pool-wide in-flight count), and the calling thread claims
+/// and executes shards alongside the workers. A call issued from a saturated
 /// or fully-parked pool therefore still completes — worst case the caller
 /// runs every shard itself — instead of deadlocking on helpers that can
 /// never be scheduled, and it never waits on unrelated Submit() work.
@@ -46,18 +47,14 @@ class ThreadPool {
   /// Number of worker threads.
   size_t num_threads() const { return workers_.size(); }
 
-  /// Runs fn(i) for every i in [begin, end), partitioned into contiguous
-  /// shards across the pool plus the calling thread, and blocks until all
-  /// shards complete. Safe to call from inside a pool task (see \file).
-  void ParallelFor(size_t begin, size_t end,
-                   const std::function<void(size_t)>& fn);
-
-  /// Shard-granular variant: partitions [begin, end) into at most
-  /// min(num_threads() + 1, max_shards) contiguous shards whose sizes
-  /// differ by at most one, and runs fn(lo, hi) once per shard.
-  /// \p max_shards == 0 means one shard per available lane (workers plus
-  /// the calling thread). Use this when each shard needs its own scratch
-  /// state (e.g. one interval block per shard in score generation).
+  /// Partitions [begin, end) into at most min(num_threads() + 1,
+  /// max_shards) contiguous shards whose sizes differ by at most one,
+  /// runs fn(lo, hi) once per shard across the pool plus the calling
+  /// thread, and blocks until all shards complete. \p max_shards == 0
+  /// means one shard per available lane (workers plus the calling
+  /// thread). Each shard can keep its own scratch state (e.g. one
+  /// interval block per shard in score generation). Safe to call from
+  /// inside a pool task (see \file).
   void ParallelForShards(size_t begin, size_t end, size_t max_shards,
                          const std::function<void(size_t, size_t)>& fn);
 

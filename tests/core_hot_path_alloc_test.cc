@@ -48,8 +48,8 @@ TEST(HotPathAllocTest, FirstSweepScratchPathIsAllocationFree) {
   if (!util::AllocGuardEnabled()) GTEST_SKIP() << kSkipMessage;
   const SesInstance instance = test::MakeMediumInstance();
   AttendanceModel model(instance);
-  // This window proves the constructor's down-payments cover
-  // LoadInterval with zero allocations from a fresh model's first load.
+  // This window proves the constructor's sizing covers LoadInterval
+  // with zero allocations from a fresh model's first load.
   util::ScopedAllocCheck check;
   const double sink = GainSweep(instance, model);
   EXPECT_EQ(check.allocations(), 0u);
@@ -162,26 +162,25 @@ TEST(HotPathAllocTest, KernelSweepIsAllocationFree) {
   double sink = 0.0;
   util::ScopedAllocCheck check;
   for (int pass = 0; pass < 16; ++pass) {
-    kernels::ClearTouched(soa.touched.data(), soa.num_touched,
-                          soa.denom.data(), soa.sched_mass.data(),
-                          soa.ratio.data(), soa.in_touched.data());
-    soa.num_touched = 0;
+    // LoadInterval's dense reset, competing fold and scheduled fold.
+    std::fill(soa.denom.begin(), soa.denom.end(), 0.0);
+    std::fill(soa.sched_mass.begin(), soa.sched_mass.end(), 0.0);
+    std::fill(soa.ratio.begin(), soa.ratio.end(), 0.0);
     kernels::FillSigmaHash(42, static_cast<IntervalIndex>(pass), soa.sigma);
-    soa.num_touched = kernels::AccumulateMass(
-        users.data(), values.data(), users.size(), soa.denom.data(),
-        nullptr, nullptr, soa.touched.data(), soa.in_touched.data(),
-        soa.num_touched);
-    soa.num_touched = kernels::AccumulateMass(
-        users.data(), values.data(), users.size(), soa.denom.data(),
-        soa.sched_mass.data(), soa.ratio.data(), soa.touched.data(),
-        soa.in_touched.data(), soa.num_touched);
+    kernels::AddMass(users.data(), values.data(), users.size(), 1,
+                     soa.denom.data());
+    kernels::TouchMass(users.data(), values.data(), users.size(), +1.0,
+                       soa.denom.data(), soa.sched_mass.data(),
+                       soa.ratio.data());
     sink += kernels::LuceGain(users.data(), values.data(), users.size(),
                               soa.denom.data(), soa.sched_mass.data(),
                               soa.ratio.data(), soa.sigma.data());
-    soa.num_touched = kernels::TouchMass(
-        users.data(), values.data(), users.size(), -1.0, soa.denom.data(),
-        soa.sched_mass.data(), soa.ratio.data(), soa.touched.data(),
-        soa.in_touched.data(), soa.num_touched);
+    kernels::TouchMass(users.data(), values.data(), users.size(), -1.0,
+                       soa.denom.data(), soa.sched_mass.data(),
+                       soa.ratio.data());
+    // LoadBlock's fold into one lane, then the block's gain.
+    kernels::AddMass(users.data(), values.data(), users.size(),
+                     IntervalBlock::kWidth, block.denom.data() + 1);
     double lanes[IntervalBlock::kWidth] = {};
     kernels::LuceGainBlock(users.data(), values.data(), users.size(),
                            block.denom.data(), block.sigma.data(), lanes);

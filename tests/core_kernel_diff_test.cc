@@ -128,44 +128,19 @@ double LuceGain(const std::vector<UserIndex>& users,
   return gain;
 }
 
-// The touched-list recording rule carries the kernels' dedup-mask
-// semantics: record a user at most once per load (the SoA `touched`
-// array is a strict-|U| buffer, so duplicate recording — possible when
-// apply/unapply churn clamps a user's mass back to exactly zero — is
-// deduplicated by the byte mask). Recording affects only which entries
-// get cleared on unload, never a numeric result.
-
-void AccumulateMass(const std::vector<UserIndex>& users,
-                    const std::vector<float>& values,
-                    std::vector<double>& denom,
-                    std::vector<double>* sched_mass,
-                    std::vector<UserIndex>& touched,
-                    std::vector<uint8_t>& in_touched) {
+void AddMass(const std::vector<UserIndex>& users,
+             const std::vector<float>& values, std::vector<double>& denom) {
   for (size_t i = 0; i < users.size(); ++i) {
-    const UserIndex u = users[i];
-    if (denom[u] == 0.0 && in_touched[u] == 0) {
-      in_touched[u] = 1;
-      touched.push_back(u);
-    }
-    denom[u] += static_cast<double>(values[i]);
-    if (sched_mass != nullptr) {
-      (*sched_mass)[u] += static_cast<double>(values[i]);
-    }
+    denom[users[i]] += static_cast<double>(values[i]);
   }
 }
 
 void TouchMass(const std::vector<UserIndex>& users,
                const std::vector<float>& values, double sign,
-               std::vector<double>& denom, std::vector<double>& sched_mass,
-               std::vector<UserIndex>& touched,
-               std::vector<uint8_t>& in_touched) {
+               std::vector<double>& denom, std::vector<double>& sched_mass) {
   for (size_t i = 0; i < users.size(); ++i) {
     const UserIndex u = users[i];
     const double mu = sign * static_cast<double>(values[i]);
-    if (denom[u] == 0.0 && mu > 0.0 && in_touched[u] == 0) {
-      in_touched[u] = 1;
-      touched.push_back(u);
-    }
     denom[u] += mu;
     sched_mass[u] += mu;
     if (denom[u] < 0.0) denom[u] = 0.0;
@@ -282,48 +257,39 @@ TEST(KernelDiffTest, LuceGainBlockBitIdenticalToReference) {
   }
 }
 
-TEST(KernelDiffTest, AccumulateMassBitIdenticalToReference) {
+TEST(KernelDiffTest, AddMassBitIdenticalToReference) {
+  constexpr size_t kWidth = IntervalBlock::kWidth;
   for (uint64_t seed = 0; seed < 25; ++seed) {
-    for (const bool with_sched : {false, true}) {
-      util::Rng rng(seed);
-      const uint32_t num_users = 1 + rng.NextBounded(100);
-      std::vector<double> ref_denom(num_users, 0.0);
-      std::vector<double> ref_sched(num_users, 0.0);
-      std::vector<UserIndex> ref_touched;
-      std::vector<uint8_t> ref_mask(num_users, 0);
-      std::vector<double> soa_denom(num_users, 0.0);
-      std::vector<double> soa_sched(num_users, 0.0);
-      std::vector<double> soa_ratio(num_users, 0.0);
-      std::vector<UserIndex> soa_touched(num_users, 0);
-      std::vector<uint8_t> soa_mask(num_users, 0);
-      size_t num_touched = 0;
-
-      // Several overlapping rows, as LoadInterval folds several
-      // competing/scheduled rows into the same scratch. With scheduled
-      // rows, the first row is still a competing one, because
-      // LoadInterval folds those first; it also makes D differ from M.
+    util::Rng rng(seed);
+    const uint32_t num_users = 1 + rng.NextBounded(100);
+    // Each lane folds several overlapping rows, as LoadInterval and
+    // LoadBlock fold an interval's competing rows into one scratch: at
+    // stride 1 into its own |U| span, and at stride kWidth into its
+    // lane of one interleaved span shared by all lanes.
+    std::vector<std::vector<double>> ref_denom(
+        kWidth, std::vector<double>(num_users, 0.0));
+    std::vector<double> interleaved(num_users * kWidth, 0.0);
+    for (size_t lane = 0; lane < kWidth; ++lane) {
+      std::vector<double> denom(num_users, 0.0);
       for (int r = 0; r < 4; ++r) {
         const SparseRow row =
             RandomRow(rng, num_users, rng.UniformDouble(0.0, 0.8));
-        const bool sched_row = with_sched && r > 0;
-        ref::AccumulateMass(row.users, row.values, ref_denom,
-                            sched_row ? &ref_sched : nullptr, ref_touched,
-                            ref_mask);
-        num_touched = kernels::AccumulateMass(
-            row.users.data(), row.values.data(), row.users.size(),
-            soa_denom.data(), sched_row ? soa_sched.data() : nullptr,
-            sched_row ? soa_ratio.data() : nullptr, soa_touched.data(),
-            soa_mask.data(), num_touched);
-        ExpectRatiosCarried(soa_denom, soa_sched, soa_ratio, seed);
-      }
-
-      ASSERT_EQ(num_touched, ref_touched.size()) << "seed " << seed;
-      for (size_t i = 0; i < num_touched; ++i) {
-        EXPECT_EQ(soa_touched[i], ref_touched[i]) << "seed " << seed;
+        ref::AddMass(row.users, row.values, ref_denom[lane]);
+        kernels::AddMass(row.users.data(), row.values.data(),
+                         row.users.size(), 1, denom.data());
+        kernels::AddMass(row.users.data(), row.values.data(),
+                         row.users.size(), kWidth,
+                         interleaved.data() + lane);
       }
       for (UserIndex u = 0; u < num_users; ++u) {
-        EXPECT_TRUE(BitEq(soa_denom[u], ref_denom[u])) << "seed " << seed;
-        EXPECT_TRUE(BitEq(soa_sched[u], ref_sched[u])) << "seed " << seed;
+        EXPECT_TRUE(BitEq(denom[u], ref_denom[lane][u]))
+            << "seed " << seed << " u=" << u;
+      }
+    }
+    for (UserIndex u = 0; u < num_users; ++u) {
+      for (size_t lane = 0; lane < kWidth; ++lane) {
+        EXPECT_TRUE(BitEq(interleaved[u * kWidth + lane], ref_denom[lane][u]))
+            << "seed " << seed << " u=" << u << " lane " << lane;
       }
     }
   }
@@ -335,23 +301,15 @@ TEST(KernelDiffTest, TouchMassBitIdenticalToReference) {
     const uint32_t num_users = 1 + rng.NextBounded(100);
     std::vector<double> ref_denom(num_users, 0.0);
     std::vector<double> ref_sched(num_users, 0.0);
-    std::vector<UserIndex> ref_touched;
-    std::vector<uint8_t> ref_mask(num_users, 0);
     std::vector<double> soa_denom(num_users, 0.0);
     std::vector<double> soa_sched(num_users, 0.0);
     std::vector<double> soa_ratio(num_users, 0.0);
-    std::vector<UserIndex> soa_touched(num_users, 0);
-    std::vector<uint8_t> soa_mask(num_users, 0);
-    size_t num_touched = 0;
 
     // Competing mass first, as in a loaded interval, so D and M differ.
     const SparseRow competing = RandomRow(rng, num_users, 0.5);
-    ref::AccumulateMass(competing.users, competing.values, ref_denom,
-                        nullptr, ref_touched, ref_mask);
-    num_touched = kernels::AccumulateMass(
-        competing.users.data(), competing.values.data(),
-        competing.users.size(), soa_denom.data(), nullptr, nullptr,
-        soa_touched.data(), soa_mask.data(), num_touched);
+    ref::AddMass(competing.users, competing.values, ref_denom);
+    kernels::AddMass(competing.users.data(), competing.values.data(),
+                     competing.users.size(), 1, soa_denom.data());
 
     // Apply/unapply churn: add rows, remove some of them again — the
     // remove path exercises the negative-residue clamps.
@@ -369,19 +327,13 @@ TEST(KernelDiffTest, TouchMassBitIdenticalToReference) {
         applied.push_back(row);
         sign = +1.0;
       }
-      ref::TouchMass(row.users, row.values, sign, ref_denom, ref_sched,
-                     ref_touched, ref_mask);
-      num_touched = kernels::TouchMass(
-          row.users.data(), row.values.data(), row.users.size(), sign,
-          soa_denom.data(), soa_sched.data(), soa_ratio.data(),
-          soa_touched.data(), soa_mask.data(), num_touched);
+      ref::TouchMass(row.users, row.values, sign, ref_denom, ref_sched);
+      kernels::TouchMass(row.users.data(), row.values.data(),
+                         row.users.size(), sign, soa_denom.data(),
+                         soa_sched.data(), soa_ratio.data());
       ExpectRatiosCarried(soa_denom, soa_sched, soa_ratio, seed);
     }
 
-    ASSERT_EQ(num_touched, ref_touched.size()) << "seed " << seed;
-    for (size_t i = 0; i < num_touched; ++i) {
-      EXPECT_EQ(soa_touched[i], ref_touched[i]) << "seed " << seed;
-    }
     for (UserIndex u = 0; u < num_users; ++u) {
       EXPECT_TRUE(BitEq(soa_denom[u], ref_denom[u])) << "seed " << seed;
       EXPECT_TRUE(BitEq(soa_sched[u], ref_sched[u])) << "seed " << seed;
@@ -512,17 +464,13 @@ double RefMarginalGain(const SesInstance& instance, const Schedule& schedule,
   const uint32_t num_users = instance.num_users();
   std::vector<double> denom(num_users, 0.0);
   std::vector<double> sched(num_users, 0.0);
-  std::vector<UserIndex> touched;
-  std::vector<uint8_t> mask(num_users, 0);
   for (CompetingIndex c : instance.CompetingAt(t)) {
-    ref::AccumulateMass(ToVec(instance.CompetingUsers(c)),
-                        ToVec(instance.CompetingValues(c)), denom, nullptr,
-                        touched, mask);
+    ref::AddMass(ToVec(instance.CompetingUsers(c)),
+                 ToVec(instance.CompetingValues(c)), denom);
   }
   for (EventIndex p : schedule.EventsAt(t)) {
-    ref::AccumulateMass(ToVec(instance.EventUsers(p)),
-                        ToVec(instance.EventValues(p)), denom, &sched,
-                        touched, mask);
+    ref::TouchMass(ToVec(instance.EventUsers(p)),
+                   ToVec(instance.EventValues(p)), +1.0, denom, sched);
   }
   std::vector<float> sigma(num_users);
   instance.sigma().FillInterval(t, sigma);

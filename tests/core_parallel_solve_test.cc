@@ -2,8 +2,8 @@
 /// greedy and bestfit all read the one score grid, and must return
 /// bit-identical SolverResults at 1 and N score-generation threads
 /// (SolverOptions::threads), with or without a shared pool, and when
-/// fanned out through api::Scheduler — the nested-ParallelFor scenario
-/// the thread-pool re-entrancy fix enables.
+/// fanned out through api::Scheduler — the nested ParallelForShards
+/// scenario the thread-pool re-entrancy fix enables.
 
 #include <memory>
 #include <string>
@@ -137,7 +137,7 @@ TEST_P(ParallelSolveTest, WarmStartedParallelRunsMatchSerial) {
 
 // Solvers fanned out by SolveBatch run *on* the scheduler pool and shard
 // their generation across the same pool — the exact configuration that
-// deadlocked before ParallelFor became worker-re-entrant.
+// deadlocked before ParallelForShards became worker-re-entrant.
 TEST_P(ParallelSolveTest, SchedulerBatchWithIntraSolverShardsMatchesSerial) {
   const SesInstance instance = MakeInstance(GetParam());
 

@@ -242,6 +242,44 @@ TEST(WorkloadFactoryTest, RejectsBadConfigs) {
   config.k = std::numeric_limits<int64_t>::max() / 2;
   EXPECT_EQ(factory.Build(config).status().code(),
             util::StatusCode::kInvalidArgument);
+
+  // No locations aborted in Rng::NextBounded; a negative count wrapped
+  // to a 64-bit bound and built an instance; more than 2^32 - 1 do not
+  // fit a LocationId.
+  for (int64_t bad : {int64_t{0}, int64_t{-3}, int64_t{1} << 32}) {
+    SCOPED_TRACE(bad);
+    config = SmallConfig();
+    config.num_locations = bad;
+    EXPECT_EQ(factory.Build(config).status().code(),
+              util::StatusCode::kInvalidArgument);
+  }
+  config = SmallConfig();
+  config.num_locations = 1;
+  EXPECT_TRUE(factory.Build(config).ok());
+
+  // An empty xi range aborted in Rng::UniformDouble.
+  config = SmallConfig();
+  config.xi_min = 5.0;
+  config.xi_max = 1.0;
+  EXPECT_EQ(factory.Build(config).status().code(),
+            util::StatusCode::kInvalidArgument);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), -1.0}) {
+    SCOPED_TRACE(bad);
+    config = SmallConfig();
+    config.xi_min = bad;
+    EXPECT_EQ(factory.Build(config).status().code(),
+              util::StatusCode::kInvalidArgument);
+    config = SmallConfig();
+    config.xi_max = bad;
+    EXPECT_EQ(factory.Build(config).status().code(),
+              util::StatusCode::kInvalidArgument);
+  }
+  // A point range is valid: every event gets that xi.
+  config = SmallConfig();
+  config.xi_min = 2.0;
+  config.xi_max = 2.0;
+  EXPECT_TRUE(factory.Build(config).ok());
 }
 
 }  // namespace

@@ -620,7 +620,9 @@ class HotPathTest(LintFixture):
         self.write("tools/hot_whitelist.txt", "# trusted\nMystery\n")
         self.assert_clean()
 
-    def test_reserve_escape_in_same_body(self):
+    def test_reserve_in_same_body_is_flagged(self):
+        # A reserve buys no escape: both it and the growth it pays for
+        # are findings.
         self.write("src/core/r.cc",
                    "namespace ses::core {\n"
                    "SES_HOT void Hot(std::vector<int>& out, int n) {\n"
@@ -628,10 +630,14 @@ class HotPathTest(LintFixture):
                    "  for (int i = 0; i < n; ++i) out.push_back(i);\n"
                    "}\n"
                    "}  // namespace ses::core\n")
-        self.assert_clean()
+        code, err = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertIn("r.cc:3: hot-path: ", err)
+        self.assertIn("container growth 'out.reserve'", err)
+        self.assertIn("container growth 'out.push_back'", err)
 
-    def test_constructor_reserve_covers_other_members(self):
-        # The down-payment pattern: reserve in the constructor, push in
+    def test_constructor_reserve_does_not_cover_other_members(self):
+        # A reserve in the cold constructor does not license a push in
         # the hot member.
         self.write("src/core/r.cc",
                    "namespace ses::core {\n"
@@ -643,10 +649,13 @@ class HotPathTest(LintFixture):
                    "  std::vector<int> data_;\n"
                    "};\n"
                    "}  // namespace ses::core\n")
-        self.assert_clean()
+        code, err = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertIn("container growth 'data_.push_back'", err)
+        self.assertNotIn("data_.reserve", err)  # the cold constructor
 
     def test_resize_flagged_despite_reserve(self):
-        # resize writes elements — reserve never covers it.
+        # resize writes elements; a reserve before it changes nothing.
         self.write("src/core/r.cc",
                    "namespace ses::core {\n"
                    "SES_HOT void Hot(std::vector<int>& out, int n) {\n"

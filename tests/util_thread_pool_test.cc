@@ -32,7 +32,10 @@ TEST(ThreadPoolTest, WaitWithNoTasksReturns) {
 TEST(ThreadPoolTest, ParallelForCoversRange) {
   ThreadPool pool(3);
   std::vector<int> hits(1000, 0);
-  pool.ParallelFor(0, hits.size(), [&hits](size_t i) { hits[i] += 1; });
+  pool.ParallelForShards(0, hits.size(), /*max_shards=*/0,
+                         [&hits](size_t lo, size_t hi) {
+                           for (size_t i = lo; i < hi; ++i) hits[i] += 1;
+                         });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 1000);
   for (int h : hits) EXPECT_EQ(h, 1);
 }
@@ -40,15 +43,22 @@ TEST(ThreadPoolTest, ParallelForCoversRange) {
 TEST(ThreadPoolTest, ParallelForEmptyRange) {
   ThreadPool pool(2);
   bool ran = false;
-  pool.ParallelFor(5, 5, [&ran](size_t) { ran = true; });
+  pool.ParallelForShards(5, 5, /*max_shards=*/0,
+                         [&ran](size_t, size_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
 TEST(ThreadPoolTest, ParallelForSmallRangeFewerThanThreads) {
   ThreadPool pool(8);
   std::atomic<int> counter{0};
-  pool.ParallelFor(0, 3, [&counter](size_t) { counter.fetch_add(1); });
+  std::atomic<int> shards{0};
+  pool.ParallelForShards(0, 3, /*max_shards=*/0,
+                         [&counter, &shards](size_t lo, size_t hi) {
+                           counter.fetch_add(static_cast<int>(hi - lo));
+                           shards.fetch_add(1);
+                         });
   EXPECT_EQ(counter.load(), 3);
+  EXPECT_LE(shards.load(), 3);  // never an empty shard
 }
 
 TEST(ThreadPoolTest, DefaultThreadCountPositive) {
@@ -78,7 +88,10 @@ TEST(ThreadPoolTest, StressManyMoreTasksThanWorkers) {
 TEST(ThreadPoolTest, ParallelForManyMoreItemsThanWorkers) {
   ThreadPool pool(2);
   std::vector<int> hits(20000, 0);
-  pool.ParallelFor(0, hits.size(), [&hits](size_t i) { hits[i] += 1; });
+  pool.ParallelForShards(0, hits.size(), /*max_shards=*/0,
+                         [&hits](size_t lo, size_t hi) {
+                           for (size_t i = lo; i < hi; ++i) hits[i] += 1;
+                         });
   for (int h : hits) ASSERT_EQ(h, 1);
 }
 
@@ -93,16 +106,19 @@ TEST(ThreadPoolTest, TasksCanSubmitMoreWork) {
   EXPECT_EQ(counter.load(), 11);
 }
 
-// Regression: ParallelFor issued from inside a pool task used to wait on
-// the pool-wide in-flight count — which includes the waiting task itself
-// — and deadlocked. The per-call latch plus caller participation makes
+// Regression: ParallelForShards issued from inside a pool task used to
+// wait on the pool-wide in-flight count — which includes the waiting task
+// itself — and deadlocked. The per-call latch plus caller participation makes
 // nested calls complete even when every worker is inside one.
 TEST(ThreadPoolTest, ParallelForFromInsideAPoolTaskCompletes) {
   ThreadPool pool(2);
   std::atomic<int> total{0};
   for (int task = 0; task < 4; ++task) {
     pool.Submit([&pool, &total] {
-      pool.ParallelFor(0, 100, [&total](size_t) { total.fetch_add(1); });
+      pool.ParallelForShards(0, 100, /*max_shards=*/0,
+                             [&total](size_t lo, size_t hi) {
+                               total.fetch_add(static_cast<int>(hi - lo));
+                             });
     });
   }
   pool.Wait();
@@ -113,16 +129,24 @@ TEST(ThreadPoolTest, DeeplyNestedParallelForCompletes) {
   ThreadPool pool(3);
   std::atomic<int> leaves{0};
   pool.Submit([&pool, &leaves] {
-    pool.ParallelFor(0, 4, [&pool, &leaves](size_t) {
-      pool.ParallelFor(0, 8, [&leaves](size_t) { leaves.fetch_add(1); });
-    });
+    auto leaf = [&leaves](size_t lo, size_t hi) {
+      leaves.fetch_add(static_cast<int>(hi - lo));
+    };
+    // Four lanes, so one shard per outer item, each fanning out again.
+    pool.ParallelForShards(0, 4, /*max_shards=*/0,
+                           [&pool, &leaf](size_t lo, size_t hi) {
+                             for (size_t i = lo; i < hi; ++i) {
+                               pool.ParallelForShards(0, 8, /*max_shards=*/0,
+                                                      leaf);
+                             }
+                           });
   });
   pool.Wait();
   EXPECT_EQ(leaves.load(), 32);
 }
 
-// ParallelFor must not wait on unrelated Submit() work: with the only
-// worker parked on a gate, the caller runs every shard itself and
+// ParallelForShards must not wait on unrelated Submit() work: with the
+// only worker parked on a gate, the caller runs every shard itself and
 // returns while the unrelated task is still blocked.
 TEST(ThreadPoolTest, ParallelForDoesNotWaitForUnrelatedTasks) {
   ThreadPool pool(1);
@@ -131,7 +155,10 @@ TEST(ThreadPoolTest, ParallelForDoesNotWaitForUnrelatedTasks) {
   pool.Submit([gate] { gate.wait(); });
 
   std::atomic<int> count{0};
-  pool.ParallelFor(0, 8, [&count](size_t) { count.fetch_add(1); });
+  pool.ParallelForShards(0, 8, /*max_shards=*/0,
+                         [&count](size_t lo, size_t hi) {
+                           count.fetch_add(static_cast<int>(hi - lo));
+                         });
   EXPECT_EQ(count.load(), 8);
 
   release.set_value();

@@ -61,9 +61,8 @@ Lock/Unlock calls, linked into a global call graph):
   hot-path              every SES_HOT-annotated function
                         (util/hot_annotations.h) is the root of a
                         transitive call-graph walk that must reach no
-                        allocation (with an amortized-capacity escape
-                        for growth calls covered by a matching
-                        reserve), no mutex acquisition or CondVar
+                        allocation (container growth or reserve
+                        included), no mutex acquisition or CondVar
                         wait, no logging/IO/clock read, no map-shaped
                         lookup, and no virtual dispatch through a
                         non-final receiver. Calls the analysis cannot
@@ -179,9 +178,10 @@ RULE_DOCS = {
         "no util::Mutex capability is taken while another is held "
         "(--capabilities for the table)",
     "hot-path":
-        "SES_HOT call trees are allocation-, lock-, IO-, map-lookup-, and "
-        "virtual-dispatch-free (witness chains; tools/hot_whitelist.txt "
-        "for trusted leaves; --hot-functions for the inventory)",
+        "SES_HOT call trees are allocation- (container growth and reserve "
+        "included), lock-, IO-, map-lookup-, and virtual-dispatch-free "
+        "(witness chains; tools/hot_whitelist.txt for trusted leaves; "
+        "--hot-functions for the inventory)",
     "stale-suppression":
         "every ses-lint allow() suppresses a real finding on its line "
         "(--fix-stale deletes dead ones)",
@@ -452,8 +452,8 @@ VIRTUAL_RE = re.compile(r"\bvirtual\b|\boverride\b|\)\s*[\w\s]*=\s*0\s*$")
 FINAL_CLASS_RE = re.compile(r"\bfinal\b")
 # Allocation sources that are not method calls on a receiver (those —
 # push_back/emplace/resize/insert/append/reserve — arrive as ordinary
-# call events and are classified during the hot walk, where receiver
-# and reserve ordering are known).
+# call events and are classified during the hot walk, where the
+# receiver is known).
 HOT_ALLOC_RE = re.compile(
     r"(?<![\w.])new\b|\bmake_unique\s*<|\bmake_shared\s*<"
     r"|\bstd::string\s*[({]|\bto_string\s*\(|\bStrCat\s*\(|\bStrFormat\s*\(")
@@ -467,7 +467,7 @@ HOT_IO_RE = re.compile(
     r"|::now\s*\(|\bgettimeofday\s*\(|(?<![\w:])time\s*\(")
 HOT_SUBSCRIPT_RE = re.compile(r"\b(\w+)\s*\[")
 HOT_GROW_METHODS = {"push_back", "emplace_back", "emplace", "insert",
-                    "append", "resize"}
+                    "append", "resize", "reserve"}
 HOT_MAP_METHODS = {"at", "find", "count"}
 HOT_MAP_TYPES = {"map", "unordered_map", "multimap", "unordered_multimap",
                  "set", "unordered_set"}
@@ -1084,27 +1084,6 @@ class CppModel:
                 body["param_types"].get(obj_simple) or
                 (cls["member_types"].get(obj_simple) if cls else None))
 
-    @staticmethod
-    def _recv_key(obj):
-        return re.sub(r"^this\.", "", obj.replace("->", "."))
-
-    def _class_reserved(self):
-        """receiver-name -> reserving class qnames: the constructor
-        down-payment side of the amortized-capacity escape. A reserve
-        anywhere in class C covers growth calls on that member in every
-        method of C (the alloc-guard test enforces that the reserved
-        capacity actually bounds steady-state growth)."""
-        reserved = {}
-        for f in self.funcs.values():
-            if not f["cls"]:
-                continue
-            for body in f["bodies"]:
-                for ev in body["events"]:
-                    if ev[0] == "call" and ev[2] == "reserve":
-                        reserved.setdefault(f["cls"], set()).add(
-                            self._recv_key(ev[1]))
-        return reserved
-
     def hot_findings(self, whitelist):
         """Transitive purity walk from every SES_HOT root. Reports each
         violating site once, with the witness call chain from the first
@@ -1113,7 +1092,6 @@ class CppModel:
         findings = []
         if not roots:
             return findings
-        class_reserved = self._class_reserved()
         reported_lines = set()   # (rel, line): one finding per site
         for root in roots:
             seen = {root}
@@ -1122,9 +1100,9 @@ class CppModel:
                 qname, chain = queue.pop(0)
                 f = self.funcs[qname]
                 for body in f["bodies"]:
-                    self._hot_walk_body(root, f, body, chain, class_reserved,
-                                        whitelist, seen, queue,
-                                        reported_lines, findings)
+                    self._hot_walk_body(root, f, body, chain, whitelist,
+                                        seen, queue, reported_lines,
+                                        findings)
         return findings
 
     def _hot_violation(self, findings, reported_lines, root, chain,
@@ -1138,11 +1116,9 @@ class CppModel:
         findings.append((rel, line, "hot-path",
                          f"reachable from SES_HOT {root}: {detail}{via}"))
 
-    def _hot_walk_body(self, root, f, body, chain, class_reserved,
-                       whitelist, seen, queue, reported_lines, findings):
+    def _hot_walk_body(self, root, f, body, chain, whitelist, seen, queue,
+                       reported_lines, findings):
         flag = self._hot_violation
-        body_reserved = set()
-        cls_reserved = class_reserved.get(f["cls"], set()) if f["cls"] else set()
         for ev in body["events"]:
             kind = ev[0]
             if kind == "acquire":
@@ -1174,19 +1150,11 @@ class CppModel:
                 obj, name, rel, line = ev[1], ev[2], ev[3], ev[4]
                 if self._allowed(rel, line, "hot-path"):
                     continue  # witness-edge suppression cuts the subtree
-                if name == "reserve":
-                    body_reserved.add(self._recv_key(obj))
-                    continue  # the amortized down-payment itself
                 if name in HOT_GROW_METHODS:
-                    recv = self._recv_key(obj)
-                    if (name != "resize" and
-                            (recv in body_reserved or recv in cls_reserved)):
-                        continue  # amortized-capacity escape
                     flag(findings, reported_lines, root, chain, rel, line,
                          f"container growth '{obj}.{name}' in {f['qname']} "
-                         "without a matching reserve (amortized-capacity "
-                         "escape: reserve in this body or in another "
-                         "member of the same class)")
+                         "— size the container in the owner, outside the "
+                         "hot path")
                     continue
                 if name in HOT_MAP_METHODS:
                     recv_type = self._object_type(obj, f, body) if obj else None
