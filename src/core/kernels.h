@@ -27,8 +27,9 @@
 /// re-association. Kernels compared against the from-scratch
 /// objective.h references (different association by construction) are
 /// instead held to a documented 1e-6 relative tolerance. Both pins
-/// assume strict IEEE semantics, hence the fast-math guard below; the
-/// lint CI job additionally greps the build flags.
+/// assume strict IEEE semantics with no fused multiply-add, hence the
+/// fast-math guard below and the root build's -ffp-contract=off; the
+/// lint CI job additionally greps the build flags for both.
 
 #if defined(__FAST_MATH__)
 #error \

@@ -9,9 +9,10 @@
 /// that organizes them and the interest of a user in an event is the
 /// Jaccard similarity of the two tag sets.
 ///
-/// The model pre-builds a tag -> users inverted index so the sparse
-/// interest list of one event costs O(sum over event tags of |users(tag)|)
-/// instead of O(|U|).
+/// The model pre-builds a tag -> users inverted index, so the sparse
+/// interest list of one event costs O(|U| + sum over event tags of
+/// |users(tag)|) with no sort: the index scatters overlap counts, and
+/// one pass over the dense counts in user order emits the list.
 
 #include <utility>
 #include <vector>
@@ -32,7 +33,7 @@ struct UserInterest {
 
 /// Jaccard-based interest computation over an EbsnDataset.
 ///
-/// Thread-safe for concurrent const use: EventInterests scatters into
+/// Thread-safe for concurrent const use: EventInterests counts into
 /// per-thread scratch (thread_local, grown lazily to the user universe),
 /// so one shared model serves parallel workload builds without locking.
 class InterestModel {
@@ -46,15 +47,6 @@ class InterestModel {
   /// similarity is >= \p min_interest, sorted by user id.
   std::vector<UserInterest> EventInterests(const std::vector<TagId>& event_tags,
                                            float min_interest) const;
-
-  /// Jaccard similarity between one user's tags and \p event_tags.
-  /// Reference implementation (set intersection); used by tests to verify
-  /// the inverted-index path.
-  float UserEventJaccard(EbsnUserId user,
-                         const std::vector<TagId>& event_tags) const;
-
-  /// Users carrying \p tag, sorted.
-  const std::vector<EbsnUserId>& UsersWithTag(TagId tag) const;
 
  private:
   const EbsnDataset* dataset_;

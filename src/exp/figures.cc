@@ -56,7 +56,7 @@ util::Status WriteRecordsCsv(const std::string& path,
   rows.reserve(records.size());
   for (const RunRecord& record : records) {
     util::CsvRow row{std::to_string(record.x), record.solver,
-                     util::StrFormat("%.6f", record.utility),
+                     util::StrFormat("%.17g", record.utility),
                      std::to_string(record.gain_evaluations),
                      std::to_string(record.assignments)};
     if (timing == CsvTiming::kAppend) {

@@ -38,9 +38,10 @@ enum class CsvTiming {
 };
 
 /// Writes the records to CSV. The comparable column group
-/// (x,solver,utility,gain_evaluations,assignments) always comes first;
-/// with CsvTiming::kAppend the non-deterministic `seconds` measurement
-/// is appended as the trailing column.
+/// (x,solver,utility,gain_evaluations,assignments) always comes first,
+/// with the utility in 17 significant digits so that it parses back to
+/// the same double; with CsvTiming::kAppend the non-deterministic
+/// `seconds` measurement is appended as the trailing column.
 [[nodiscard]] util::Status WriteRecordsCsv(const std::string& path,
                              const std::vector<RunRecord>& records,
                              CsvTiming timing = CsvTiming::kAppend);

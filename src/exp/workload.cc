@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 
 #include "util/logging.h"
@@ -124,20 +125,32 @@ util::Result<core::SesInstance> WorkloadFactory::Build(
       .SetTheta(config.theta)
       .SetSigma(WorkloadSigma(config.seed).Instantiate());
 
+  // An event's row depends only on its tag set (the organizer group's
+  // tags), so each distinct tag set's row is computed and handed to the
+  // builder once. Build still interns by content, so two tag sets with
+  // the same row share a profile and the numbering is unchanged.
+  std::map<std::vector<ebsn::TagId>, uint32_t> tag_set_profile;
+  auto profile_of = [&](const std::vector<ebsn::TagId>& tags) {
+    auto [it, inserted] = tag_set_profile.try_emplace(tags, 0);
+    if (inserted) {
+      it->second = builder.AddProfile(ToInterestRow(
+          interest_.EventInterests(tags,
+                                   static_cast<float>(config.min_interest)),
+          config.min_interest, config.max_users_per_event));
+    }
+    return it->second;
+  };
+
   // Candidate events: a uniform catalog sample without replacement.
   const std::vector<uint32_t> candidate_ids = util::SampleWithoutReplacement(
       rng, static_cast<uint32_t>(catalog_size),
       static_cast<uint32_t>(num_events));
   for (uint32_t id : candidate_ids) {
-    const auto& record = dataset_->events()[id];
-    auto row = ToInterestRow(
-        interest_.EventInterests(record.tags,
-                                 static_cast<float>(config.min_interest)),
-        config.min_interest, config.max_users_per_event);
+    const uint32_t profile = profile_of(dataset_->events()[id].tags);
     const core::LocationId location = static_cast<core::LocationId>(
         rng.NextBounded(static_cast<uint64_t>(config.num_locations)));
     const double xi = rng.UniformDouble(config.xi_min, config.xi_max);
-    builder.AddEvent(location, xi, std::move(row));
+    builder.AddEventWithProfile(location, xi, profile);
   }
 
   // Competing events: per interval, a uniform *integer* count on the
@@ -156,13 +169,9 @@ util::Result<core::SesInstance> WorkloadFactory::Build(
     for (int64_t c = 0; c < count; ++c) {
       const uint32_t id =
           static_cast<uint32_t>(rng.NextBounded(catalog_size));
-      const auto& record = dataset_->events()[id];
-      auto row = ToInterestRow(
-          interest_.EventInterests(record.tags,
-                                   static_cast<float>(config.min_interest)),
-          config.min_interest, config.max_users_per_event);
-      builder.AddCompetingEvent(static_cast<core::IntervalIndex>(t),
-                                std::move(row));
+      builder.AddCompetingEventWithProfile(
+          static_cast<core::IntervalIndex>(t),
+          profile_of(dataset_->events()[id].tags));
     }
   }
 

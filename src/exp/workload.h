@@ -76,7 +76,11 @@ class WorkloadFactory {
   /// \p dataset must outlive the factory.
   explicit WorkloadFactory(const ebsn::EbsnDataset& dataset);
 
-  /// Materializes the SES instance for \p config.
+  /// Materializes the SES instance for \p config. Events of one
+  /// organizer group share its tags, so Build computes one interest row
+  /// per distinct tag set it draws and hands it to the builder once;
+  /// the memo lives only in the call, since rows depend on
+  /// min_interest and max_users_per_event.
   [[nodiscard]] util::Result<core::SesInstance> Build(
       const PaperWorkloadConfig& config) const;
 

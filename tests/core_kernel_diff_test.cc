@@ -212,6 +212,71 @@ TEST(KernelDiffTest, LuceGainBitIdenticalToReference) {
   }
 }
 
+/// LuceGain's sum with every product rounded on its own: a volatile
+/// store is a rounding no compiler can fuse into the add that follows.
+double UnfusedLuceGain(const SparseRow& row, const std::vector<double>& denom,
+                       const std::vector<double>& sched_mass,
+                       const std::vector<double>& ratio,
+                       const std::vector<float>& sigma) {
+  double gain = 0.0;
+  for (size_t i = 0; i < row.users.size(); ++i) {
+    const UserIndex u = row.users[i];
+    const double x = static_cast<double>(row.values[i]);
+    const double term_new = (sched_mass[u] + x) / (denom[u] + x);
+    volatile double product =
+        static_cast<double>(sigma[u]) * (term_new - ratio[u]);
+    gain = gain + product;
+  }
+  return gain;
+}
+
+/// The same sum with each multiply-add fused, as contraction compiles
+/// it on a target with FMA.
+double FusedLuceGain(const SparseRow& row, const std::vector<double>& denom,
+                     const std::vector<double>& sched_mass,
+                     const std::vector<double>& ratio,
+                     const std::vector<float>& sigma) {
+  double gain = 0.0;
+  for (size_t i = 0; i < row.users.size(); ++i) {
+    const UserIndex u = row.users[i];
+    const double x = static_cast<double>(row.values[i]);
+    const double term_new = (sched_mass[u] + x) / (denom[u] + x);
+    gain = std::fma(static_cast<double>(sigma[u]), term_new - ratio[u], gain);
+  }
+  return gain;
+}
+
+// ref::LuceGain is compiled with the kernel's flags, so a build that
+// contracts `gain += sigma * (...)` into an FMA fuses both alike and
+// the pin above still holds. This expected value cannot be fused, and
+// on most of these rows fusing changes the result, so a build without
+// -ffp-contract=off on an FMA target fails here.
+TEST(KernelDiffTest, LuceGainUnfusedWhereFusingDiffers) {
+  size_t fused_differs = 0;
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    util::Rng rng(seed);
+    // Short rows: while the sum is still of a product's magnitude, the
+    // product's own rounding decides the sum's last bit.
+    const uint32_t num_users = 8;
+    std::vector<double> denom, sched;
+    std::vector<float> sigma;
+    RandomState(rng, num_users, denom, sched, sigma);
+    const SparseRow row = RandomRow(rng, num_users, 0.5);
+    const std::vector<double> ratio = Ratios(denom, sched);
+
+    const double unfused = UnfusedLuceGain(row, denom, sched, ratio, sigma);
+    fused_differs +=
+        !BitEq(unfused, FusedLuceGain(row, denom, sched, ratio, sigma));
+    EXPECT_TRUE(BitEq(kernels::LuceGain(row.users.data(), row.values.data(),
+                                        row.users.size(), denom.data(),
+                                        sched.data(), ratio.data(),
+                                        sigma.data()),
+                      unfused))
+        << "seed " << seed;
+  }
+  EXPECT_GE(fused_differs, 10u);
+}
+
 TEST(KernelDiffTest, LuceGainBlockBitIdenticalToReference) {
   constexpr size_t kWidth = IntervalBlock::kWidth;
   for (uint64_t seed = 0; seed < 25; ++seed) {

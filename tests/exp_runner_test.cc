@@ -1,6 +1,9 @@
 /// Running solvers on one sweep point through exp::RunSweep, and
 /// rendering and writing the records it returns.
 
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 
 #include <gtest/gtest.h>
@@ -9,6 +12,7 @@
 #include "exp/sweep.h"
 #include "tests/sweep_test_util.h"
 #include "util/csv.h"
+#include "util/string_util.h"
 
 namespace ses::exp {
 namespace {
@@ -75,8 +79,13 @@ TEST(FiguresTest, RenderSecondsMetric) {
 TEST(FiguresTest, CsvRoundTrip) {
   const auto path = std::filesystem::temp_directory_path() /
                     ("ses_records_" + std::to_string(::getpid()) + ".csv");
+  // Two ulps above 279790.748: 16 significant digits read back a
+  // different double, so only all 17 survive the round trip.
+  const double utility = 279790.74800000014;
+  ASSERT_NE(std::strtod(util::StrFormat("%.16g", utility).c_str(), nullptr),
+            utility);
   std::vector<RunRecord> records;
-  records.push_back({"grd", 100, 1.5, 42, 100, {0.25}});
+  records.push_back({"grd", 100, utility, 42, 100, {0.25}});
   ASSERT_TRUE(WriteRecordsCsv(path.string(), records).ok());
 
   std::vector<util::CsvRow> rows;
@@ -92,6 +101,9 @@ TEST(FiguresTest, CsvRoundTrip) {
   EXPECT_EQ(rows[0][0], "x");
   EXPECT_EQ(rows[1][0], "100");
   EXPECT_EQ(rows[1][1], "grd");
+  EXPECT_EQ(std::bit_cast<uint64_t>(std::strtod(rows[1][2].c_str(), nullptr)),
+            std::bit_cast<uint64_t>(utility))
+      << rows[1][2];
   std::filesystem::remove(path);
 }
 

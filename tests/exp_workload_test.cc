@@ -2,10 +2,16 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -190,6 +196,142 @@ TEST(WorkloadFactoryTest, UserCapBoundsRowSizes) {
   for (core::EventIndex e = 0; e < instance->num_events(); ++e) {
     EXPECT_LE(instance->EventUsers(e).size(), 10u);
   }
+}
+
+/// Tags {0,1,2}; users 0-2 carry {0,1} and user 3 carries {2}. The
+/// catalog's tag sets {0} and {1} differ but give every {0,1} user the
+/// same Jaccard of 1/2, so they give one row.
+ebsn::EbsnDataset TwinRowDataset() {
+  ebsn::EbsnDataset ds;
+  for (int t = 0; t < 3; ++t) ds.tags().Intern("t" + std::to_string(t));
+  ds.users().resize(4);
+  for (ebsn::EbsnUserId u = 0; u < 3; ++u) ds.users()[u].tags = {0, 1};
+  ds.users()[3].tags = {2};
+  for (std::vector<ebsn::TagId> tags :
+       {std::vector<ebsn::TagId>{0}, {1}, {2}, {0, 1}}) {
+    ds.events().push_back({0, std::move(tags)});
+  }
+  return ds;
+}
+
+using Row = std::vector<std::pair<core::UserIndex, float>>;
+
+Row ProfileRow(const core::SesInstance& instance, uint32_t p) {
+  Row row;
+  for (size_t i = 0; i < instance.ProfileUsers(p).size(); ++i) {
+    row.push_back({instance.ProfileUsers(p)[i], instance.ProfileValues(p)[i]});
+  }
+  return row;
+}
+
+// Build computes one row per distinct tag set; its content interning
+// still merges the two tag sets that give one row, and a tag set drawn
+// for candidate and competing events alike names one profile.
+TEST(WorkloadFactoryTest, DistinctTagSetsShareRowsByContent) {
+  const ebsn::EbsnDataset ds = TwinRowDataset();
+  WorkloadFactory factory(ds);
+  PaperWorkloadConfig config;
+  config.k = 2;
+  config.num_candidate_events = 4;  // the whole catalog
+  config.num_intervals = 3;
+  config.competing_mean = 4.0;  // 12 competing draws from 4 tag sets
+  config.competing_spread = 0.0;
+  config.seed = 3;
+  auto instance = factory.Build(config);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+
+  const Row half{{0, 0.5f}, {1, 0.5f}, {2, 0.5f}};  // tags {0} and {1}
+  const Row loner{{3, 1.0f}};                       // tags {2}
+  const Row full{{0, 1.0f}, {1, 1.0f}, {2, 1.0f}};  // tags {0,1}
+  ASSERT_EQ(instance->num_events(), 4u);
+  ASSERT_EQ(instance->num_competing(), 12u);
+  EXPECT_EQ(instance->num_profiles(), 3u);
+
+  // The candidates are the catalog in some order: rows half twice,
+  // loner and full once, and the two half events share a profile.
+  std::map<uint32_t, Row> by_profile;
+  std::vector<Row> candidate_rows;
+  uint32_t next_profile = 0;
+  for (core::EventIndex e = 0; e < instance->num_events(); ++e) {
+    const uint32_t p = instance->EventProfile(e);
+    if (!by_profile.count(p)) {
+      EXPECT_EQ(p, next_profile++) << "profiles number in order of first use";
+      by_profile[p] = ProfileRow(*instance, p);
+    }
+    candidate_rows.push_back(by_profile[p]);
+  }
+  std::sort(candidate_rows.begin(), candidate_rows.end());
+  std::vector<Row> expected{half, half, loner, full};
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(candidate_rows, expected);
+  EXPECT_EQ(by_profile.size(), 3u);
+
+  // Every competing event repeats a candidate's tag set, so it names
+  // that candidate's profile, and its row is one of the three.
+  for (core::CompetingIndex c = 0; c < instance->num_competing(); ++c) {
+    const uint32_t p = instance->CompetingProfile(c);
+    ASSERT_TRUE(by_profile.count(p)) << "competing " << c;
+    const Row row = ProfileRow(*instance, p);
+    EXPECT_EQ(row, by_profile[p]);
+    EXPECT_TRUE(row == half || row == loner || row == full) << "competing " << c;
+  }
+}
+
+/// FNV-1a over the bytes of the files in \p dir, in name order.
+uint64_t HashDirectory(const std::filesystem::path& dir) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const auto& file : files) {
+    std::ifstream in(file, std::ios::binary);
+    for (auto it = std::istreambuf_iterator<char>(in);
+         it != std::istreambuf_iterator<char>(); ++it) {
+      hash = (hash ^ static_cast<unsigned char>(*it)) * 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+// The saved instance of a fixed config whose user cap cuts rows inside
+// runs of equal interest, so which tied users survive the cut is part
+// of the bytes. The value is what the per-event path wrote before Build
+// computed one row per distinct tag set. The tie order is
+// std::nth_element's, so the value holds for libstdc++.
+TEST(WorkloadFactoryTest, SavedBytesPinnedWithTiesAtTheCap) {
+  PaperWorkloadConfig config = SmallConfig();
+  config.num_candidate_events = 400;  // the whole catalog
+  config.min_interest = 0.0;
+  config.max_users_per_event = 10;
+
+  // Jaccard values are ratios of small counts, so the cap falls inside
+  // a tie for most catalog events.
+  const ebsn::InterestModel model(TestDataset());
+  size_t tied = 0;
+  for (const auto& event : TestDataset().events()) {
+    std::vector<float> values;
+    for (const ebsn::UserInterest& ui : model.EventInterests(event.tags, 0.0f)) {
+      values.push_back(ui.interest);
+    }
+    if (values.size() <= 10) continue;
+    std::sort(values.begin(), values.end(), std::greater<float>());
+    tied += values[9] == values[10];
+  }
+  EXPECT_GT(tied, 100u);
+
+  WorkloadFactory factory(TestDataset());
+  auto instance = factory.Build(config);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("ses_workload_bytes_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(
+      core::SaveInstance(*instance, WorkloadSigma(config.seed), dir.string())
+          .ok());
+  EXPECT_EQ(HashDirectory(dir), 0x6024c9e2f0bcf58eull);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(WorkloadFactoryTest, RejectsBadConfigs) {

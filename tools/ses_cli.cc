@@ -287,7 +287,7 @@ int CmdSolve(int argc, const char* const* argv) {
     std::printf("note: %s; reporting best schedule found so far\n",
                 response.status.ToString().c_str());
   }
-  std::printf("solver=%s k=%zu utility=%.3f seconds=%.4f evaluations=%llu\n",
+  std::printf("solver=%s k=%zu utility=%.17g seconds=%.4f evaluations=%llu\n",
               response.solver.c_str(), response.schedule.size(),
               response.utility, response.wall_seconds,
               static_cast<unsigned long long>(
