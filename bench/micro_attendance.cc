@@ -1,8 +1,8 @@
 /// Microbenchmarks of the attendance-model kernels: Eq. 4 marginal-gain
-/// evaluation, Apply, interval-scratch reloads, the reference
-/// objective, the score-grid fill (also on an instance without twins),
-/// and the raw SoA span kernels (core/kernels.h) the model and the fill
-/// are built on.
+/// evaluation, Apply, interval-scratch reloads, the greedy family's
+/// update pass, the reference objective, the score-grid fill (also on an
+/// instance without twins), and the raw SoA span kernels
+/// (core/kernels.h) the model and the fill are built on.
 /// google-benchmark binary; `tools/run_benchmarks.py` wraps it into the
 /// canonical BENCH_micro_attendance.json.
 
@@ -88,6 +88,29 @@ void BM_ApplyUnapply(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ApplyUnapply);
+
+/// One update pass of the greedy family (AttendanceModel::RescoreRow)
+/// at interval 0 after three events were placed there, so M != 0 for
+/// their users. The interval stays loaded, so each pass scores every
+/// distinct profile among the events that still fit. Items are the
+/// cells rescored, twins included.
+void BM_RescoreRow(benchmark::State& state) {
+  const core::SesInstance& instance = BenchInstance();
+  core::AttendanceModel model(instance);
+  for (core::EventIndex e = 0;
+       e < instance.num_events() && model.schedule().size() < 3; ++e) {
+    if (model.CanAssign(e, 0)) model.Apply(e, 0);
+  }
+  std::vector<double> row(instance.num_events());
+  uint64_t cells = 0;
+  for (auto _ : state) {
+    cells += model.RescoreRow(0, row);
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(cells));
+}
+BENCHMARK(BM_RescoreRow);
 
 void BM_ReferenceTotalUtility(benchmark::State& state) {
   const core::SesInstance& instance = BenchInstance();
@@ -272,6 +295,32 @@ void BM_KernelLuceGainBlock(benchmark::State& state) {
                           kKernelUsers * core::IntervalBlock::kWidth);
 }
 BENCHMARK(BM_KernelLuceGainBlock);
+
+/// LuceGainRows over kGainRows copies of BM_KernelLuceGain's row. Items
+/// are Luce terms (rows x users), comparable with BM_KernelLuceGain's.
+void BM_KernelLuceGainRows(benchmark::State& state) {
+  KernelFixture& f = Fixture();
+  constexpr size_t kRows = core::kernels::kGainRows;
+  const core::UserIndex* users[kRows];
+  const float* values[kRows];
+  size_t sizes[kRows];
+  for (size_t r = 0; r < kRows; ++r) {
+    users[r] = f.users.data();
+    values[r] = f.values.data();
+    sizes[r] = f.users.size();
+  }
+  double out[kRows] = {};
+  for (auto _ : state) {
+    core::kernels::LuceGainRows(users, values, sizes, f.soa.denom.data(),
+                                f.soa.sched_mass.data(), f.soa.ratio.data(),
+                                f.soa.sigma.data(), out);
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          kKernelUsers * kRows);
+}
+BENCHMARK(BM_KernelLuceGainRows);
 
 void BM_KernelFillSigmaHash(benchmark::State& state) {
   KernelFixture& f = Fixture();

@@ -15,7 +15,8 @@ AttendanceModel::AttendanceModel(Schedule start)
       // through pre-sized spans — no growth, no allocation (re-proven
       // at runtime by tests/core_hot_path_alloc_test.cc).
       soa_(instance_->num_users()),
-      profile_gains_(instance_->num_profiles()) {}
+      profile_gains_(instance_->num_profiles()),
+      pending_profiles_(instance_->num_profiles()) {}
 
 void AttendanceModel::LoadInterval(IntervalIndex t) {
   if (loaded_ == t) return;
@@ -63,9 +64,12 @@ double AttendanceModel::MarginalGain(EventIndex e, IntervalIndex t) {
 
 uint64_t AttendanceModel::RescoreRow(IntervalIndex t,
                                      std::span<double> row) {
-  // A profile whose stamp is not this call's has not been scored yet.
+  LoadInterval(t);
+  // Collect each profile once: one whose stamp is not this call's has
+  // not been seen yet. A valid cell holds 0 until its gain is known.
   ++rescore_calls_;
   uint64_t rescored = 0;
+  size_t pending = 0;
   for (EventIndex e = 0; e < row.size(); ++e) {
     if (!CanAssign(e, t)) {
       row[e] = kNoScore;
@@ -73,11 +77,41 @@ uint64_t AttendanceModel::RescoreRow(IntervalIndex t,
     }
     ProfileGain& profile = profile_gains_[instance_->EventProfile(e)];
     if (profile.call != rescore_calls_) {
-      profile.gain = MarginalGain(e, t);
       profile.call = rescore_calls_;
+      pending_profiles_[pending++] = instance_->EventProfile(e);
     }
-    row[e] = profile.gain;
+    row[e] = 0.0;
     ++rescored;
+  }
+  gain_evaluations_ += pending;
+
+  // Score them kernels::kGainRows at a time. A last, partial group is
+  // padded with empty rows, so its profiles sum alone in the tails.
+  constexpr size_t kGroup = kernels::kGainRows;
+  for (size_t next = 0; next < pending; next += kGroup) {
+    const size_t count = std::min(kGroup, pending - next);
+    const UserIndex* users[kGroup] = {};
+    const float* values[kGroup] = {};
+    size_t sizes[kGroup] = {};
+    double gains[kGroup];
+    for (size_t r = 0; r < count; ++r) {
+      const uint32_t p = pending_profiles_[next + r];
+      users[r] = instance_->ProfileUsers(p).data();
+      values[r] = instance_->ProfileValues(p).data();
+      sizes[r] = instance_->ProfileUsers(p).size();
+    }
+    kernels::LuceGainRows(users, values, sizes, soa_.denom.data(),
+                          soa_.sched_mass.data(), soa_.ratio.data(),
+                          soa_.sigma.data(), gains);
+    for (size_t r = 0; r < count; ++r) {
+      profile_gains_[pending_profiles_[next + r]].gain = gains[r];
+    }
+  }
+
+  for (EventIndex e = 0; e < row.size(); ++e) {
+    if (row[e] != kNoScore) {
+      row[e] = profile_gains_[instance_->EventProfile(e)].gain;
+    }
   }
   return rescored;
 }

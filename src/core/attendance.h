@@ -97,10 +97,12 @@ class AttendanceModel {
   /// The greedy family's update pass at interval \p t: row[e] =
   /// MarginalGain(e, t) for every event with CanAssign(e, t), and
   /// kNoScore for every other event. \p row is interval t's row of the
-  /// |T| x |E| score grid, |E| cells. The first such event of each
-  /// profile is scored and its twins copy the gain, so
-  /// gain_evaluations() grows by the distinct profiles among them.
-  /// Returns the number of cells rescored, twins included.
+  /// |T| x |E| score grid, |E| cells. The pass loads t, lists the
+  /// distinct profiles among those events, scores them
+  /// kernels::kGainRows at a time (kernels::LuceGainRows) and copies
+  /// each gain to the profile's events, so gain_evaluations() grows by
+  /// the distinct profiles. Returns the number of cells rescored, twins
+  /// included.
   SES_HOT uint64_t RescoreRow(IntervalIndex t, std::span<double> row);
 
   /// Assigns e to t (must be valid) and returns its gain, the
@@ -137,12 +139,15 @@ class AttendanceModel {
   IntervalSoA soa_;
 
   /// RescoreRow's per-profile scratch, one entry per profile, sized at
-  /// construction: the call that last scored the profile, and its gain.
+  /// construction: the call that last listed the profile, and its gain.
   struct ProfileGain {
     uint64_t call = 0;
     double gain = 0.0;
   };
   std::vector<ProfileGain> profile_gains_;
+  /// The profiles one RescoreRow call scores, in the order first seen;
+  /// |P| long, so listing never grows it.
+  std::vector<uint32_t> pending_profiles_;
   uint64_t rescore_calls_ = 0;
 
   uint64_t gain_evaluations_ = 0;

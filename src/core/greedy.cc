@@ -24,18 +24,30 @@ util::Result<SolveOutcome> GreedySolver::DoSolve(
   InitialScores initial = GetInitialScores(instance, options, context);
   util::Status termination = initial.generated.termination;
   std::vector<double> grid;
-  // Skipped when generation was cut short: selecting from a partial grid
-  // would bias toward low intervals.
-  if (termination.ok()) {
+  // best[t]: the event of row t's first maximum.
+  std::vector<EventIndex> best;
+  auto row_of = [&grid, num_events](IntervalIndex t) {
+    return std::span<double>(grid).subspan(static_cast<size_t>(t) * num_events,
+                                           num_events);
+  };
+  auto rescan = [&row_of, &best](IntervalIndex t) {
+    const std::span<double> row = row_of(t);
+    best[t] = static_cast<EventIndex>(
+        std::max_element(row.begin(), row.end()) - row.begin());
+  };
+  // Skipped when generation was cut short, since selecting from a
+  // partial grid would bias toward low intervals, and when no event
+  // exists. Without row maxima nothing is selected.
+  if (termination.ok() && num_events > 0) {
     grid = initial.TakeGrid();
     // Warm-started events and pairs infeasible from the start.
     for (IntervalIndex t = 0; t < num_intervals; ++t) {
       for (EventIndex e = 0; e < num_events; ++e) {
-        if (!model.CanAssign(e, t)) {
-          grid[static_cast<size_t>(t) * num_events + e] = kNoScore;
-        }
+        if (!model.CanAssign(e, t)) row_of(t)[e] = kNoScore;
       }
     }
+    best.resize(num_intervals);
+    for (IntervalIndex t = 0; t < num_intervals; ++t) rescan(t);
   }
 
   const size_t k = static_cast<size_t>(options.k);
@@ -43,21 +55,40 @@ util::Result<SolveOutcome> GreedySolver::DoSolve(
   while (termination.ok() && model.schedule().size() < k) {
     if (context.CheckStop(&termination)) break;
     context.CountWork(1);
-    // popTopAssgn: the first strict maximum in (interval, event) order.
-    const auto top = std::max_element(grid.begin(), grid.end());
-    if (top == grid.end() || *top == kNoScore) break;  // nothing valid left
-    const auto cell = static_cast<size_t>(top - grid.begin());
-    const auto t = static_cast<IntervalIndex>(cell / num_events);
-    const auto e = static_cast<EventIndex>(cell % num_events);
+    // popTopAssgn: the first strict maximum in (interval, event) order,
+    // which is the first of the row maxima that is largest.
+    IntervalIndex t = kInvalidIndex;
+    double top = kNoScore;
+    for (IntervalIndex u = 0; u < best.size(); ++u) {
+      if (row_of(u)[best[u]] > top) {
+        top = row_of(u)[best[u]];
+        t = u;
+      }
+    }
+    if (t == kInvalidIndex) break;  // nothing valid left
+    const EventIndex e = best[t];
     model.Apply(e, t);
     ++stats.pops;
+    // Masking e's column lowers only the rows whose maximum was e. The
+    // cells before e there are below its old value and the later ones
+    // not above it, so the first later cell equal to it (often a twin)
+    // is the new maximum; a row without one is rescanned.
     for (IntervalIndex u = 0; u < num_intervals; ++u) {
-      grid[static_cast<size_t>(u) * num_events + e] = kNoScore;
+      const std::span<double> row = row_of(u);
+      const double old = row[e];
+      row[e] = kNoScore;
+      if (u == t || best[u] != e) continue;
+      const auto next = std::find(row.begin() + e + 1, row.end(), old);
+      if (next == row.end()) {
+        rescan(u);
+      } else {
+        best[u] = static_cast<EventIndex>(next - row.begin());
+      }
     }
     if (model.schedule().size() >= k) break;
     // Update pass: only the chosen interval's scores changed.
-    stats.updates += model.RescoreRow(
-        t, std::span<double>(grid).subspan(cell - e, num_events));
+    stats.updates += model.RescoreRow(t, row_of(t));
+    rescan(t);
   }
 
   // Generation ran on its own engines; adding their count keeps the total

@@ -16,11 +16,21 @@
 /// kNoScore (-inf): every such cell is set once up front, the chosen
 /// event's column after each selection, and the chosen interval's row
 /// by its update pass (AttendanceModel::RescoreRow). The top valid
-/// assignment is then the first strict maximum of a scan in (interval,
-/// event) order, and the run ends early when that maximum is kNoScore.
-/// Exact score ties are common (twin events have identical interest
-/// rows); the scan breaks them toward the lowest interval, then the
-/// lowest event.
+/// assignment is the first strict maximum in (interval, event) order,
+/// and the run ends early when that maximum is kNoScore. Exact score
+/// ties are common (twin events have identical interest rows); this
+/// order breaks them toward the lowest interval, then the lowest event.
+///
+/// GRD finds that cell without scanning the grid. It keeps the first
+/// maximum of each interval row and takes the first largest of the |T|
+/// row maxima, which is the grid's first strict maximum. A selection
+/// changes two kinds of rows. The chosen interval's row is rewritten by
+/// its update pass and then scanned again. A row whose maximum was the
+/// chosen event loses that cell to the column mask; its earlier cells
+/// were below the old value and its later ones not above it, so the
+/// first later cell equal to that value (often a twin, whose gain is
+/// bit-equal) is the new maximum, and only a row without one is
+/// scanned again. Every other row keeps its maximum.
 ///
 /// The registry also serves GRD as "lazy". That name once meant a
 /// CELF-style variant (Leskovec et al., KDD'07) that deferred rescoring.

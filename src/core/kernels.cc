@@ -74,6 +74,48 @@ double LuceGain(const UserIndex* SES_RESTRICT users,
   return gain;
 }
 
+void LuceGainRows(const UserIndex* const* users, const float* const* values,
+                  const size_t* n, const double* SES_RESTRICT denom,
+                  const double* SES_RESTRICT sched_mass,
+                  const double* SES_RESTRICT ratio,
+                  const float* SES_RESTRICT sigma, double* SES_RESTRICT out) {
+  static_assert(kGainRows == 4, "the shared loop names four rows");
+  double gain[kGainRows] = {};
+  size_t shared = n[0];
+  for (size_t r = 1; r < kGainRows; ++r) shared = std::min(shared, n[r]);
+  // One restrict pointer per row keeps the rows in registers. The four
+  // sums do not wait on one another, so their divisions overlap, and
+  // the compiler pairs some of them into vector instructions.
+  const UserIndex* SES_RESTRICT u0 = users[0];
+  const UserIndex* SES_RESTRICT u1 = users[1];
+  const UserIndex* SES_RESTRICT u2 = users[2];
+  const UserIndex* SES_RESTRICT u3 = users[3];
+  const float* SES_RESTRICT x0 = values[0];
+  const float* SES_RESTRICT x1 = values[1];
+  const float* SES_RESTRICT x2 = values[2];
+  const float* SES_RESTRICT x3 = values[3];
+  for (size_t i = 0; i < shared; ++i) {
+    const UserIndex u[kGainRows] = {u0[i], u1[i], u2[i], u3[i]};
+    const double x[kGainRows] = {
+        static_cast<double>(x0[i]), static_cast<double>(x1[i]),
+        static_cast<double>(x2[i]), static_cast<double>(x3[i])};
+    for (size_t r = 0; r < kGainRows; ++r) {
+      gain[r] += static_cast<double>(sigma[u[r]]) *
+                 ((sched_mass[u[r]] + x[r]) / (denom[u[r]] + x[r]) -
+                  ratio[u[r]]);
+    }
+  }
+  for (size_t r = 0; r < kGainRows; ++r) {
+    for (size_t i = shared; i < n[r]; ++i) {
+      const UserIndex u = users[r][i];
+      const double x = static_cast<double>(values[r][i]);
+      const double term_new = (sched_mass[u] + x) / (denom[u] + x);
+      gain[r] += static_cast<double>(sigma[u]) * (term_new - ratio[u]);
+    }
+    out[r] = gain[r];
+  }
+}
+
 void LuceGainBlock(const UserIndex* SES_RESTRICT users,
                    const float* SES_RESTRICT values, size_t n,
                    const double* SES_RESTRICT denom,

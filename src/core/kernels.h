@@ -168,6 +168,25 @@ SES_HOT double LuceGain(const UserIndex* SES_RESTRICT users,
                         const double* SES_RESTRICT ratio,
                         const float* SES_RESTRICT sigma);
 
+/// Rows scored together by LuceGainRows.
+inline constexpr size_t kGainRows = 4;
+
+/// LuceGain of kGainRows sparse rows at one loaded interval: out[r] =
+/// LuceGain(users[r], values[r], n[r], ...). One pass walks every row
+/// up to the shortest length, then each row finishes alone. Each row
+/// has its own accumulator and sums in row order, so out[r] bit-equals
+/// LuceGain; the speed comes from overlapping the rows' independent
+/// divisions and sums, never from re-association. `out` holds
+/// kGainRows doubles. A row may be empty, and then its pointers are
+/// never read.
+SES_HOT void LuceGainRows(const UserIndex* const* users,
+                          const float* const* values, const size_t* n,
+                          const double* SES_RESTRICT denom,
+                          const double* SES_RESTRICT sched_mass,
+                          const double* SES_RESTRICT ratio,
+                          const float* SES_RESTRICT sigma,
+                          double* SES_RESTRICT out);
+
 /// LuceGain at every lane of an IntervalBlock (M = 0): out[lane] = sum
 /// over the event's row of sigma[u * kWidth + lane] * (x / (D + x)),
 /// with D = denom[u * kWidth + lane]. One pass over the row; each lane

@@ -105,13 +105,6 @@ std::vector<Assignment> Schedule::Assignments() const {
   return out;
 }
 
-void Schedule::Clear() {
-  std::fill(event_interval_.begin(), event_interval_.end(), kInvalidIndex);
-  for (auto& events : interval_events_) events.clear();
-  std::fill(interval_resources_.begin(), interval_resources_.end(), 0.0);
-  size_ = 0;
-}
-
 util::Status ApplyWarmStart(Schedule& schedule,
                             std::span<const Assignment> warm_start) {
   for (const Assignment& a : warm_start) {

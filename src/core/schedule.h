@@ -54,9 +54,6 @@ class Schedule {
   /// All assignments sorted by (interval, event).
   std::vector<Assignment> Assignments() const;
 
-  /// Removes every assignment.
-  void Clear();
-
   /// The instance this schedule refers to.
   const SesInstance& instance() const { return *instance_; }
 

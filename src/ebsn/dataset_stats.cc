@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace ses::ebsn {
@@ -48,16 +47,6 @@ DatasetStats ComputeDatasetStats(const EbsnDataset& dataset) {
   }
   stats.checkins_per_user = util::Summarize(checkins_per_user);
   return stats;
-}
-
-double EstimateOverlappingEvents(size_t num_events, size_t days,
-                                 size_t slots_per_day) {
-  SES_CHECK_GT(days, 0u);
-  SES_CHECK_GT(slots_per_day, 0u);
-  // Events spread uniformly over days*slots_per_day disjoint slots; the
-  // expected number of events sharing one slot is the occupancy.
-  return static_cast<double>(num_events) /
-         static_cast<double>(days * slots_per_day);
 }
 
 std::string DatasetStats::ToString() const {

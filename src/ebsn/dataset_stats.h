@@ -40,13 +40,6 @@ struct DatasetStats {
 /// Computes DatasetStats for \p dataset.
 DatasetStats ComputeDatasetStats(const EbsnDataset& dataset);
 
-/// Estimates the average number of events running during overlapping
-/// intervals when \p events_per_day events are spread over \p days days
-/// with \p slots_per_day disjoint slots per day — the measurement the
-/// paper uses to pick the competing-events-per-interval mean (8.1).
-double EstimateOverlappingEvents(size_t num_events, size_t days,
-                                 size_t slots_per_day);
-
 }  // namespace ses::ebsn
 
 #endif  // SES_EBSN_DATASET_STATS_H_

@@ -13,14 +13,6 @@ TagId TagCatalog::Intern(std::string_view name) {
   return id;
 }
 
-util::Result<TagId> TagCatalog::Find(std::string_view name) const {
-  auto it = index_.find(std::string(name));
-  if (it == index_.end()) {
-    return util::Status::NotFound("unknown tag: " + std::string(name));
-  }
-  return it->second;
-}
-
 const std::string& TagCatalog::name(TagId id) const {
   SES_CHECK_LT(id, names_.size());
   return names_[id];

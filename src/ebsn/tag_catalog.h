@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "ebsn/types.h"
-#include "util/status.h"
 
 namespace ses::ebsn {
 
@@ -21,9 +20,6 @@ class TagCatalog {
  public:
   /// Returns the id for \p name, interning it on first sight.
   TagId Intern(std::string_view name);
-
-  /// Returns the id for \p name or NotFound when never interned.
-  [[nodiscard]] util::Result<TagId> Find(std::string_view name) const;
 
   /// The tag string for \p id. \p id must be valid.
   const std::string& name(TagId id) const;

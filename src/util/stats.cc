@@ -25,25 +25,6 @@ double RunningStat::variance() const {
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
-void RunningStat::Merge(const RunningStat& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double total = static_cast<double>(count_ + other.count_);
-  const double delta = other.mean_ - mean_;
-  const double new_mean =
-      mean_ + delta * static_cast<double>(other.count_) / total;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) / total;
-  mean_ = new_mean;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double PercentileSorted(const std::vector<double>& sorted, double q) {
   // An empty sample has no percentiles; NaN (not an abort) lets callers
   // summarize windows where nothing was observed — e.g. a bench trace

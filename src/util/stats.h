@@ -38,9 +38,6 @@ class RunningStat {
   /// Sum of all observations.
   double sum() const { return sum_; }
 
-  /// Merges another accumulator into this one.
-  void Merge(const RunningStat& other);
-
  private:
   size_t count_ = 0;
   double mean_ = 0.0;

@@ -24,16 +24,6 @@ std::vector<std::string> Split(std::string_view s, char sep) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
 std::string_view Trim(std::string_view s) {
   size_t begin = 0;
   while (begin < s.size() &&
@@ -50,11 +40,6 @@ std::string_view Trim(std::string_view s) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 std::string ToLower(std::string_view s) {

@@ -16,17 +16,11 @@ namespace ses::util {
 /// Splits \p s on \p sep. Keeps empty fields ("a,,b" -> {"a","","b"}).
 std::vector<std::string> Split(std::string_view s, char sep);
 
-/// Joins \p parts with \p sep between consecutive elements.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
 /// Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
 
 /// True iff \p s begins with \p prefix.
 bool StartsWith(std::string_view s, std::string_view prefix);
-
-/// True iff \p s ends with \p suffix.
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// ASCII lower-casing.
 std::string ToLower(std::string_view s);

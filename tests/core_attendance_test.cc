@@ -190,16 +190,20 @@ TEST(AttendanceModelTest, GainEvaluationCounter) {
 // interval can still take. Intervals repeat, so a gain kept from an
 // earlier pass would show up stale.
 TEST(AttendanceModelTest, RescoreRowScoresEachProfileOnce) {
+  // Event e + 11 repeats event e's row: 11 profiles, more than one
+  // kernels::LuceGainRows group holds, so passes score full groups and
+  // a remainder.
   test::RandomInstanceConfig config;
-  config.num_events = 12;  // event e + 6 repeats event e's row
+  config.num_events = 22;
   config.num_intervals = 3;
-  config.num_locations = 12;
-  config.theta = 20.0;
+  config.num_locations = 22;
+  config.theta = 40.0;
   config.twins = true;
   const SesInstance instance = test::MakeRandomInstance(config);
   AttendanceModel model(instance);
   std::vector<double> row(instance.num_events());
   uint64_t copied = 0;
+  bool group_and_remainder = false;
   for (EventIndex placed = 0; placed < instance.num_events(); ++placed) {
     const IntervalIndex t = placed % instance.num_intervals();
     if (!model.CanAssign(placed, t)) continue;
@@ -218,6 +222,8 @@ TEST(AttendanceModelTest, RescoreRowScoresEachProfileOnce) {
     EXPECT_EQ(model.gain_evaluations() - before, profiles)
         << "after placing " << placed;
     copied += fits - profiles;
+    group_and_remainder |= profiles > kernels::kGainRows &&
+                           profiles % kernels::kGainRows != 0;
     for (EventIndex e = 0; e < instance.num_events(); ++e) {
       const double expected =
           model.CanAssign(e, t) ? model.MarginalGain(e, t) : kNoScore;
@@ -227,6 +233,7 @@ TEST(AttendanceModelTest, RescoreRowScoresEachProfileOnce) {
     }
   }
   EXPECT_GT(copied, 0u);
+  EXPECT_TRUE(group_and_remainder);
 }
 
 TEST(AttendanceModelTest, ZeroDenominatorUserContributesSigma) {

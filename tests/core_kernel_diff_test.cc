@@ -322,6 +322,53 @@ TEST(KernelDiffTest, LuceGainBlockBitIdenticalToReference) {
   }
 }
 
+TEST(KernelDiffTest, LuceGainRowsBitIdenticalToReference) {
+  constexpr size_t kRows = kernels::kGainRows;
+  for (uint64_t seed = 0; seed < 25; ++seed) {
+    util::Rng rng(seed);
+    const uint32_t num_users = 100 + rng.NextBounded(300);
+    std::vector<double> denom, sched;
+    std::vector<float> sigma;
+    RandomState(rng, num_users, denom, sched, sigma);
+    ASSERT_NE(std::count(denom.begin(), denom.end(), 0.0), 0);
+    ASSERT_NE(std::count(sched.begin(), sched.end(), 0.0),
+              static_cast<ptrdiff_t>(num_users));
+    const std::vector<double> ratio = Ratios(denom, sched);
+    // Rows of unequal length: empty, one entry, then four of up to a
+    // few hundred. Each window of kRows consecutive rows, cyclically,
+    // is one group: the empty and the one-entry row take every
+    // position, and the window of the four long rows runs the shared
+    // loop and then a tail on each row longer than the shortest.
+    std::vector<SparseRow> pool(2);
+    pool[1].users.push_back(rng.NextBounded(num_users));
+    pool[1].values.push_back(0.5f);
+    for (size_t i = 0; i < kRows; ++i) {
+      pool.push_back(RandomRow(rng, num_users, rng.UniformDouble(0.1, 1.0)));
+    }
+    for (size_t first = 0; first < pool.size(); ++first) {
+      const UserIndex* users[kRows];
+      const float* values[kRows];
+      size_t sizes[kRows];
+      for (size_t r = 0; r < kRows; ++r) {
+        const SparseRow& row = pool[(first + r) % pool.size()];
+        users[r] = row.users.data();
+        values[r] = row.values.data();
+        sizes[r] = row.users.size();
+      }
+      double out[kRows];
+      kernels::LuceGainRows(users, values, sizes, denom.data(), sched.data(),
+                            ratio.data(), sigma.data(), out);
+      for (size_t r = 0; r < kRows; ++r) {
+        const SparseRow& row = pool[(first + r) % pool.size()];
+        EXPECT_TRUE(BitEq(out[r], ref::LuceGain(row.users, row.values, denom,
+                                                sched, sigma)))
+            << "seed " << seed << " group " << first << " row " << r
+            << " of length " << row.users.size();
+      }
+    }
+  }
+}
+
 TEST(KernelDiffTest, AddMassBitIdenticalToReference) {
   constexpr size_t kWidth = IntervalBlock::kWidth;
   for (uint64_t seed = 0; seed < 25; ++seed) {

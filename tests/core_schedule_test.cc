@@ -116,18 +116,6 @@ TEST(ScheduleTest, AssignmentsSortedByIntervalThenEvent) {
   EXPECT_EQ(assignments[2], (Assignment{3, 2}));
 }
 
-TEST(ScheduleTest, ClearResetsEverything) {
-  const SesInstance instance = MakeInstance();
-  Schedule schedule(instance);
-  ASSERT_TRUE(schedule.Assign(0, 0).ok());
-  ASSERT_TRUE(schedule.Assign(2, 0).ok());
-  schedule.Clear();
-  EXPECT_EQ(schedule.size(), 0u);
-  EXPECT_TRUE(schedule.EventsAt(0).empty());
-  EXPECT_DOUBLE_EQ(schedule.UsedResources(0), 0.0);
-  EXPECT_TRUE(schedule.Assign(1, 0).ok());
-}
-
 TEST(ScheduleTest, CopyIsIndependent) {
   const SesInstance instance = MakeInstance();
   Schedule a(instance);

@@ -7,14 +7,6 @@
 namespace ses::ebsn {
 namespace {
 
-TEST(OverlapEstimateTest, MatchesOccupancyFormula) {
-  // 16200 events over 100 days with 20 slots/day -> 8.1 per slot, the
-  // statistic the paper measured on Meetup data.
-  EXPECT_NEAR(EstimateOverlappingEvents(16200, 100, 20), 8.1, 1e-12);
-  EXPECT_DOUBLE_EQ(EstimateOverlappingEvents(0, 10, 10), 0.0);
-  EXPECT_DOUBLE_EQ(EstimateOverlappingEvents(100, 1, 1), 100.0);
-}
-
 TEST(DatasetStatsTest, CountsMatch) {
   SyntheticMeetupConfig config;
   config.num_users = 250;

@@ -28,21 +28,6 @@ TEST(TagCatalogTest, NameRoundTrip) {
   EXPECT_EQ(catalog.name(id), "theater");
 }
 
-TEST(TagCatalogTest, FindExisting) {
-  TagCatalog catalog;
-  catalog.Intern("food");
-  auto found = catalog.Find("food");
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(found.value(), 0u);
-}
-
-TEST(TagCatalogTest, FindMissingFails) {
-  TagCatalog catalog;
-  EXPECT_FALSE(catalog.Find("absent").ok());
-  EXPECT_EQ(catalog.Find("absent").status().code(),
-            util::StatusCode::kNotFound);
-}
-
 TEST(TagCatalogTest, CaseSensitive) {
   TagCatalog catalog;
   const TagId lower = catalog.Intern("music");

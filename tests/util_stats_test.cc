@@ -37,41 +37,6 @@ TEST(RunningStatTest, KnownMoments) {
   EXPECT_EQ(rs.sum(), 40.0);
 }
 
-TEST(RunningStatTest, MergeMatchesCombined) {
-  RunningStat left;
-  RunningStat right;
-  RunningStat combined;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.37 - 3.0;
-    left.Add(x);
-    combined.Add(x);
-  }
-  for (int i = 0; i < 70; ++i) {
-    const double x = i * -0.21 + 8.0;
-    right.Add(x);
-    combined.Add(x);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), combined.count());
-  EXPECT_NEAR(left.mean(), combined.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), combined.variance(), 1e-9);
-  EXPECT_EQ(left.min(), combined.min());
-  EXPECT_EQ(left.max(), combined.max());
-}
-
-TEST(RunningStatTest, MergeWithEmpty) {
-  RunningStat a;
-  a.Add(1.0);
-  a.Add(3.0);
-  RunningStat empty;
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  RunningStat b;
-  b.Merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_EQ(b.mean(), 2.0);
-}
-
 TEST(PercentileTest, InterpolatesLinearly) {
   const std::vector<double> sorted{10.0, 20.0, 30.0, 40.0};
   EXPECT_DOUBLE_EQ(PercentileSorted(sorted, 0.0), 10.0);

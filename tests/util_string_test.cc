@@ -15,12 +15,6 @@ TEST(SplitTest, KeepsEmptyFields) {
   EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
 }
 
-TEST(JoinTest, Basic) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({}, ","), "");
-  EXPECT_EQ(Join({"solo"}, ","), "solo");
-}
-
 TEST(TrimTest, RemovesWhitespace) {
   EXPECT_EQ(Trim("  hi  "), "hi");
   EXPECT_EQ(Trim("\t\nx\r "), "x");
@@ -29,11 +23,9 @@ TEST(TrimTest, RemovesWhitespace) {
   EXPECT_EQ(Trim("inner space kept"), "inner space kept");
 }
 
-TEST(StartsEndsWithTest, Basic) {
+TEST(StartsWithTest, Basic) {
   EXPECT_TRUE(StartsWith("--flag", "--"));
   EXPECT_FALSE(StartsWith("-", "--"));
-  EXPECT_TRUE(EndsWith("file.csv", ".csv"));
-  EXPECT_FALSE(EndsWith("csv", ".csv"));
 }
 
 TEST(ToLowerTest, Basic) {
