@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -91,9 +92,9 @@ BENCHMARK(BM_ApplyUnapply);
 
 /// One update pass of the greedy family (AttendanceModel::RescoreRow)
 /// at interval 0 after three events were placed there, so M != 0 for
-/// their users. The interval stays loaded, so each pass scores every
-/// distinct profile among the events that still fit. Items are the
-/// cells rescored, twins included.
+/// their users. Each pass lists every event, as GRD's does, and the
+/// interval stays loaded, so it scores every distinct profile among the
+/// events that still fit. Items are the cells rescored, twins included.
 void BM_RescoreRow(benchmark::State& state) {
   const core::SesInstance& instance = BenchInstance();
   core::AttendanceModel model(instance);
@@ -102,9 +103,11 @@ void BM_RescoreRow(benchmark::State& state) {
     if (model.CanAssign(e, 0)) model.Apply(e, 0);
   }
   std::vector<double> row(instance.num_events());
+  std::vector<core::EventIndex> every_event(instance.num_events());
+  std::iota(every_event.begin(), every_event.end(), 0u);
   uint64_t cells = 0;
   for (auto _ : state) {
-    cells += model.RescoreRow(0, row);
+    cells += model.RescoreRow(0, row, every_event);
     benchmark::DoNotOptimize(row.data());
     benchmark::ClobberMemory();
   }

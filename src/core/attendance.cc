@@ -62,15 +62,15 @@ double AttendanceModel::MarginalGain(EventIndex e, IntervalIndex t) {
                            soa_.ratio.data(), soa_.sigma.data());
 }
 
-uint64_t AttendanceModel::RescoreRow(IntervalIndex t,
-                                     std::span<double> row) {
+uint64_t AttendanceModel::RescoreRow(IntervalIndex t, std::span<double> row,
+                                     std::span<const EventIndex> events) {
   LoadInterval(t);
   // Collect each profile once: one whose stamp is not this call's has
   // not been seen yet. A valid cell holds 0 until its gain is known.
   ++rescore_calls_;
   uint64_t rescored = 0;
   size_t pending = 0;
-  for (EventIndex e = 0; e < row.size(); ++e) {
+  for (EventIndex e : events) {
     if (!CanAssign(e, t)) {
       row[e] = kNoScore;
       continue;
@@ -108,7 +108,7 @@ uint64_t AttendanceModel::RescoreRow(IntervalIndex t,
     }
   }
 
-  for (EventIndex e = 0; e < row.size(); ++e) {
+  for (EventIndex e : events) {
     if (row[e] != kNoScore) {
       row[e] = profile_gains_[instance_->EventProfile(e)].gain;
     }

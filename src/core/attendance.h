@@ -41,9 +41,9 @@
 /// Loading an interval zeroes that scratch over all |U| users and
 /// rebuilds it from the instance: the competing-event mass, the
 /// provider's sigma row and the scheduled events, in that order. An
-/// update pass (RescoreRow) scores a whole interval row under one load,
-/// and each profile in it once: twins (core/instance.h) have one row and
-/// so one gain.
+/// update pass (RescoreRow) scores the listed cells of an interval row
+/// under one load, and each profile among them once: twins
+/// (core/instance.h) have one row and so one gain.
 
 #include <cstdint>
 #include <limits>
@@ -94,16 +94,19 @@ class AttendanceModel {
   /// runtime.
   SES_HOT double MarginalGain(EventIndex e, IntervalIndex t);
 
-  /// The greedy family's update pass at interval \p t: row[e] =
-  /// MarginalGain(e, t) for every event with CanAssign(e, t), and
-  /// kNoScore for every other event. \p row is interval t's row of the
-  /// |T| x |E| score grid, |E| cells. The pass loads t, lists the
-  /// distinct profiles among those events, scores them
+  /// The greedy family's update pass at interval \p t, over the listed
+  /// \p events: row[e] = MarginalGain(e, t) for each listed event with
+  /// CanAssign(e, t), and kNoScore for each other listed event. \p row
+  /// is interval t's row of the |T| x |E| score grid, |E| cells; cells
+  /// of unlisted events are neither read nor written. GRD lists every
+  /// event, bestfit the ones it can still visit. The pass loads t, lists
+  /// the distinct profiles among the events that fit, scores them
   /// kernels::kGainRows at a time (kernels::LuceGainRows) and copies
   /// each gain to the profile's events, so gain_evaluations() grows by
-  /// the distinct profiles. Returns the number of cells rescored, twins
+  /// those profiles. Returns the number of cells rescored, twins
   /// included.
-  SES_HOT uint64_t RescoreRow(IntervalIndex t, std::span<double> row);
+  SES_HOT uint64_t RescoreRow(IntervalIndex t, std::span<double> row,
+                              std::span<const EventIndex> events);
 
   /// Assigns e to t (must be valid) and returns its gain, the
   /// MarginalGain(e, t) before the assignment. The evaluation is

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <span>
+#include <vector>
 
 #include "core/attendance.h"
 #include "core/score_gen.h"
@@ -47,11 +48,27 @@ util::Result<SolveOutcome> BestFitSolver::DoSolve(
   // from the grid. Invariant: when an event is visited, grid[t][e] equals
   // MarginalGain(e, t) under the current schedule for every feasible t.
   // Only the chosen interval's scores change on Apply, so that row is
-  // rescored; the events it can still take are exactly the ones still to
-  // come that fit there. A pair infeasible at refresh time stays
-  // infeasible (the schedule only grows) and is never read.
+  // rescored, for the window order[i+1, horizon) of events still to
+  // visit. A pair infeasible at refresh time stays infeasible (the
+  // schedule only grows) and is never read. The horizon covers the
+  // first k - |warm start| events left to place, so while every visit
+  // places, the window holds every event visited before k. The first
+  // skip moves the horizon to the end: the rows placed so far are
+  // rescored once for the events past it, and every later row for every
+  // later event.
   // Skipped when pass 1 was cut short (priorities would be truncated).
   const size_t k = static_cast<size_t>(options.k);
+  size_t horizon = 0;
+  for (size_t filled = model.schedule().size();
+       filled < k && horizon < order.size(); ++horizon) {
+    if (!model.schedule().IsAssigned(order[horizon])) ++filled;
+  }
+  const std::span<const EventIndex> visits(order);
+  auto row_of = [&grid, num_events](IntervalIndex t) {
+    return std::span<double>(grid).subspan(static_cast<size_t>(t) * num_events,
+                                           num_events);
+  };
+  std::vector<bool> placed_at(num_intervals, false);
   for (size_t i = 0; i < order.size(); ++i) {
     if (!termination.ok() || context.CheckStop(&termination)) break;
     context.CountWork(1);
@@ -68,15 +85,26 @@ util::Result<SolveOutcome> BestFitSolver::DoSolve(
         best_interval = t;
       }
     }
-    if (best_interval == kInvalidIndex) continue;  // nowhere to place it
+    if (best_interval == kInvalidIndex) {  // nowhere to place it
+      // Later visits may pass the horizon, and no window has covered the
+      // cells past it in the rows placed so far.
+      if (horizon < order.size()) {
+        const auto past = visits.subspan(horizon);
+        for (IntervalIndex t = 0; t < num_intervals; ++t) {
+          if (!placed_at[t]) continue;
+          stats.updates += model.RescoreRow(t, row_of(t), past);
+        }
+        horizon = order.size();
+      }
+      continue;
+    }
     model.Apply(e, best_interval);  // leaves best_interval loaded
+    placed_at[best_interval] = true;
     ++stats.pops;
     if (model.schedule().size() >= k) continue;  // no reader left
 
-    stats.updates += model.RescoreRow(
-        best_interval,
-        std::span<double>(grid).subspan(
-            static_cast<size_t>(best_interval) * num_events, num_events));
+    stats.updates += model.RescoreRow(best_interval, row_of(best_interval),
+                                      visits.subspan(i + 1, horizon - i - 1));
   }
 
   // Generation ran on its own engines; adding their count keeps the total

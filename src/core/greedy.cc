@@ -1,6 +1,7 @@
 #include "core/greedy.h"
 
 #include <algorithm>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -49,6 +50,9 @@ util::Result<SolveOutcome> GreedySolver::DoSolve(
     best.resize(num_intervals);
     for (IntervalIndex t = 0; t < num_intervals; ++t) rescan(t);
   }
+  // The update pass rescores every event's cell.
+  std::vector<EventIndex> every_event(num_events);
+  std::iota(every_event.begin(), every_event.end(), 0u);
 
   const size_t k = static_cast<size_t>(options.k);
   // Algorithm 1, lines 5-13.
@@ -87,7 +91,7 @@ util::Result<SolveOutcome> GreedySolver::DoSolve(
     }
     if (model.schedule().size() >= k) break;
     // Update pass: only the chosen interval's scores changed.
-    stats.updates += model.RescoreRow(t, row_of(t));
+    stats.updates += model.RescoreRow(t, row_of(t), every_event);
     rescan(t);
   }
 

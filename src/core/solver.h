@@ -67,7 +67,9 @@ struct SolverStats {
   /// assignment, bestfit's placements, and the ranked entries TOP
   /// walked.
   uint64_t pops = 0;
-  /// Score-update recomputations after a selection.
+  /// Score cells rescored after selections, twins included: GRD's
+  /// whole chosen row, bestfit's cells of the events it can still visit
+  /// (core/best_fit.h).
   uint64_t updates = 0;
   /// Branch-and-bound nodes (exact solver).
   uint64_t nodes = 0;

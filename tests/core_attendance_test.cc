@@ -1,6 +1,7 @@
 #include "core/attendance.h"
 
 #include <bit>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -202,6 +203,8 @@ TEST(AttendanceModelTest, RescoreRowScoresEachProfileOnce) {
   const SesInstance instance = test::MakeRandomInstance(config);
   AttendanceModel model(instance);
   std::vector<double> row(instance.num_events());
+  std::vector<EventIndex> every_event(instance.num_events());
+  std::iota(every_event.begin(), every_event.end(), 0u);
   uint64_t copied = 0;
   bool group_and_remainder = false;
   for (EventIndex placed = 0; placed < instance.num_events(); ++placed) {
@@ -218,7 +221,8 @@ TEST(AttendanceModelTest, RescoreRowScoresEachProfileOnce) {
       seen[instance.EventProfile(e)] = true;
     }
     const uint64_t before = model.gain_evaluations();
-    EXPECT_EQ(model.RescoreRow(t, row), fits) << "after placing " << placed;
+    EXPECT_EQ(model.RescoreRow(t, row, every_event), fits)
+        << "after placing " << placed;
     EXPECT_EQ(model.gain_evaluations() - before, profiles)
         << "after placing " << placed;
     copied += fits - profiles;
@@ -234,6 +238,68 @@ TEST(AttendanceModelTest, RescoreRowScoresEachProfileOnce) {
   }
   EXPECT_GT(copied, 0u);
   EXPECT_TRUE(group_and_remainder);
+}
+
+// A pass over a subset of the events writes exactly their cells: the
+// fresh gain where the event fits, kNoScore where it does not, and no
+// other cell, read or written.
+TEST(AttendanceModelTest, RescoreRowWritesOnlyTheListedCells) {
+  test::RandomInstanceConfig config;
+  config.num_events = 22;
+  config.num_intervals = 3;
+  config.num_locations = 4;
+  config.theta = 6.0;
+  config.twins = true;
+  const SesInstance instance = test::MakeRandomInstance(config);
+  AttendanceModel model(instance);
+  constexpr double kUntouched = 12345.0;
+  // Up to two events placed at each interval, the first that fit.
+  for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+    int placed = 0;
+    for (EventIndex e = 0; e < instance.num_events() && placed < 2; ++e) {
+      if (!model.CanAssign(e, t)) continue;
+      model.Apply(e, t);
+      ++placed;
+    }
+  }
+  // Two of every three events, listed in reverse: some fit an interval,
+  // some are placed or blocked there. Some twins are both listed, and
+  // some have an unlisted twin whose cell must stay untouched.
+  auto is_listed = [](EventIndex e) { return e % 3 != 0; };
+  std::vector<EventIndex> listed;
+  for (EventIndex e = instance.num_events(); e-- > 0;) {
+    if (is_listed(e)) listed.push_back(e);
+  }
+  bool masked = false;
+  bool copied = false;
+  for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+    std::vector<double> row(instance.num_events(), kUntouched);
+    std::vector<bool> seen(instance.num_profiles(), false);
+    uint64_t fits = 0;
+    uint64_t profiles = 0;
+    for (EventIndex e : listed) {
+      if (!model.CanAssign(e, t)) continue;
+      ++fits;
+      if (!seen[instance.EventProfile(e)]) ++profiles;
+      seen[instance.EventProfile(e)] = true;
+    }
+    const uint64_t before = model.gain_evaluations();
+    EXPECT_EQ(model.RescoreRow(t, row, listed), fits) << "t=" << t;
+    EXPECT_EQ(model.gain_evaluations() - before, profiles) << "t=" << t;
+    copied |= fits > profiles;
+    for (EventIndex e = 0; e < instance.num_events(); ++e) {
+      double expected = kUntouched;
+      if (is_listed(e)) {
+        expected = model.CanAssign(e, t) ? model.MarginalGain(e, t) : kNoScore;
+        masked |= expected == kNoScore;
+      }
+      EXPECT_EQ(std::bit_cast<uint64_t>(row[e]),
+                std::bit_cast<uint64_t>(expected))
+          << "t=" << t << ", e=" << e;
+    }
+  }
+  EXPECT_TRUE(masked);
+  EXPECT_TRUE(copied);
 }
 
 TEST(AttendanceModelTest, ZeroDenominatorUserContributesSigma) {

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -106,12 +107,14 @@ TEST(HotPathAllocTest, RescoreRowIsAllocationFree) {
   // rescored inside it — every cell, scored or masked, written into
   // the caller's grid row.
   std::vector<double> row(instance.num_events(), 0.0);
+  std::vector<EventIndex> every_event(instance.num_events());
+  std::iota(every_event.begin(), every_event.end(), 0u);
   uint64_t rescored = 0;
   for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
     const auto e = static_cast<EventIndex>(t);
     if (model.CanAssign(e, t)) model.Apply(e, t);
     util::ScopedAllocCheck check;
-    rescored += model.RescoreRow(t, row);
+    rescored += model.RescoreRow(t, row, every_event);
     EXPECT_EQ(check.allocations(), 0u) << "interval " << t;
   }
   EXPECT_GT(rescored, 0u);

@@ -1,4 +1,4 @@
-#include "core/mkpi.h"
+#include "tests/mkpi.h"
 
 #include <gtest/gtest.h>
 

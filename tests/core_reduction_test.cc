@@ -1,4 +1,4 @@
-#include "core/reduction.h"
+#include "tests/reduction.h"
 
 #include <gtest/gtest.h>
 

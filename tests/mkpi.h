@@ -1,5 +1,5 @@
-#ifndef SES_CORE_MKPI_H_
-#define SES_CORE_MKPI_H_
+#ifndef SES_TESTS_MKPI_H_
+#define SES_TESTS_MKPI_H_
 
 /// \file
 /// Multiple Knapsack with Identical capacities (MKPI) — the strongly
@@ -52,4 +52,4 @@ struct MkpiSolution {
 
 }  // namespace ses::core
 
-#endif  // SES_CORE_MKPI_H_
+#endif  // SES_TESTS_MKPI_H_

@@ -1,5 +1,5 @@
-#ifndef SES_CORE_REDUCTION_H_
-#define SES_CORE_REDUCTION_H_
+#ifndef SES_TESTS_REDUCTION_H_
+#define SES_TESTS_REDUCTION_H_
 
 /// \file
 /// The Theorem 1 construction: a polynomial reduction from MKPI to SES,
@@ -27,7 +27,7 @@
 /// and a size-k SES optimum corresponds exactly to a k-item MKPI optimum.
 
 #include "core/instance.h"
-#include "core/mkpi.h"
+#include "tests/mkpi.h"
 #include "util/status.h"
 
 namespace ses::core {
@@ -57,4 +57,4 @@ double ExpectedSesUtility(const ReductionParams& params, double mkpi_profit);
 
 }  // namespace ses::core
 
-#endif  // SES_CORE_REDUCTION_H_
+#endif  // SES_TESTS_REDUCTION_H_
