@@ -11,8 +11,9 @@
 /// lane across lines, and a compiler that can prove (or be told via
 /// std::assume_aligned) the alignment emits aligned SIMD loads without
 /// a scalar prologue. The allocator routes through the ordinary
-/// aligned global operator new, so SES_ALLOC_GUARD still counts every
-/// allocation and sanitizers still see the full object.
+/// aligned global operator new, so the tests' counting allocator
+/// (tests/alloc_guard.h) still counts every allocation and sanitizers
+/// still see the full object.
 
 #include <cstddef>
 #include <new>  // ses-lint: allow(naked-new) header include, not an allocation

@@ -31,8 +31,8 @@
 ///     calls to functions the analysis cannot see are errors unless
 ///     listed in `tools/hot_whitelist.txt` (pure leaves: span/container
 ///     reads, `<algorithm>` scans, math);
-///   - dynamically by the `SES_ALLOC_GUARD` counting allocator
-///     (`util/alloc_guard.h`): `tests/core_hot_path_alloc_test.cc`
+///   - dynamically by the tests' counting allocator
+///     (`tests/alloc_guard.h`): `tests/core_hot_path_alloc_test.cc`
 ///     asserts zero allocations inside the annotated kernels on a
 ///     medium instance.
 ///

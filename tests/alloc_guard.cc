@@ -1,36 +1,17 @@
-#include "util/alloc_guard.h"
+#include "tests/alloc_guard.h"
 
 #include <cstdlib>
 #include <new>
 
-// The one sanctioned home for a hand-rolled operator new in this tree:
-// the whole point of the file is to interpose on the global allocator,
-// so the naked-new lint rule exempts it (ALLOC_GUARD_EXEMPT in
-// tools/ses_lint.py).
-
-namespace ses::util {
+namespace ses::test {
 namespace {
 
 // Per-thread, monotonically increasing. Reads race with nothing: only
 // the owning thread ever writes it.
 thread_local uint64_t t_alloc_count = 0;
 
-}  // namespace
-
-uint64_t ThreadAllocCount() { return t_alloc_count; }
-
-bool AllocGuardEnabled() {
-#if defined(SES_ALLOC_GUARD)
-  return true;
-#else
-  return false;
-#endif
-}
-
-namespace alloc_guard_internal {
-
-// Out-of-line so the global operator new replacements below stay
-// trivial; no logging or anything else that could itself allocate.
+// Every operator new below funnels through these two; nothing here may
+// log or do anything else that could itself allocate.
 inline void* CountedAlloc(std::size_t size) {
   ++t_alloc_count;
   // malloc(0) may return nullptr legitimately; operator new must
@@ -45,10 +26,11 @@ inline void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
   return std::aligned_alloc(align, rounded != 0 ? rounded : align);
 }
 
-}  // namespace alloc_guard_internal
-}  // namespace ses::util
+}  // namespace
 
-#if defined(SES_ALLOC_GUARD)
+uint64_t ThreadAllocCount() { return t_alloc_count; }
+
+}  // namespace ses::test
 
 // Global replacements (C++20 [new.delete]): throwing, nothrow, array,
 // and aligned forms all funnel through the counted helpers; every
@@ -57,7 +39,7 @@ inline void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
 // and ASan compose in the sanitizer CI job.
 
 void* operator new(std::size_t size) {
-  void* p = ses::util::alloc_guard_internal::CountedAlloc(size);
+  void* p = ses::test::CountedAlloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
@@ -65,15 +47,15 @@ void* operator new(std::size_t size) {
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return ses::util::alloc_guard_internal::CountedAlloc(size);
+  return ses::test::CountedAlloc(size);
 }
 
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return ses::util::alloc_guard_internal::CountedAlloc(size);
+  return ses::test::CountedAlloc(size);
 }
 
 void* operator new(std::size_t size, std::align_val_t align) {
-  void* p = ses::util::alloc_guard_internal::CountedAlignedAlloc(
+  void* p = ses::test::CountedAlignedAlloc(
       size, static_cast<std::size_t>(align));
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -85,13 +67,13 @@ void* operator new[](std::size_t size, std::align_val_t align) {
 
 void* operator new(std::size_t size, std::align_val_t align,
                    const std::nothrow_t&) noexcept {
-  return ses::util::alloc_guard_internal::CountedAlignedAlloc(
+  return ses::test::CountedAlignedAlloc(
       size, static_cast<std::size_t>(align));
 }
 
 void* operator new[](std::size_t size, std::align_val_t align,
                      const std::nothrow_t&) noexcept {
-  return ses::util::alloc_guard_internal::CountedAlignedAlloc(
+  return ses::test::CountedAlignedAlloc(
       size, static_cast<std::size_t>(align));
 }
 
@@ -111,5 +93,3 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
-
-#endif  // SES_ALLOC_GUARD

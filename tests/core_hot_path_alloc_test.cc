@@ -1,9 +1,8 @@
 /// Dynamic verification of the SES_HOT contract: the kernels that
 /// tools/ses_lint.py proves allocation-free statically (hot-path rule)
 /// are re-proven here at runtime with the counting allocator from
-/// src/util/alloc_guard.h. Build with -DSES_ALLOC_GUARD=ON (the
-/// sanitizer and release-test CI jobs do); without it every test
-/// GTEST_SKIPs rather than passing vacuously.
+/// tests/alloc_guard.h, which this suite links in place of the global
+/// allocator.
 ///
 /// The split mirrors the lint's cold/hot boundary exactly: warm-up
 /// passes (schedule mutation) run before the ScopedAllocCheck window
@@ -22,14 +21,11 @@
 #include "core/kernels.h"
 #include "core/objective.h"
 #include "core/sigma.h"
+#include "tests/alloc_guard.h"
 #include "tests/test_util.h"
-#include "util/alloc_guard.h"
 
 namespace ses::core {
 namespace {
-
-constexpr char kSkipMessage[] =
-    "build with -DSES_ALLOC_GUARD=ON to count allocations";
 
 /// One full interval-major gain sweep over the unassigned events —
 /// the per-pair model path score generation takes at warm-started
@@ -46,26 +42,24 @@ double GainSweep(const SesInstance& instance, AttendanceModel& model) {
 }
 
 TEST(HotPathAllocTest, FirstSweepScratchPathIsAllocationFree) {
-  if (!util::AllocGuardEnabled()) GTEST_SKIP() << kSkipMessage;
   const SesInstance instance = test::MakeMediumInstance();
   AttendanceModel model(instance);
   // This window proves the constructor's sizing covers LoadInterval
   // with zero allocations from a fresh model's first load.
-  util::ScopedAllocCheck check;
+  test::ScopedAllocCheck check;
   const double sink = GainSweep(instance, model);
   EXPECT_EQ(check.allocations(), 0u);
   EXPECT_TRUE(std::isfinite(sink));
 }
 
 TEST(HotPathAllocTest, CacheWarmSweepIsAllocationFree) {
-  if (!util::AllocGuardEnabled()) GTEST_SKIP() << kSkipMessage;
   const SesInstance instance = test::MakeMediumInstance();
   AttendanceModel model(instance);
   // Two warm passes outside the window; the window's sweep then
   // reloads every interval a third time.
   double warm = GainSweep(instance, model);
   warm += GainSweep(instance, model);
-  util::ScopedAllocCheck check;
+  test::ScopedAllocCheck check;
   const double sink = GainSweep(instance, model);
   EXPECT_EQ(check.allocations(), 0u);
   // A reload rebuilds the scratch from the instance, so every sweep is
@@ -76,7 +70,6 @@ TEST(HotPathAllocTest, CacheWarmSweepIsAllocationFree) {
 }
 
 TEST(HotPathAllocTest, SweepOverPartialScheduleIsAllocationFree) {
-  if (!util::AllocGuardEnabled()) GTEST_SKIP() << kSkipMessage;
   const SesInstance instance = test::MakeMediumInstance();
   AttendanceModel model(instance);
   // Mutating the schedule allocates (Schedule keeps per-interval event
@@ -92,14 +85,13 @@ TEST(HotPathAllocTest, SweepOverPartialScheduleIsAllocationFree) {
     }
   }
   ASSERT_GT(applied, 0);
-  util::ScopedAllocCheck check;
+  test::ScopedAllocCheck check;
   const double sink = GainSweep(instance, model);
   EXPECT_EQ(check.allocations(), 0u);
   EXPECT_TRUE(std::isfinite(sink));
 }
 
 TEST(HotPathAllocTest, RescoreRowIsAllocationFree) {
-  if (!util::AllocGuardEnabled()) GTEST_SKIP() << kSkipMessage;
   const SesInstance instance = test::MakeMediumInstance();
   AttendanceModel model(instance);
   // The greedy family's update pass: Apply (cold, it grows the
@@ -113,7 +105,7 @@ TEST(HotPathAllocTest, RescoreRowIsAllocationFree) {
   for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
     const auto e = static_cast<EventIndex>(t);
     if (model.CanAssign(e, t)) model.Apply(e, t);
-    util::ScopedAllocCheck check;
+    test::ScopedAllocCheck check;
     rescored += model.RescoreRow(t, row, every_event);
     EXPECT_EQ(check.allocations(), 0u) << "interval " << t;
   }
@@ -121,7 +113,6 @@ TEST(HotPathAllocTest, RescoreRowIsAllocationFree) {
 }
 
 TEST(HotPathAllocTest, SigmaProviderFillsAreAllocationFree) {
-  if (!util::AllocGuardEnabled()) GTEST_SKIP() << kSkipMessage;
   constexpr size_t kUsers = 512;
   constexpr IntervalIndex kIntervals = 16;
   const HashUniformSigma hashed(123);
@@ -130,7 +121,7 @@ TEST(HotPathAllocTest, SigmaProviderFillsAreAllocationFree) {
       kIntervals, std::vector<float>(kUsers, 0.5f)));
   std::vector<float> row(kUsers);
   double sink = 0.0;
-  util::ScopedAllocCheck check;
+  test::ScopedAllocCheck check;
   for (IntervalIndex t = 0; t < kIntervals; ++t) {
     hashed.FillInterval(t, row);
     sink += row[t];
@@ -145,7 +136,6 @@ TEST(HotPathAllocTest, SigmaProviderFillsAreAllocationFree) {
 }
 
 TEST(HotPathAllocTest, KernelSweepIsAllocationFree) {
-  if (!util::AllocGuardEnabled()) GTEST_SKIP() << kSkipMessage;
   // The SoA kernels called directly, bypassing AttendanceModel: a warm
   // sweep over pre-sized spans must be pure arithmetic — the kernels
   // take raw restrict pointers and have nothing to grow. This is the
@@ -163,7 +153,7 @@ TEST(HotPathAllocTest, KernelSweepIsAllocationFree) {
     values.push_back(0.25f + static_cast<float>(u % 7) * 0.1f);
   }
   double sink = 0.0;
-  util::ScopedAllocCheck check;
+  test::ScopedAllocCheck check;
   for (int pass = 0; pass < 16; ++pass) {
     // LoadInterval's dense reset, competing fold and scheduled fold.
     std::fill(soa.denom.begin(), soa.denom.end(), 0.0);
@@ -194,7 +184,6 @@ TEST(HotPathAllocTest, KernelSweepIsAllocationFree) {
 }
 
 TEST(HotPathAllocTest, AttendanceProbabilityIsAllocationFree) {
-  if (!util::AllocGuardEnabled()) GTEST_SKIP() << kSkipMessage;
   const SesInstance instance = test::MakeMediumInstance();
   AttendanceModel model(instance);
   std::vector<EventIndex> assigned;
@@ -207,7 +196,7 @@ TEST(HotPathAllocTest, AttendanceProbabilityIsAllocationFree) {
   }
   ASSERT_FALSE(assigned.empty());
   double sink = 0.0;
-  util::ScopedAllocCheck check;
+  test::ScopedAllocCheck check;
   for (EventIndex e : assigned) {
     for (UserIndex u = 0; u < instance.num_users(); ++u) {
       sink += AttendanceProbability(instance, model.schedule(), u, e);

@@ -16,8 +16,8 @@
 
 #include "core/greedy.h"
 #include "core/objective.h"
+#include "tests/alloc_guard.h"
 #include "tests/test_util.h"
-#include "util/alloc_guard.h"
 #include "util/csv.h"
 
 namespace ses::core {
@@ -335,16 +335,13 @@ TEST_F(InstanceIoTest, LargeRoundTripStraddlesTheReadBuffer) {
 }
 
 TEST_F(InstanceIoTest, LoadMakesNoAllocationPerRow) {
-  if (!util::AllocGuardEnabled()) {
-    GTEST_SKIP() << "build with -DSES_ALLOC_GUARD=ON to count allocations";
-  }
   const SesInstance& original = LargeInstance();
   // The event triplets alone reach 200k; competing rows add ~80k. No row
   // has a twin, so each is its own profile.
   const size_t triplets = original.num_interest_entries();
   ASSERT_GE(triplets, 200000u);
   ASSERT_TRUE(SaveInstance(original, HashSpec(5), dir_.string()).ok());
-  util::ScopedAllocCheck check;
+  test::ScopedAllocCheck check;
   auto loaded = LoadInstance(dir_.string());
   const uint64_t allocations = check.allocations();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

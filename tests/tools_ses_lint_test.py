@@ -725,22 +725,23 @@ class StaleSuppressionTest(LintFixture):
                    "int x = 3;\n")
         self.assert_clean()
 
-    def test_fix_stale_rewrites_in_place(self):
-        self.write("src/core/a.cc",
-                   "int keep = 1;\n"
-                   "int x = 3;  // ses-lint: allow(naked-new)\n"
-                   "int* p = new int(3);"
-                   "  // ses-lint: allow(naked-new, raw-mutex)\n")
-        proc = run_lint_argv(self.root, "--fix-stale", "src")
-        self.assertIn("--fix-stale: cleaned src/core/a.cc", proc.stderr)
-        with open(os.path.join(self.root, "src/core/a.cc"),
-                  encoding="utf-8") as fh:
-            fixed = fh.read().split("\n")
-        # The dead whole-comment goes; the mixed list keeps its live id.
-        self.assertEqual(fixed[1], "int x = 3;")
-        self.assertIn("// ses-lint: allow(naked-new)", fixed[2])
-        self.assertNotIn("raw-mutex", fixed[2])
-        self.assert_clean()
+
+class PathArgumentTest(LintFixture):
+    """Every PATH must hold a source file the scan reads."""
+
+    def test_cpp_files_are_scanned(self):
+        self.write("examples/demo.cpp",
+                   "int x = 3;  // ses-lint: allow(naked-new)\n")
+        self.assert_flags("stale-suppression", paths=("examples",))
+
+    def test_path_without_sources_is_an_error(self):
+        self.write("src/core/a.cc", "int x = 3;\n")
+        self.write("examples/README.md", "No sources here.\n")
+        for path in ("examples", "missing"):
+            proc = run_lint_argv(self.root, "src", path)
+            self.assertEqual(proc.returncode, 1, proc.stderr)
+            self.assertIn(f"ses_lint: {path}: no *.h, *.cc or *.cpp file",
+                          proc.stderr)
 
 
 class GithubFormatTest(LintFixture):

@@ -1,8 +1,6 @@
 /// Unit tests for the thread-local allocation counter
-/// (src/util/alloc_guard.{h,cc}). Every counting assertion is gated on
-/// AllocGuardEnabled(): in a default build the interposer is compiled
-/// out and the suite degrades to checking the compiled-out contract
-/// (constant zero) instead of vacuously passing.
+/// (tests/alloc_guard.{h,cc}), which this suite links in place of the
+/// global allocator.
 
 #include <atomic>
 #include <cstdint>
@@ -12,25 +10,12 @@
 
 #include <gtest/gtest.h>
 
-#include "util/alloc_guard.h"
+#include "tests/alloc_guard.h"
 
-namespace ses::util {
+namespace ses::test {
 namespace {
 
-TEST(AllocGuardTest, DisabledBuildReportsZeroForever) {
-  if (AllocGuardEnabled()) {
-    GTEST_SKIP() << "counting build; the remaining tests cover it";
-  }
-  ScopedAllocCheck check;
-  auto p = std::make_unique<uint64_t>(7);
-  EXPECT_EQ(*p, 7u);
-  EXPECT_EQ(check.allocations(), 0u);
-}
-
 TEST(AllocGuardTest, CountsHeapAllocations) {
-  if (!AllocGuardEnabled()) {
-    GTEST_SKIP() << "build with -DSES_ALLOC_GUARD=ON to count";
-  }
   ScopedAllocCheck check;
   EXPECT_EQ(check.allocations(), 0u);
   auto p = std::make_unique<uint64_t>(41);
@@ -40,9 +25,6 @@ TEST(AllocGuardTest, CountsHeapAllocations) {
 }
 
 TEST(AllocGuardTest, NestedChecksMeasureFromTheirOwnStart) {
-  if (!AllocGuardEnabled()) {
-    GTEST_SKIP() << "build with -DSES_ALLOC_GUARD=ON to count";
-  }
   ScopedAllocCheck outer;
   auto a = std::make_unique<int>(1);
   ScopedAllocCheck inner;
@@ -53,9 +35,6 @@ TEST(AllocGuardTest, NestedChecksMeasureFromTheirOwnStart) {
 }
 
 TEST(AllocGuardTest, ArrayAndAlignedFormsAreCounted) {
-  if (!AllocGuardEnabled()) {
-    GTEST_SKIP() << "build with -DSES_ALLOC_GUARD=ON to count";
-  }
   ScopedAllocCheck check;
   auto arr = std::make_unique<int[]>(16);  // operator new[]
   arr[0] = 1;
@@ -68,9 +47,6 @@ TEST(AllocGuardTest, ArrayAndAlignedFormsAreCounted) {
 }
 
 TEST(AllocGuardTest, CounterIsThreadLocal) {
-  if (!AllocGuardEnabled()) {
-    GTEST_SKIP() << "build with -DSES_ALLOC_GUARD=ON to count";
-  }
   // The worker is constructed (std::thread allocates its state) before
   // the check window opens, then released into its allocation burst by
   // the handshake — so every one of its allocations lands inside the
@@ -112,4 +88,4 @@ TEST(AllocGuardTest, CounterIsThreadLocal) {
 }
 
 }  // namespace
-}  // namespace ses::util
+}  // namespace ses::test

@@ -14,7 +14,8 @@ Workflow:
     python3 tools/run_benchmarks.py --compare=HEAD~1   # regression diff
 
 Methodology:
-  * test-free build into build-bench/ (skip with --no-build);
+  * test-free Release build into build-bench/ (skip with --no-build),
+    the build type of perfbench and of CI's release job;
   * CPU pinning via taskset where available (skip with --no-pin);
   * N repeats (--repeat), element-wise median over every numeric
     field — medians shrug off the odd scheduling hiccup that would skew
@@ -193,7 +194,7 @@ def build_micro(build_dir):
     """Configures and builds the micro_attendance benchmark binary."""
     subprocess.run(
         ["cmake", "-B", build_dir, "-S", REPO_ROOT,
-         "-DCMAKE_BUILD_TYPE=RelWithDebInfo", "-DBUILD_TESTING=OFF"],
+         "-DCMAKE_BUILD_TYPE=Release", "-DBUILD_TESTING=OFF"],
         check=True)
     subprocess.run(
         ["cmake", "--build", build_dir, "--target", "micro_attendance",

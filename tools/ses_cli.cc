@@ -31,22 +31,13 @@
 ///       Prints shape statistics for an instance or a dataset; for an
 ///       instance, also how many distinct interest rows (profiles) its
 ///       candidate and competing rows hold.
-///
-///   lint [ses_lint flags and paths...]
-///       Runs tools/ses_lint.py against this checkout (the repo root is
-///       baked in at build time) with any extra arguments passed
-///       through — `ses_cli lint --list-rules`, `ses_cli lint src`, etc.
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "api/scheduler.h"
 #include "core/instance_io.h"
@@ -421,27 +412,6 @@ int CmdInfo(int argc, const char* const* argv) {
       util::Status::InvalidArgument("pass --instance or --data"));
 }
 
-int CmdLint(int argc, const char* const* argv) {
-  // Passthrough to the project linter with repo-root defaults, so the
-  // static gates are reachable from the same binary operators already
-  // have on hand. SES_SOURCE_DIR is this checkout's root, baked in by
-  // CMake; execvp replaces the process, so the exit code is ses_lint's
-  // own.
-  std::vector<std::string> args = {"python3",
-                                   std::string(SES_SOURCE_DIR) +
-                                       "/tools/ses_lint.py",
-                                   "--root", SES_SOURCE_DIR};
-  for (int i = 1; i < argc; ++i) args.push_back(argv[i]);
-  std::vector<char*> exec_argv;
-  exec_argv.reserve(args.size() + 1);
-  for (std::string& arg : args) exec_argv.push_back(arg.data());
-  exec_argv.push_back(nullptr);
-  execvp(exec_argv[0], exec_argv.data());
-  std::fprintf(stderr, "error: could not exec python3: %s\n",
-               std::strerror(errno));
-  return 127;
-}
-
 void PrintUsage() {
   std::fputs(
       "usage: ses_cli <command> [flags]\n"
@@ -450,8 +420,7 @@ void PrintUsage() {
       "  build-instance  build the paper workload from a dataset\n"
       "  solve           run a solver on a stored instance\n"
       "  metrics         dump the scheduler metric catalog / live values\n"
-      "  info            describe a dataset or instance\n"
-      "  lint            run the project linter over this checkout\n",
+      "  info            describe a dataset or instance\n",
       stderr);
 }
 
@@ -471,7 +440,6 @@ int main(int argc, char** argv) {
   if (command == "solve") return CmdSolve(sub_argc, sub_argv);
   if (command == "metrics") return CmdMetrics(sub_argc, sub_argv);
   if (command == "info") return CmdInfo(sub_argc, sub_argv);
-  if (command == "lint") return CmdLint(sub_argc, sub_argv);
   PrintUsage();
   return 2;
 }

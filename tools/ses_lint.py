@@ -2,16 +2,16 @@
 """ses_lint — project-invariant linter and flow-aware analyzer.
 
 Usage: ses_lint.py [--root DIR] [--list-rules] [--capabilities]
-                   [--hot-functions] [--fix-stale] [--format {text,github}]
-                   [--compile-commands FILE] [PATH ...]
+                   [--hot-functions] [--format {text,github}] [PATH ...]
 
 Enforces, with nothing beyond the Python standard library, the
 invariants the compiler cannot see (and that `clang -Wthread-safety`
 does not cover). PATHs default to `src tools tests bench examples`
 under --root (default: the repository root, i.e. the parent of this
-script's directory); directories are walked for *.h / *.cc files. Each
-rule applies only inside its scope — listed below and documented in
-docs/ARCHITECTURE.md ("Concurrency invariants & static analysis").
+script's directory); directories are walked for *.h / *.cc / *.cpp
+files, and a PATH that holds none is an error. Each rule applies only
+inside its scope — listed below and documented in docs/ARCHITECTURE.md
+("Concurrency invariants & static analysis").
 
 Token rules:
   layering              src/ include-layering matrix: util includes
@@ -75,7 +75,6 @@ Lock/Unlock calls, linked into a global call graph):
                         actually suppress a finding the current run
                         produced on that line; dead
                         suppressions rot into false documentation.
-                        `--fix-stale` deletes them in place.
 
 Suppressions: append `// ses-lint: allow(<rule>)` to the offending
 line (comma-separate several rule ids). Comments, string literals, and
@@ -91,17 +90,13 @@ build runs with -Werror, so this linter does not re-check it.
 
 --format=github prints GitHub Actions `::error file=...,line=...::`
 workflow commands so findings annotate PR diffs inline.
---compile-commands FILE restricts the scanned *.cc set to translation
-units listed in the exported compile_commands.json (headers are always
-scanned), so the flow pass analyzes exactly what the build builds.
 
 Exit status: 0 when clean, 1 with one "file:line: rule: message" per
-problem otherwise.
+problem otherwise, or when a PATH holds no source file.
 """
 
 import argparse
 import bisect
-import json
 import os
 import re
 import sys
@@ -131,11 +126,6 @@ TSA_ESCAPE_EXEMPT = {"src/util/mutex.h", "src/util/thread_annotations.h"}
 # outside (Lock() "acquires while holding" in every combination); the
 # flow analysis models their call sites, not their internals.
 FLOW_EXEMPT = {"src/util/mutex.h", "src/util/thread_annotations.h"}
-
-# The allocation-counting interposer is the one sanctioned definition
-# site for the global operator new family (`operator new[]` trips the
-# naked-new token match); everywhere else the rule stands.
-ALLOC_GUARD_EXEMPT = {"src/util/alloc_guard.cc"}
 
 CLOCK_RE = re.compile(
     r"std::chrono::(?:steady_clock|system_clock|high_resolution_clock)"
@@ -183,8 +173,7 @@ RULE_DOCS = {
         "(witness chains; tools/hot_whitelist.txt for trusted leaves; "
         "--hot-functions for the inventory)",
     "stale-suppression":
-        "every ses-lint allow() suppresses a real finding on its line "
-        "(--fix-stale deletes dead ones)",
+        "every ses-lint allow() suppresses a real finding on its line",
 }
 
 
@@ -324,7 +313,7 @@ class Linter:
                                "thread-safety-analysis escape hatch "
                                "outside util/mutex.h (fix the "
                                "annotation instead)")
-        if in_src and rel not in ALLOC_GUARD_EXEMPT:
+        if in_src:
             self.check_naked_new(rel, code, raw)
         if is_header:
             self.check_pattern(rel, code, raw, USING_NAMESPACE_RE,
@@ -1246,36 +1235,17 @@ def render_table(rows):
 # Driver
 # ---------------------------------------------------------------------------
 
-def collect(paths):
-    files = []
-    for path in paths:
-        if os.path.isdir(path):
-            for root, _, names in os.walk(path):
-                files.extend(os.path.join(root, name)
-                             for name in sorted(names)
-                             if name.endswith((".h", ".cc")))
-        elif path.endswith((".h", ".cc")):
-            files.append(path)
-    return files
+SOURCE_SUFFIXES = (".h", ".cc", ".cpp")
 
 
-def compile_commands_filter(files, cc_path):
-    """Keeps headers plus exactly the *.cc translation units the build
-    exports in compile_commands.json."""
-    try:
-        with open(cc_path, encoding="utf-8") as fh:
-            entries = json.load(fh)
-    except (OSError, ValueError) as err:
-        print(f"ses_lint: cannot read {cc_path}: {err}", file=sys.stderr)
-        return files
-    built = set()
-    for entry in entries:
-        src = entry.get("file", "")
-        if not os.path.isabs(src):
-            src = os.path.join(entry.get("directory", ""), src)
-        built.add(os.path.realpath(src))
-    return [f for f in files
-            if f.endswith(".h") or os.path.realpath(f) in built]
+def collect(path):
+    """The source files at `path`: the file itself, or every
+    *.h / *.cc / *.cpp below a directory."""
+    if not os.path.isdir(path):
+        return [path] if path.endswith(SOURCE_SUFFIXES) else []
+    return [os.path.join(root, name)
+            for root, _, names in os.walk(path)
+            for name in sorted(names) if name.endswith(SOURCE_SUFFIXES)]
 
 
 def load_hot_whitelist(root):
@@ -1295,18 +1265,13 @@ def load_hot_whitelist(root):
     return names
 
 
-STALE_STRIP_RE = re.compile(r"\s*//\s*ses-lint:\s*allow\([^)]*\).*$")
-
-
 def stale_suppressions(raws, contents):
     """Every allow() whose (file, line, rule) never landed in
     USED_SUPPRESSIONS this run. Only lines that carry code are audited:
     an allow() on a pure comment line is prose (docs quoting the
     syntax), not a suppression — rules match stripped code, so it never
-    suppressed anything in the first place. Returns (findings, fixes)
-    where fixes maps rel -> {lineno: kept_rule_list} for --fix-stale."""
+    suppressed anything in the first place."""
     findings = []
-    fixes = {}
     for rel in sorted(raws):
         code = contents.get(rel, [])
         for lineno, line in enumerate(raws[rel], start=1):
@@ -1315,58 +1280,16 @@ def stale_suppressions(raws, contents):
                 continue
             if lineno <= len(code) and not code[lineno - 1].strip():
                 continue
-            rules = [r.strip() for r in m.group(1).split(",") if r.strip()]
-            stale = [r for r in rules
-                     if (rel, lineno, r) not in USED_SUPPRESSIONS]
-            if not stale:
-                continue
-            for r in stale:
+            for r in (r.strip() for r in m.group(1).split(",")):
+                if not r or (rel, lineno, r) in USED_SUPPRESSIONS:
+                    continue
                 unknown = "" if r in RULE_DOCS else " (unknown rule id)"
                 findings.append((
                     rel, lineno, "stale-suppression",
                     f"allow({r}) suppresses no finding on this "
                     f"line{unknown} — the code it excused is gone; "
-                    "delete it (or run --fix-stale)"))
-            fixes.setdefault(rel, {})[lineno] = \
-                [r for r in rules if r not in stale]
-    return findings, fixes
-
-
-def apply_stale_fixes(root, fixes):
-    """Rewrites files in place, dropping dead allow() comments (or just
-    the dead rule ids when live ones share the list)."""
-    removed = 0
-    for rel, lines in sorted(fixes.items()):
-        path = os.path.join(root, rel)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                content = fh.read().split("\n")
-        except OSError as err:
-            print(f"ses_lint: --fix-stale: cannot read {rel}: {err}",
-                  file=sys.stderr)
-            continue
-        for lineno, kept in lines.items():
-            if not 1 <= lineno <= len(content):
-                continue
-            line = content[lineno - 1]
-            if kept:
-                line = ALLOW_RE.sub(
-                    "// ses-lint: allow(" + ", ".join(kept) + ")",
-                    line, count=1)
-            else:
-                line = STALE_STRIP_RE.sub("", line)
-            content[lineno - 1] = line
-            removed += 1
-        # Dropping a whole-line suppression comment leaves an empty
-        # line behind only if the comment stood alone; remove it.
-        content = [ln for idx, ln in enumerate(content, start=1)
-                   if not (idx in lines and not lines[idx]
-                           and ln.strip() == "")]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(content))
-        print(f"ses_lint: --fix-stale: cleaned {rel}", file=sys.stderr)
-    print(f"ses_lint: --fix-stale: removed {removed} stale "
-          "suppression(s)", file=sys.stderr)
+                    "delete it"))
+    return findings
 
 
 def render(problems, checked, github):
@@ -1400,15 +1323,9 @@ def main(argv):
                         help="dump the derived mutex inventory and exit")
     parser.add_argument("--hot-functions", action="store_true",
                         help="dump the SES_HOT function inventory and exit")
-    parser.add_argument("--fix-stale", action="store_true",
-                        help="delete stale ses-lint allow() comments in "
-                             "place instead of reporting them")
     parser.add_argument("--format", choices=("text", "github"),
                         default="text",
                         help="finding output format (default: text)")
-    parser.add_argument("--compile-commands", metavar="FILE", default=None,
-                        help="restrict scanned *.cc files to translation "
-                             "units listed in this compile_commands.json")
     parser.add_argument("paths", nargs="*",
                         help="files or directories (default: src tools "
                              "tests bench examples under --root)")
@@ -1421,14 +1338,16 @@ def main(argv):
 
     root = os.path.abspath(args.root) if args.root else os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
-    paths = [os.path.join(root, p) if not os.path.isabs(p) else p
-             for p in (args.paths or
-                       ["src", "tools", "tests", "bench", "examples"])]
-    paths = [p for p in paths if os.path.exists(p)]
-
-    files = collect(paths)
-    if args.compile_commands:
-        files = compile_commands_filter(files, args.compile_commands)
+    files = []
+    for path in (args.paths or
+                 ["src", "tools", "tests", "bench", "examples"]):
+        found = collect(os.path.join(root, path))
+        if not found:
+            # A typo'd or emptied PATH must not pass as a clean scan.
+            print(f"ses_lint: {path}: no *.h, *.cc or *.cpp file",
+                  file=sys.stderr)
+            return 1
+        files.extend(found)
     # Deterministic scan order: merged-function metadata (e.g. which
     # file "declares" a hot function) must not depend on readdir order.
     files.sort()
@@ -1466,11 +1385,7 @@ def main(argv):
 
     # Last, after every rule has had its chance to register the
     # suppressions it honored: the stale audit.
-    stale, fixes = stale_suppressions(raws, contents)
-    if args.fix_stale:
-        apply_stale_fixes(root, fixes)
-    else:
-        problems.extend(stale)
+    problems.extend(stale_suppressions(raws, contents))
 
     problems = sorted(set(problems))
     render(problems, len(files), args.format == "github")
