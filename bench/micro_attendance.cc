@@ -3,8 +3,8 @@
 /// update pass, the reference objective, the score-grid fill (also on an
 /// instance without twins), and the raw SoA span kernels
 /// (core/kernels.h) the model and the fill are built on.
-/// google-benchmark binary; `tools/run_benchmarks.py` wraps it into the
-/// canonical BENCH_micro_attendance.json.
+/// google-benchmark binary; `tools/run_benchmarks.py` runs it, alone or
+/// alternately with a git ref's build (docs/BENCHMARKS.md).
 
 #include <cstdint>
 #include <memory>

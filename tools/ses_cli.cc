@@ -10,14 +10,18 @@
 ///       Builds the paper's Section IV-A workload from a dataset and
 ///       persists the SES instance.
 ///
-///   solve --instance=DIR [--solver=grd --k=N --seed=N
-///         --budget-seconds=X --priority=normal --max-queued=N --metrics]
+///   solve --instance=DIR [--solver=grd --k=N --seed=N --solver-threads=N
+///         --budget-seconds=X --priority=normal --max-queued=N
+///         --print-schedule --metrics]
 ///       Loads an instance into the scheduler's session cache, submits a
 ///       solve against it by id through ses::api::Scheduler (at the
 ///       requested queue priority, under the requested admission bound),
-///       prints the schedule summary. With a budget, an expired deadline
-///       still prints the best schedule found so far. --metrics appends
-///       the scheduler's full metric dump (docs/METRICS.md).
+///       prints the schedule summary. --solver-threads shards score
+///       generation (0 = all cores; the schedule is bit-identical at any
+///       value) and --print-schedule prints every assignment. With a
+///       budget, an expired deadline still prints the best schedule found
+///       so far. --metrics appends the scheduler's full metric dump
+///       (docs/METRICS.md).
 ///
 ///   metrics [--instance=DIR --solver=grd --k=N --requests=N
 ///           --format=text|csv]
